@@ -327,10 +327,6 @@ class FusionModel:
                           probabilities=probs)
 
 
-def predict_frame(model: FusionModel, rgb, flow, hog) -> Prediction:
-    return model.predict(rgb, flow, hog)
-
-
 def parameter_count(model: FusionModel) -> int:
     """Exact number of trainable scalars (conv kernels, BN gamma/beta, FC)."""
     return sum(p.size for layer in model.layers() for p in layer.params.values())

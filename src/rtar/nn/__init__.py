@@ -11,6 +11,7 @@ from .tensorops import (
     batch_norm_eval,
     batch_norm_train,
     conv2d,
+    conv2d_gemm,
     fully_connected,
     global_avg_pool,
     relu,
@@ -33,6 +34,7 @@ __all__ = [
     "batch_norm_eval",
     "batch_norm_train",
     "conv2d",
+    "conv2d_gemm",
     "fully_connected",
     "global_avg_pool",
     "relu",

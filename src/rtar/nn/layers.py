@@ -83,7 +83,7 @@ class Conv2D(Layer):
         self._init_grads()
 
     def forward(self, x, train=False):
-        y = T.conv2d(x, self.params["w"], self.stride, self.padding)
+        y = T.conv2d_gemm(x, self.params["w"], self.stride, self.padding)
         if train:
             self._cache = x
         return y

@@ -1,12 +1,18 @@
 """Functional forward passes for the fixed layer set.
 
 All functions are pure and dtype-preserving (float32 for normal use,
-float64 for gradient-check runs). Convolution accumulates its receptive
-field strictly in (ky, kx, cin) order, one fused multiply-add per term,
-so its output is bit-identical to a naive six-nested-loop evaluation
-with the same inner order. Faster layouts (im2col, BLAS contraction)
-would reorder the floating-point sums and break that equality, so they
-are deliberately not used on the forward path.
+float64 for gradient-check runs).
+
+Convolution has two forward implementations sharing one argument check.
+``conv2d_gemm`` is the one the layers run: it lowers the convolution to
+one BLAS matrix product per kernel tap (Chellapilla et al., 2006),
+accumulated into a single (Ho*Wo, Cout) buffer, so no full im2col matrix
+is ever materialised. BLAS reorders the floating-point sums, so its
+output is float32-close to, not bit-identical with, a naive loop.
+``conv2d`` is the reference oracle: it accumulates the receptive field
+strictly in (ky, kx, cin) order, one fused multiply-add per term, so its
+output is bit-identical to a naive six-nested-loop evaluation with the
+same inner order. Tests hold ``conv2d_gemm`` to ``conv2d``.
 """
 
 from __future__ import annotations
@@ -16,17 +22,13 @@ import numpy as np
 from ..errors import ContractViolationError
 
 
-def conv2d(x: np.ndarray, w: np.ndarray, stride: int = 1, padding: int = 0) -> np.ndarray:
-    """2-D convolution (cross-correlation), channel-last, no bias.
-
-    x: (H, W, Cin); w: (kh, kw, Cin, Cout) with kh, kw in {1, 3}.
-    Output (Ho, Wo, Cout) with Ho = (H + 2p - kh) // stride + 1.
-    """
+def _conv_output_extents(x: np.ndarray, w: np.ndarray, stride: int, padding: int) -> tuple[int, int]:
+    """Check conv2d's argument contract; returns the output extents (Ho, Wo)."""
     if x.ndim != 3 or w.ndim != 4:
         raise ContractViolationError(
             f"conv2d expects (H,W,Cin) and (kh,kw,Cin,Cout), got {x.shape} and {w.shape}"
         )
-    kh, kw, cin, cout = w.shape
+    kh, kw, cin, _ = w.shape
     if kh not in (1, 3) or kw not in (1, 3):
         raise ContractViolationError(f"kernel extents must be 1 or 3, got {kh}x{kw}")
     if stride < 1:
@@ -44,6 +46,17 @@ def conv2d(x: np.ndarray, w: np.ndarray, stride: int = 1, padding: int = 0) -> n
         raise ContractViolationError(
             f"non-positive output extents {ho}x{wo} for input {h}x{w_in}"
         )
+    return ho, wo
+
+
+def conv2d(x: np.ndarray, w: np.ndarray, stride: int = 1, padding: int = 0) -> np.ndarray:
+    """2-D convolution (cross-correlation), channel-last, no bias.
+
+    x: (H, W, Cin); w: (kh, kw, Cin, Cout) with kh, kw in {1, 3}.
+    Output (Ho, Wo, Cout) with Ho = (H + 2p - kh) // stride + 1.
+    """
+    ho, wo = _conv_output_extents(x, w, stride, padding)
+    kh, kw, cin, cout = w.shape
     xp = np.pad(x, ((padding, padding), (padding, padding), (0, 0))) if padding else x
     out = np.zeros((ho, wo, cout), dtype=x.dtype)
     tmp = np.empty_like(out)
@@ -55,6 +68,25 @@ def conv2d(x: np.ndarray, w: np.ndarray, stride: int = 1, padding: int = 0) -> n
                 np.multiply(patch[:, :, ci : ci + 1], w[ky, kx, ci], out=tmp)
                 np.add(out, tmp, out=out)
     return out
+
+
+def conv2d_gemm(x: np.ndarray, w: np.ndarray, stride: int = 1, padding: int = 0) -> np.ndarray:
+    """conv2d as one BLAS product per kernel tap; same contract, float-close output.
+
+    Each tap (ky, kx) adds patch (Ho*Wo, Cin) @ w[ky, kx] (Cin, Cout) into
+    one accumulator. An unpadded 1x1 stride-1 patch is x itself, so the
+    reshape is a view and nothing is copied.
+    """
+    ho, wo = _conv_output_extents(x, w, stride, padding)
+    kh, kw, cin, cout = w.shape
+    xp = np.pad(x, ((padding, padding), (padding, padding), (0, 0))) if padding else x
+    out = np.zeros((ho * wo, cout), dtype=x.dtype)
+    for ky in range(kh):
+        for kx in range(kw):
+            patch = xp[ky : ky + (ho - 1) * stride + 1 : stride,
+                       kx : kx + (wo - 1) * stride + 1 : stride, :]
+            out += patch.reshape(-1, cin) @ w[ky, kx]
+    return out.reshape(ho, wo, cout)
 
 
 def conv2d_backward(

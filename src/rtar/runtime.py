@@ -299,6 +299,11 @@ class BoundedQueue:
             self._closed = True
             self._cond.notify_all()
 
+    @property
+    def closed(self) -> bool:
+        with self._cond:
+            return self._closed
+
 
 def run_pipeline_live(
     frames: Iterator[tuple[float, np.ndarray]],
@@ -314,7 +319,9 @@ def run_pipeline_live(
     ``frames`` yields (timestamp, HxWx3 uint8). If inference lags, the
     oldest undecoded frames are dropped; the drop count is returned
     alongside the event lines. Not deterministic; offline mode is the
-    reference behaviour.
+    reference behaviour. An exception raised while reading frames or
+    inferring closes the queue, stops both workers and is re-raised here
+    once they have been joined.
     """
     import time as _time
 
@@ -324,20 +331,30 @@ def run_pipeline_live(
     capacity = max(1, round(config.fps * config.window_seconds))
     buf = FrameBuffer(capacity)
     done = threading.Event()
+    failures: list[Exception] = []
+
+    def worker(body):
+        def run():
+            try:
+                body()
+            except Exception as exc:  # re-raised on the caller's thread after join
+                failures.append(exc)
+            finally:
+                queue.close()
+        return run
 
     def ingest():
-        try:
-            for ts, frame in frames:
-                queue.put((ts, frame))
-        finally:
-            queue.close()
+        for ts, frame in frames:
+            if queue.closed:
+                break
+            queue.put((ts, frame))
 
     def infer():
         prev = None
         while True:
             item = queue.get(timeout=0.1)
             if item is None:
-                if done.is_set() or queue._closed:
+                if done.is_set() or queue.closed:
                     break
                 continue
             ts, frame = item
@@ -348,8 +365,8 @@ def run_pipeline_live(
                                      confidence=pred.confidence))
             prev = (ts, frame)
 
-    t_ingest = threading.Thread(target=ingest, daemon=True)
-    t_infer = threading.Thread(target=infer, daemon=True)
+    t_ingest = threading.Thread(target=worker(ingest), daemon=True)
+    t_infer = threading.Thread(target=worker(infer), daemon=True)
     start = clock()
     t_ingest.start()
     t_infer.start()
@@ -373,6 +390,8 @@ def run_pipeline_live(
     done.set()
     t_ingest.join()
     t_infer.join()
+    if failures:
+        raise failures[0]
     final = clock() - start
     decision = buffer_poll(buf, config.threshold_confidence, final)
     state, event = update_erroneous(state, decision, config)

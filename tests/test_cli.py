@@ -5,6 +5,8 @@ import pytest
 
 from rtar import dataset, synth
 from rtar.cli import main
+from rtar.errors import ContractViolationError
+from rtar.network import FusionModel
 from tests.test_dataset import full_dataset_manifest
 
 SYNTH_ARGS = ["--clips-per-class", "2", "--groups", "2", "--fps", "4",
@@ -122,6 +124,23 @@ class TestTrainEvalRun:
         assert main(argv) == 0
         second = capsys.readouterr().out
         assert first == second
+
+    def test_live_inference_failure_exits_2(self, synth_dir, trained, capsys, monkeypatch):
+        calls = []
+        real_predict = FusionModel.predict
+
+        def predict(self, rgb=None, flow=None, hog=None):
+            calls.append(1)
+            if len(calls) == 3:
+                raise ContractViolationError("third predict fails")
+            return real_predict(self, rgb, flow, hog)
+
+        monkeypatch.setattr(FusionModel, "predict", predict)
+        clip = sorted(p.name for p in synth_dir.iterdir() if p.is_dir())[0]
+        code = main(["run", "--live", "--checkpoint", str(trained),
+                     "--clip", str(synth_dir / clip), "--seed", "3"] + FAST_FLAGS)
+        assert code == 2
+        assert "third predict fails" in capsys.readouterr().err
 
 
 class TestConfigFile:

@@ -1,11 +1,12 @@
 import threading
+import time
 from collections import deque
 
 import numpy as np
 import pytest
 
 from rtar import mediaio, runtime
-from rtar.errors import ContractViolationError
+from rtar.errors import ContractViolationError, FormatError
 from rtar.network import Prediction
 from rtar.preprocess import FlowParams, PreprocessConfig
 from rtar.runtime import (
@@ -293,6 +294,14 @@ class TestBoundedQueue:
         assert q.get() == "a"
         assert q.get() is None
 
+    def test_closed_property_is_read_only(self):
+        q = BoundedQueue(2)
+        assert not q.closed
+        q.close()
+        assert q.closed
+        with pytest.raises(AttributeError):
+            q.closed = False
+
     def test_put_after_close_rejected(self):
         q = BoundedQueue(2)
         q.close()
@@ -318,3 +327,34 @@ class TestLivePipeline:
         assert lines[-1].startswith("POLL")
         assert dropped >= 0
         assert all(l.startswith(("POLL", "ERRONEOUS")) for l in lines)
+
+    def test_inference_failure_is_reraised_and_stops_ingest(self):
+        sent = []
+
+        def frames():
+            for i in range(5000):
+                sent.append(i)
+                time.sleep(0.002)
+                yield i / 30.0, np.zeros((16, 16, 3), dtype=np.uint8)
+
+        class FailingModel(_ScriptedModel):
+            def predict(self, rgb, flow, hog):
+                if self.calls == 2:
+                    raise FormatError("third predict fails")
+                return super().predict(rgb, flow, hog)
+
+        model = FailingModel()
+        with pytest.raises(FormatError, match="third predict fails"):
+            runtime.run_pipeline_live(frames(), model, RuntimeConfig(fps=30, poll_interval=0.05),
+                                      FAST_PRE, queue_size=4)
+        assert model.calls == 2
+        assert len(sent) < 5000
+
+    def test_frame_source_failure_is_reraised(self):
+        def frames():
+            yield 0.0, np.zeros((16, 16, 3), dtype=np.uint8)
+            raise FormatError("truncated frame")
+
+        with pytest.raises(FormatError, match="truncated frame"):
+            runtime.run_pipeline_live(frames(), _ScriptedModel(),
+                                      RuntimeConfig(fps=30, poll_interval=0.05), FAST_PRE)

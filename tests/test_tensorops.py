@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from rtar.errors import ContractViolationError
 from rtar.nn import tensorops as T
+from rtar.nn.layers import Conv2D
 
 
 def conv2d_naive(x, w, stride, padding):
@@ -81,6 +82,59 @@ class TestConv2d:
         w = rng.random((3, 3, 2, 5), dtype=np.float32)
         y = T.conv2d(x, w, stride=2, padding=1)
         assert y.shape == ((9 + 2 - 3) // 2 + 1, (7 + 2 - 3) // 2 + 1, 5)
+
+
+CONV_CONTRACT_CASES = [
+    ((4, 4), (3, 3, 1, 1), 1, 0),  # x is not (H, W, Cin)
+    ((6, 6, 1), (5, 5, 1, 1), 1, 2),  # unsupported kernel
+    ((4, 4, 1), (3, 3, 1, 1), 0, 1),  # stride < 1
+    ((4, 4, 1), (3, 3, 1, 1), 1, -1),  # padding < 0
+    ((4, 4, 3), (3, 3, 2, 1), 1, 1),  # channel mismatch
+    ((2, 2, 1), (3, 3, 1, 1), 1, 0),  # empty output
+]
+
+
+class TestConv2dGemm:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @given(
+        h=st.integers(1, 8), w=st.integers(1, 8),
+        cin=st.integers(1, 4), cout=st.integers(1, 3),
+        k=st.sampled_from([1, 3]), stride=st.integers(1, 2),
+        padding=st.integers(0, 1), seed=st.integers(0, 2**32 - 1),
+    )
+    def test_close_to_oracle_property(self, dtype, h, w, cin, cout, k, stride, padding, seed):
+        ho = (h + 2 * padding - k) // stride + 1
+        wo = (w + 2 * padding - k) // stride + 1
+        if ho < 1 or wo < 1:
+            return
+        gen = np.random.default_rng(seed)
+        x = gen.standard_normal((h, w, cin)).astype(dtype)
+        wt = gen.standard_normal((k, k, cin, cout)).astype(dtype)
+        got = T.conv2d_gemm(x, wt, stride, padding)
+        want = T.conv2d(x, wt, stride, padding)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        # Both sums carry at most n*eps*sum|x*w| rounding error over n = k*k*cin terms.
+        magnitude = T.conv2d(np.abs(x), np.abs(wt), stride, padding)
+        tol = 2 * k * k * cin * np.finfo(dtype).eps * magnitude
+        assert np.all(np.abs(got - want) <= tol)
+
+    @pytest.mark.parametrize("x_shape,w_shape,stride,padding", CONV_CONTRACT_CASES)
+    def test_contract_violations_match_oracle(self, rng, x_shape, w_shape, stride, padding):
+        x = rng.random(x_shape, dtype=np.float32)
+        wt = rng.random(w_shape, dtype=np.float32)
+        messages = []
+        for fn in (T.conv2d, T.conv2d_gemm):
+            with pytest.raises(ContractViolationError) as err:
+                fn(x, wt, stride, padding)
+            messages.append(str(err.value))
+        assert messages[0] == messages[1]
+
+    def test_conv2d_layer_runs_gemm_in_both_modes(self, rng):
+        layer = Conv2D(3, 3, 2, 4, stride=1, padding=1, rng=rng)
+        x = rng.random((6, 5, 2), dtype=np.float32)
+        want = T.conv2d_gemm(x, layer.params["w"], 1, 1)
+        assert np.array_equal(layer.forward(x, train=False), want)
+        assert np.array_equal(layer.forward(x, train=True), want)
 
 
 class TestBatchNorm:
