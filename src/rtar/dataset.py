@@ -21,10 +21,8 @@ import numpy as np
 from .errors import ContractViolationError, FormatError
 from . import mediaio
 from .network import ClipSamples
-from .preprocess import PreprocessConfig, preprocess_pair, sample_frames
-from .preprocess.hog import compute_hog, render_hog
-from .preprocess.resize import grayscale_bt601, resize_bilinear
-from .preprocess.flow import compute_flow
+from .preprocess import (PreprocessConfig, pair_maps, preprocess_pair, resize_bilinear,
+                         sample_frames, stream_inputs)
 
 
 @dataclass(frozen=True)
@@ -212,20 +210,27 @@ def _pgm_bytes(img: np.ndarray) -> bytes:
     return b"P5\n%d %d\n255\n" % (w, h) + img.tobytes()
 
 
+CACHE_CONFIG = "cache.config"
+
+
+def _cached_config(cache_dir) -> str | None:
+    """The config repr a cache directory was built with, None if unrecorded."""
+    try:
+        with open(os.path.join(cache_dir, CACHE_CONFIG), encoding="ascii") as f:
+            return f.read()
+    except FileNotFoundError:
+        return None
+
+
 def _cache_one_clip(clips_dir, name, config: PreprocessConfig, out_dir):
     clip_dir = os.path.join(clips_dir, name)
     meta = mediaio.read_clip_meta(os.path.join(clip_dir, "clip.meta"))
     pairs = sample_frames(meta, config.sample_frames_per_second, config.rng_seed)
-    s = config.target_size
     rows = []
     written = skipped = 0
     for k, (i, j) in enumerate(pairs):
-        prev = resize_bilinear(mediaio.read_frame(clip_dir, i, meta), s, s)
-        nxt = resize_bilinear(mediaio.read_frame(clip_dir, j, meta), s, s)
-        gray_prev = grayscale_bt601(prev.astype(np.float32) / np.float32(255))
-        gray_next = grayscale_bt601(nxt.astype(np.float32) / np.float32(255))
-        flow = compute_flow(gray_prev, gray_next, config.flow).astype(np.float32)
-        hog_img = render_hog(compute_hog(gray_prev, config.hog), s, s)
+        _, flow, hog_img = pair_maps(mediaio.read_frame(clip_dir, i, meta),
+                                     mediaio.read_frame(clip_dir, j, meta), config)
         flo_name, pgm_name = cache_names(name, k)
         for path, data in ((flo_name, _flo_bytes(flow)), (pgm_name, _pgm_bytes(hog_img))):
             if _write_if_changed(os.path.join(out_dir, path), data):
@@ -247,38 +252,34 @@ def precompute_cache(
 
     Idempotent: files whose bytes already match are not rewritten. An
     unreadable clip is recorded as FAILED in the index and processing
-    continues. Clips are processed in parallel; the index is written once
-    at the end by a single writer.
+    continues. Clips are processed on ``threads`` workers; the index is
+    written once at the end by a single writer. ``cache.config`` records
+    the config the files were computed with: it is removed while files of
+    another config may remain, written last, and counted in neither
+    ``written`` nor ``skipped``.
     """
+    if threads < 1:
+        raise ContractViolationError(f"threads must be >= 1, got {threads}")
     os.makedirs(out_dir, exist_ok=True)
+    config_path = os.path.join(out_dir, CACHE_CONFIG)
+    if _cached_config(out_dir) not in (None, repr(config)):
+        os.remove(config_path)
     results: dict[str, list[str]] = {}
     failures: list[tuple[str, str]] = []
     written = skipped = 0
 
-    def work(name):
-        return name, _cache_one_clip(clips_dir, name, config, out_dir)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = {pool.submit(work, name): name for name in clip_names}
-            for future in futures:
-                name = futures[future]
-                try:
-                    _, (rows, w, s) = future.result()
-                    results[name] = rows
-                    written += w
-                    skipped += s
-                except (FormatError, OSError, ContractViolationError) as e:
-                    failures.append((name, str(e)))
-    else:
-        for name in clip_names:
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        futures = {name: pool.submit(_cache_one_clip, clips_dir, name, config, out_dir)
+                   for name in clip_names}
+        for name, future in futures.items():
             try:
-                _, (rows, w, s) = work(name)
+                rows, w, s = future.result()
                 results[name] = rows
                 written += w
                 skipped += s
             except (FormatError, OSError, ContractViolationError) as e:
                 failures.append((name, str(e)))
+    _write_if_changed(config_path, repr(config).encode("ascii"))
 
     index_path = os.path.join(out_dir, "cache.index")
     with open(index_path, "wb") as f:
@@ -308,8 +309,12 @@ def load_clip_samples(
 
     With a cache directory, flow and HOG come from the cached files (the
     RGB input is recomputed; resizing is cheap) and missing cache entries
-    fall back to direct computation.
+    fall back to direct computation. A cache built with another config,
+    or recording none, raises FormatError.
     """
+    if cache_dir is not None and (built := _cached_config(cache_dir)) != repr(config):
+        raise FormatError(f"cache {cache_dir} was built with {built or 'an unrecorded config'}, "
+                          f"not {config!r}", field=CACHE_CONFIG)
     out: list[ClipSamples] = []
     s = config.target_size
     for name in names:
@@ -325,14 +330,10 @@ def load_clip_samples(
             flo_path = cache_dir and os.path.join(cache_dir, flo_name)
             pgm_path = cache_dir and os.path.join(cache_dir, pgm_name)
             if flo_path and os.path.exists(flo_path) and os.path.exists(pgm_path):
-                rgb = resize_bilinear(prev, s, s).astype(np.float32) / np.float32(255)
-                flow = mediaio.read_flo(flo_path)
-                hog_img = mediaio.read_pgm(pgm_path)
-                hog = (hog_img.astype(np.float32) / np.float32(255))[:, :, None]
+                triples.append(stream_inputs(resize_bilinear(prev, s, s),
+                                             mediaio.read_flo(flo_path), mediaio.read_pgm(pgm_path)))
             else:
-                nxt = mediaio.read_frame(clip_dir, j, meta)
-                rgb, flow, hog = preprocess_pair(prev, nxt, config)
-            triples.append((rgb, flow, hog))
+                triples.append(preprocess_pair(prev, mediaio.read_frame(clip_dir, j, meta), config))
         out.append(ClipSamples(name=name, label=labels[name], pairs=triples))
     return out
 

@@ -3,7 +3,8 @@
 from .resize import bilinear_sample, grayscale_bt601, resize_bilinear
 from .flow import FlowParams, compute_flow, horn_schunck_step
 from .hog import HogDescriptor, HogParams, compute_hog, render_hog
-from .pipeline import PreprocessConfig, preprocess_pair, sample_frames
+from .pipeline import (PreprocessConfig, pair_maps, preprocess_pair, sample_frames,
+                       stream_inputs, unit_scale)
 
 __all__ = [
     "FlowParams",
@@ -15,8 +16,11 @@ __all__ = [
     "compute_hog",
     "grayscale_bt601",
     "horn_schunck_step",
+    "pair_maps",
     "preprocess_pair",
     "render_hog",
     "resize_bilinear",
     "sample_frames",
+    "stream_inputs",
+    "unit_scale",
 ]

@@ -70,27 +70,47 @@ def sample_frames(meta: ClipMeta, sample_fps: int, seed: int) -> list[tuple[int,
     return pairs
 
 
-def preprocess_pair(
+def unit_scale(image: np.ndarray) -> np.ndarray:
+    """uint8 image -> float32 in [0, 1]."""
+    return image.astype(np.float32) / np.float32(255)
+
+
+def pair_maps(
     prev_frame: np.ndarray, next_frame: np.ndarray, config: PreprocessConfig = PreprocessConfig()
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One sampled pair -> the three stream inputs.
+    """One sampled pair -> (frame, flow, hog_img) at S = config.target_size.
 
-    Returns (rgb, flow, hog) float32 arrays of shapes (S, S, 3), (S, S, 2)
-    and (S, S, 1) for S = config.target_size. rgb and hog are scaled to
-    [0, 1]; flow keeps raw pixel displacements. The spatial and HOG
-    streams see the earlier frame of the pair.
+    frame is the earlier frame resized to (S, S, 3) uint8, flow the
+    (S, S, 2) float32 Horn-Schunck flow in raw pixel displacements, and
+    hog_img the (S, S) uint8 HOG render of the earlier frame. Flow and
+    HOG are what the cache stores.
     """
     if prev_frame.shape != next_frame.shape:
         raise ContractViolationError(
             f"pair frames differ in shape: {prev_frame.shape} vs {next_frame.shape}"
         )
     s = config.target_size
-    prev_r = resize_bilinear(prev_frame, s, s)
-    next_r = resize_bilinear(next_frame, s, s)
-    rgb = prev_r.astype(np.float32) / np.float32(255)
-    gray_prev = grayscale_bt601(rgb)
-    gray_next = grayscale_bt601(next_r.astype(np.float32) / np.float32(255))
+    frame = resize_bilinear(prev_frame, s, s)
+    gray_prev = grayscale_bt601(unit_scale(frame))
+    gray_next = grayscale_bt601(unit_scale(resize_bilinear(next_frame, s, s)))
     flow = compute_flow(gray_prev, gray_next, config.flow).astype(np.float32)
-    hog_img = render_hog(compute_hog(gray_prev, config.hog), s, s)
-    hog = (hog_img.astype(np.float32) / np.float32(255))[:, :, None]
-    return rgb, flow, hog
+    return frame, flow, render_hog(compute_hog(gray_prev, config.hog), s, s)
+
+
+def stream_inputs(
+    frame: np.ndarray, flow: np.ndarray, hog_img: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """pair_maps' outputs -> the (rgb, flow, hog) stream inputs.
+
+    rgb (S, S, 3) and hog (S, S, 1) are float32 scaled to [0, 1]; flow
+    passes through unchanged.
+    """
+    return unit_scale(frame), flow, unit_scale(hog_img)[:, :, None]
+
+
+def preprocess_pair(
+    prev_frame: np.ndarray, next_frame: np.ndarray, config: PreprocessConfig = PreprocessConfig()
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One sampled pair -> the three stream inputs (see pair_maps and
+    stream_inputs). The spatial and HOG streams see the earlier frame."""
+    return stream_inputs(*pair_maps(prev_frame, next_frame, config))

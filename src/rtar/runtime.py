@@ -6,7 +6,8 @@ interval: records at or above the threshold confidence vote for their
 class, plurality wins, and ties break toward the class of the most
 recent above-threshold record. When no record clears the threshold for a
 stipulated stretch of stream time, one erroneous-action event fires for
-the whole low-confidence span.
+the whole low-confidence span. One poll step, ``poll_once``, serves both
+pipelines.
 
 Offline clip runs derive "time" from frame indices, so their event logs
 are pure functions of the inputs. Live mode feeds frames through a
@@ -196,6 +197,18 @@ def format_erroneous_line(event: ErroneousEvent) -> str:
     return f"ERRONEOUS\t{event.time:.3f}"
 
 
+def poll_once(buf: FrameBuffer, state: ErroneousState, t: float, config: RuntimeConfig,
+              lines: list[str]) -> ErroneousState:
+    """Poll the buffer at stream time t, append the POLL line (and an
+    ERRONEOUS line when a span completes) to lines; returns the new state."""
+    decision = buffer_poll(buf, config.threshold_confidence, t)
+    state, event = update_erroneous(state, decision, config)
+    lines.append(format_poll_line(decision, erroneous_now=state.triggered))
+    if event is not None:
+        lines.append(format_erroneous_line(event))
+    return state
+
+
 # ---------------------------------------------------------------------------
 # Offline (virtual-time) pipeline
 # ---------------------------------------------------------------------------
@@ -223,15 +236,6 @@ def run_pipeline_offline(
     buf = FrameBuffer(capacity)
     state = ErroneousState()
     lines: list[str] = []
-
-    def do_poll(t: float):
-        nonlocal state
-        decision = buffer_poll(buf, config.threshold_confidence, t)
-        state, event = update_erroneous(state, decision, config)
-        lines.append(format_poll_line(decision, erroneous_now=state.triggered))
-        if event is not None:
-            lines.append(format_erroneous_line(event))
-
     poll_times = []
     k = 1
     while k * config.poll_interval <= duration + 1e-9:
@@ -242,17 +246,15 @@ def run_pipeline_offline(
     for i, j in pairs:
         t = i / meta.fps
         while next_poll < len(poll_times) and poll_times[next_poll] < t:
-            do_poll(poll_times[next_poll])
+            state = poll_once(buf, state, poll_times[next_poll], config, lines)
             next_poll += 1
         rgb, flow, hog = preprocess_pair(
             read_frame(clip_dir, i, meta), read_frame(clip_dir, j, meta), pre_config
         )
         pred = model.predict(rgb, flow, hog)
         buf.push(FrameRecord(timestamp=t, class_id=pred.class_id, confidence=pred.confidence))
-    while next_poll < len(poll_times):
-        do_poll(poll_times[next_poll])
-        next_poll += 1
-    do_poll(duration)  # final poll on clean exhaustion
+    for t in poll_times[next_poll:] + [duration]:  # then a final poll on clean exhaustion
+        state = poll_once(buf, state, t, config, lines)
     return lines
 
 
@@ -378,32 +380,13 @@ def run_pipeline_live(
         now = clock() - start
         if now < next_poll:
             sleep(min(next_poll - now, 0.02))
-            if t_infer.is_alive() or t_ingest.is_alive():
-                continue
-            break
-        decision = buffer_poll(buf, config.threshold_confidence, next_poll)
-        state, event = update_erroneous(state, decision, config)
-        lines.append(format_poll_line(decision, erroneous_now=state.triggered))
-        if event is not None:
-            lines.append(format_erroneous_line(event))
+            continue
+        state = poll_once(buf, state, next_poll, config, lines)
         next_poll += config.poll_interval
     done.set()
     t_ingest.join()
     t_infer.join()
     if failures:
         raise failures[0]
-    final = clock() - start
-    decision = buffer_poll(buf, config.threshold_confidence, final)
-    state, event = update_erroneous(state, decision, config)
-    lines.append(format_poll_line(decision, erroneous_now=state.triggered))
-    if event is not None:
-        lines.append(format_erroneous_line(event))
+    poll_once(buf, state, clock() - start, config, lines)
     return lines, queue.dropped
-
-
-def run_pipeline(source, model, config: RuntimeConfig = RuntimeConfig(),
-                 pre_config: PreprocessConfig = PreprocessConfig(), live: bool = False):
-    """Dispatch to the offline clip-directory or live frame-stream pipeline."""
-    if live:
-        return run_pipeline_live(source, model, config, pre_config)
-    return run_pipeline_offline(source, model, config, pre_config)

@@ -425,7 +425,7 @@ def test_criterion_8_throughput(capsys):
     within = combined <= 140.0
     record_criterion(
         8, True,
-        f"resize+flow+HOG mean {combined:.1f}ms per 112x112 pair "
+        f"preprocess_pair mean {combined:.1f}ms per 112x112 pair "
         f"({'within' if within else 'EXCEEDS (soft criterion, warning only)'} "
         f"the 140ms reference)",
     )

@@ -89,6 +89,20 @@ class TestTrainEvalRun:
         epoch, loss = history[0].split("\t")
         assert epoch == "0" and float(loss) > 0
 
+    def test_train_on_cache_of_other_iterations_exits_2(self, synth_dir, tmp_path, capsys):
+        cache = tmp_path / "cache"
+        assert main(["preprocess", "--clips", str(synth_dir), "--out", str(cache),
+                     "--seed", "3"] + FAST_FLAGS) == 0
+        capsys.readouterr()
+        flags = FAST_FLAGS[:-1] + ["1"]  # --iterations 1 instead of 8
+        code = main(["train", "--data", str(synth_dir), "--out", str(tmp_path / "run"),
+                     "--cache", str(cache), "--seed", "3"] + flags + TINY_MODEL)
+        assert code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: cache ")
+        assert "iterations=8" in err[0] and "iterations=1" in err[0]
+        assert not (tmp_path / "run").exists()
+
     def test_eval_report(self, synth_dir, trained, capsys):
         code = main(["eval", "--checkpoint", str(trained), "--data", str(synth_dir),
                      "--seed", "3"] + FAST_FLAGS)

@@ -1,3 +1,4 @@
+import dataclasses
 import os
 
 import numpy as np
@@ -6,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from rtar import dataset, mediaio
-from rtar.errors import FormatError
+from rtar.errors import ContractViolationError, FormatError
 from rtar.preprocess import FlowParams, PreprocessConfig, compute_flow, sample_frames
 from rtar.preprocess.resize import grayscale_bt601, resize_bilinear
 
@@ -229,3 +230,46 @@ class TestCache:
             assert np.array_equal(r1, r2)
             assert np.array_equal(f1, f2)
             assert np.array_equal(h1, h2)
+
+    def _one_clip_cache(self, tmp_path):
+        clips = tmp_path / "clips"
+        clips.mkdir(exist_ok=True)
+        name = "HandWash_000_A_01_G_00.avi"
+        _write_test_clip(clips, name)
+        out = tmp_path / "cache"
+        dataset.precompute_cache(clips, [name], FAST_PRE, out)
+        return clips, name, out
+
+    @pytest.mark.parametrize("other", [
+        dataclasses.replace(FAST_PRE, flow=dataclasses.replace(FAST_PRE.flow, iterations=1)),
+        dataclasses.replace(FAST_PRE, rng_seed=5),
+    ], ids=["iterations", "rng_seed"])
+    def test_load_rejects_cache_of_another_config(self, tmp_path, other):
+        clips, name, out = self._one_clip_cache(tmp_path)
+        with pytest.raises(FormatError) as err:
+            dataset.load_clip_samples(clips, [name], {name: 0}, other, cache_dir=out)
+        assert repr(FAST_PRE) in str(err.value) and repr(other) in str(err.value)
+        assert "\n" not in str(err.value)
+
+    def test_load_rejects_cache_without_config(self, tmp_path):
+        clips, name, out = self._one_clip_cache(tmp_path)
+        (out / "cache.config").unlink()
+        with pytest.raises(FormatError, match="unrecorded"):
+            dataset.load_clip_samples(clips, [name], {name: 0}, FAST_PRE, cache_dir=out)
+
+    def test_rebuild_with_another_config_records_it(self, tmp_path):
+        other = dataclasses.replace(FAST_PRE, rng_seed=5)
+        clips, name, out = self._one_clip_cache(tmp_path)
+        assert (out / "cache.config").read_text() == repr(FAST_PRE)
+        dataset.precompute_cache(clips, [name], other, out)
+        assert (out / "cache.config").read_text() == repr(other)
+        cached = dataset.load_clip_samples(clips, [name], {name: 0}, other, cache_dir=out)
+        direct = dataset.load_clip_samples(clips, [name], {name: 0}, other)
+        for a, b in zip(cached[0].pairs, direct[0].pairs):
+            assert all(np.array_equal(x, y) for x, y in zip(a, b))
+        with pytest.raises(FormatError):
+            dataset.load_clip_samples(clips, [name], {name: 0}, FAST_PRE, cache_dir=out)
+
+    def test_nonpositive_threads_rejected(self, tmp_path):
+        with pytest.raises(ContractViolationError, match="threads"):
+            dataset.precompute_cache(tmp_path, [], FAST_PRE, tmp_path / "cache", threads=0)

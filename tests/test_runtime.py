@@ -199,6 +199,21 @@ class TestErroneous:
             )
             assert event is None
 
+    def test_poll_once_logs_each_poll_and_the_span_event_once(self):
+        config = RuntimeConfig(threshold_confidence=0.8, stipulated_time=1.0)
+        buf = FrameBuffer(2)
+        buf.push(rec(0.0, 3, conf=0.4))
+        state, lines = ErroneousState(), []
+        for t in (0.5, 1.0, 1.5):
+            state = runtime.poll_once(buf, state, t, config, lines)
+        assert lines == ["POLL\t0.500\tnoconfident\t-\t-",
+                         "POLL\t1.000\terroneous\t-\t-", "ERRONEOUS\t1.000",
+                         "POLL\t1.500\terroneous\t-\t-"]
+        buf.push(rec(1.6, 3))
+        state = runtime.poll_once(buf, state, 2.0, config, lines)
+        assert lines[-1] == "POLL\t2.000\tclass\t3\t3=1"
+        assert state == ErroneousState(last_confident_time=2.0, triggered=False)
+
 
 class _ScriptedModel:
     """Predicts a fixed class with fixed confidence, ignoring inputs."""
@@ -271,11 +286,6 @@ class TestOfflinePipeline:
         a = runtime.run_pipeline_offline(clip, _ScriptedModel(), RuntimeConfig(), FAST_PRE)
         b = runtime.run_pipeline_offline(clip, _ScriptedModel(), RuntimeConfig(), FAST_PRE)
         assert a == b
-
-    def test_dispatcher_offline(self, tmp_path):
-        clip = _make_clip(tmp_path)
-        lines = runtime.run_pipeline(clip, _ScriptedModel(), RuntimeConfig(), FAST_PRE)
-        assert lines and lines[-1].startswith("POLL")
 
 
 class TestBoundedQueue:
