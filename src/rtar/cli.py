@@ -66,6 +66,10 @@ OPTION_DEFAULTS: dict[str, tuple] = {
     "section": ("test", str),
 }
 
+# the settings that shape PreprocessConfig, printed in every header that uses it
+PREPROCESS_KEYS = ["target_size", "sample_fps", "pyramid_levels", "flow_scale", "alpha",
+                   "iterations"]
+
 
 def _coerce(key: str, raw: str):
     default, typ = OPTION_DEFAULTS[key]
@@ -151,11 +155,13 @@ class Settings:
             input_size=self.target_size, bn_enabled=self.bn, streams=streams,
         )
 
-    def runtime_config(self) -> runtime.RuntimeConfig:
+    def runtime_config(self, fps: int) -> runtime.RuntimeConfig:
+        """``fps`` is the source clip's frame rate, at which live mode
+        predicts and so sizes its ring."""
         return runtime.RuntimeConfig(
             poll_interval=self.poll_interval, threshold_confidence=self.threshold,
             stipulated_time=self.stipulated_time, window_seconds=self.window_seconds,
-            fps=self.fps,
+            fps=fps,
         )
 
 
@@ -187,8 +193,7 @@ def _emit(lines, stream=None):
 
 def cmd_preprocess(args) -> int:
     s = Settings(args)
-    _emit(s.header("preprocess", ["target_size", "sample_fps", "pyramid_levels",
-                                  "flow_scale", "alpha", "iterations"]))
+    _emit(s.header("preprocess", PREPROCESS_KEYS))
     names = _clip_names_in(args.clips)
     result = ds.precompute_cache(args.clips, names, s.preprocess_config(), args.out,
                                  threads=s.threads)
@@ -212,9 +217,9 @@ def _load_sections(data_dir: str):
 
 def cmd_train(args) -> int:
     s = Settings(args)
-    _emit(s.header("train", ["target_size", "sample_fps", "growth", "blocks",
-                             "compression", "bottleneck", "streams", "bn",
-                             "epochs", "lr", "momentum", "batch"]))
+    _emit(s.header("train", PREPROCESS_KEYS + ["growth", "blocks", "compression", "bottleneck",
+                                               "streams", "bn", "epochs", "lr", "momentum",
+                                               "batch"]))
     manifest, labels = _load_sections(args.data)
     if not manifest.train:
         raise UsageError("split.txt has an empty [train] section")
@@ -249,7 +254,7 @@ def _check_input_size(model, pre: PreprocessConfig) -> None:
 
 def cmd_eval(args) -> int:
     s = Settings(args)
-    _emit(s.header("eval", ["target_size", "sample_fps", "threshold", "section"]))
+    _emit(s.header("eval", PREPROCESS_KEYS + ["threshold", "section"]))
     model = network.load_model(args.checkpoint)
     manifest, labels = _load_sections(args.data)
     names = manifest.test if s.section == "test" else manifest.train
@@ -271,15 +276,14 @@ def cmd_eval(args) -> int:
 
 def cmd_run(args) -> int:
     s = Settings(args)
-    _emit(s.header("run", ["target_size", "sample_fps", "threshold", "poll_interval",
-                           "stipulated_time", "window_seconds"]), stream=sys.stderr)
+    _emit(s.header("run", PREPROCESS_KEYS + ["threshold", "poll_interval", "stipulated_time",
+                                             "window_seconds"]), stream=sys.stderr)
     model = network.load_model(args.checkpoint)
     pre = s.preprocess_config()
     _check_input_size(model, pre)
-    config = s.runtime_config()
+    meta = mediaio.read_clip_meta(os.path.join(args.clip, "clip.meta"))
+    config = s.runtime_config(fps=meta.fps)
     if args.live:
-        meta = mediaio.read_clip_meta(os.path.join(args.clip, "clip.meta"))
-
         def replay():
             start = time.monotonic()
             for i in range(meta.frame_count):
@@ -344,7 +348,8 @@ def cmd_dataset(args) -> int:
 
 def cmd_bench(args) -> int:
     s = Settings(args)
-    _emit(s.header("bench", ["frames", "target_size", "growth", "blocks", "compression"]))
+    _emit(s.header("bench", ["frames"] + PREPROCESS_KEYS + ["growth", "blocks", "compression",
+                                                            "bottleneck", "streams"]))
     rng = np.random.default_rng(s.seed)
     size = s.target_size
     n = s.frames

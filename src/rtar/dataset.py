@@ -11,12 +11,9 @@ from __future__ import annotations
 
 import os
 import re
-import struct
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-
-import numpy as np
 
 from .errors import ContractViolationError, FormatError
 from . import mediaio
@@ -189,25 +186,25 @@ class CacheResult:
 
 
 def _write_if_changed(path: str, data: bytes) -> bool:
-    """Write only when content differs; returns True when (re)written."""
+    """Write only when content differs; returns True when (re)written.
+
+    The bytes go to a temp file next to ``path`` that then replaces it, so
+    an interrupted write leaves the old file or the new one, never a
+    truncated one.
+    """
     if os.path.exists(path):
         with open(path, "rb") as f:
             if f.read() == data:
                 return False
-    with open(path, "wb") as f:
-        f.write(data)
+    tmp = path + ".tmp"
+    try:
+        with open(tmp, "wb") as f:
+            f.write(data)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
     return True
-
-
-def _flo_bytes(flow: np.ndarray) -> bytes:
-    h, w = flow.shape[:2]
-    return (mediaio.FLO_TAG.tobytes() + struct.pack("<ii", w, h)
-            + flow.astype("<f4", copy=False).tobytes())
-
-
-def _pgm_bytes(img: np.ndarray) -> bytes:
-    h, w = img.shape[:2]
-    return b"P5\n%d %d\n255\n" % (w, h) + img.tobytes()
 
 
 CACHE_CONFIG = "cache.config"
@@ -232,13 +229,23 @@ def _cache_one_clip(clips_dir, name, config: PreprocessConfig, out_dir):
         _, flow, hog_img = pair_maps(mediaio.read_frame(clip_dir, i, meta),
                                      mediaio.read_frame(clip_dir, j, meta), config)
         flo_name, pgm_name = cache_names(name, k)
-        for path, data in ((flo_name, _flo_bytes(flow)), (pgm_name, _pgm_bytes(hog_img))):
+        for path, data in ((flo_name, mediaio.flo_bytes(flow)),
+                           (pgm_name, mediaio.pgm_bytes(hog_img))):
             if _write_if_changed(os.path.join(out_dir, path), data):
                 written += 1
             else:
                 skipped += 1
         rows.append(f"{name}\t{k}\t{flo_name}\t{pgm_name}")
-    return rows, written, skipped
+    # remove the pairs an earlier build sampled past this config's last one
+    k = len(pairs)
+    while True:
+        stale = [os.path.join(out_dir, n) for n in cache_names(name, k)]
+        stale = [path for path in stale if os.path.exists(path)]
+        if not stale:
+            return rows, written, skipped
+        for path in stale:
+            os.remove(path)
+        k += 1
 
 
 def precompute_cache(
@@ -250,7 +257,10 @@ def precompute_cache(
 ) -> CacheResult:
     """Write per-pair ``.flo`` and HOG ``.pgm`` files plus a text index.
 
-    Idempotent: files whose bytes already match are not rewritten. An
+    Idempotent: files whose bytes already match are not rewritten, and
+    files of pair indices past a clip's last sampled pair (left by a
+    build at a higher sample rate) are removed; removals count in neither
+    ``written`` nor ``skipped``. Every file is replaced atomically. An
     unreadable clip is recorded as FAILED in the index and processing
     continues. Clips are processed on ``threads`` workers; the index is
     written once at the end by a single writer. ``cache.config`` records
@@ -282,14 +292,11 @@ def precompute_cache(
     _write_if_changed(config_path, repr(config).encode("ascii"))
 
     index_path = os.path.join(out_dir, "cache.index")
-    with open(index_path, "wb") as f:
-        for name in clip_names:
-            if name in results:
-                for row in results[name]:
-                    f.write(row.encode("ascii") + b"\n")
-        for name, reason in sorted(failures):
-            safe = reason.replace("\t", " ").replace("\n", " ")
-            f.write(f"{name}\tFAILED\t{safe}\t-\n".encode("ascii"))
+    lines = [row for name in clip_names for row in results.get(name, [])]
+    for name, reason in sorted(failures):
+        safe = reason.replace("\t", " ").replace("\n", " ")
+        lines.append(f"{name}\tFAILED\t{safe}\t-")
+    _write_if_changed(index_path, "".join(line + "\n" for line in lines).encode("ascii"))
     return CacheResult(index_path=index_path, written=written, skipped=skipped,
                        failures=failures)
 

@@ -110,8 +110,8 @@ def read_ppm(path: str | os.PathLike) -> np.ndarray:
     return data.reshape(height, width)
 
 
-def write_ppm(image: np.ndarray, path: str | os.PathLike) -> None:
-    """Write a uint8 image as canonical binary P6 (HxWx3) or P5 (HxW)."""
+def ppm_bytes(image: np.ndarray) -> bytes:
+    """Encode a uint8 image as canonical binary P6 (HxWx3) or P5 (HxW)."""
     if image.dtype != np.uint8:
         raise FormatError(f"image dtype must be uint8, got {image.dtype}", field="dtype")
     if image.ndim == 3 and image.shape[2] == 3:
@@ -121,32 +121,42 @@ def write_ppm(image: np.ndarray, path: str | os.PathLike) -> None:
     else:
         raise FormatError(f"unsupported image shape {image.shape}", field="shape")
     h, w = image.shape[:2]
+    return magic + b"\n%d %d\n255\n" % (w, h) + image.tobytes()
+
+
+def write_ppm(image: np.ndarray, path: str | os.PathLike) -> None:
+    """Write a uint8 image as canonical binary P6 (HxWx3) or P5 (HxW)."""
+    data = ppm_bytes(image)
     with open(path, "wb") as f:
-        f.write(magic + b"\n%d %d\n255\n" % (w, h))
-        f.write(np.ascontiguousarray(image).tobytes())
+        f.write(data)
 
 
 # Gray images use the same container with the P5 magic; aliases keep call
 # sites honest about what they expect.
 read_pgm = read_ppm
 write_pgm = write_ppm
+pgm_bytes = ppm_bytes
 
 
 # ---------------------------------------------------------------------------
 # Middlebury .flo
 # ---------------------------------------------------------------------------
 
-def write_flo(flow: np.ndarray, path: str | os.PathLike) -> None:
-    """Write an (H, W, 2) flow field as a little-endian Middlebury file."""
+def flo_bytes(flow: np.ndarray) -> bytes:
+    """Encode an (H, W, 2) flow field as a little-endian Middlebury file."""
     if flow.ndim != 3 or flow.shape[2] != 2:
         raise FormatError(f"flow must be (H, W, 2), got {flow.shape}", field="shape")
     if not np.all(np.isfinite(flow)):
         raise FormatError("flow contains non-finite values", field="payload")
     h, w = flow.shape[:2]
+    return FLO_TAG.tobytes() + struct.pack("<ii", w, h) + flow.astype("<f4", copy=False).tobytes()
+
+
+def write_flo(flow: np.ndarray, path: str | os.PathLike) -> None:
+    """Write an (H, W, 2) flow field as a little-endian Middlebury file."""
+    data = flo_bytes(flow)
     with open(path, "wb") as f:
-        f.write(FLO_TAG.tobytes())
-        f.write(struct.pack("<ii", w, h))
-        f.write(flow.astype("<f4", copy=False).tobytes())
+        f.write(data)
 
 
 def read_flo(path: str | os.PathLike) -> np.ndarray:
@@ -239,17 +249,7 @@ def read_clip(clip_dir: str | os.PathLike) -> tuple[ClipMeta, Iterator[np.ndarra
 
     def frames() -> Iterator[np.ndarray]:
         for i in range(meta.frame_count):
-            path = os.path.join(clip_dir, FRAME_NAME.format(i))
-            if not os.path.exists(path):
-                raise FormatError(f"gap at index {i}", field="frame")
-            frame = read_ppm(path)
-            if frame.shape[:2] != (meta.height, meta.width):
-                raise FormatError(
-                    f"frame {i} is {frame.shape[1]}x{frame.shape[0]}, "
-                    f"meta says {meta.width}x{meta.height}",
-                    field="frame",
-                )
-            yield frame
+            yield read_frame(clip_dir, i, meta)
 
     return meta, frames()
 

@@ -17,8 +17,8 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -32,6 +32,8 @@ from .nn.layers import (
     Layer,
     ReLU,
     SGDMomentum,
+    backward,
+    forward,
     softmax_cross_entropy,
 )
 from .nn.tensorops import softmax
@@ -43,27 +45,6 @@ _STREAM_CODES = {"rgb": 0, "flow": 1, "hog": 2}
 _CODE_STREAMS = {v: k for k, v in _STREAM_CODES.items()}
 
 CHECKPOINT_MAGIC = b"TSM1"
-
-
-@dataclass(frozen=True)
-class StreamConfig:
-    """Shape of one stream subnetwork."""
-
-    growth_rate: int = 12
-    blocks: tuple[int, ...] = (4, 4)
-    bottleneck_factor: int = 4
-    compression: float = 0.5
-    input_channels: int = 3
-
-    def __post_init__(self):
-        if self.growth_rate < 1 or self.bottleneck_factor < 1:
-            raise ContractViolationError("growth_rate and bottleneck_factor must be >= 1")
-        if not self.blocks or any(n < 1 for n in self.blocks):
-            raise ContractViolationError("need at least one dense block with >= 1 layers")
-        if not 0 < self.compression <= 1:
-            raise ContractViolationError(f"compression must be in (0, 1], got {self.compression}")
-        if self.input_channels < 1:
-            raise ContractViolationError("input_channels must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -84,9 +65,12 @@ class ModelConfig:
             raise ContractViolationError(f"streams must be drawn from {sorted(STREAM_CHANNELS)}")
         if len(set(self.streams)) != len(self.streams):
             raise ContractViolationError("duplicate stream names")
-        # all streams share one StreamConfig shape, so validate via any stream
-        StreamConfig(self.growth_rate, self.blocks, self.bottleneck_factor,
-                     self.compression, STREAM_CHANNELS[self.streams[0]])
+        if self.growth_rate < 1 or self.bottleneck_factor < 1:
+            raise ContractViolationError("growth_rate and bottleneck_factor must be >= 1")
+        if not self.blocks or any(n < 1 for n in self.blocks):
+            raise ContractViolationError("need at least one dense block with >= 1 layers")
+        if not 0 < self.compression <= 1:
+            raise ContractViolationError(f"compression must be in (0, 1], got {self.compression}")
         size = self.input_size
         for _ in range(len(self.blocks) - 1):
             if size % 2:
@@ -94,10 +78,6 @@ class ModelConfig:
                     f"input_size {self.input_size} does not survive {len(self.blocks) - 1} poolings"
                 )
             size //= 2
-
-    def stream_config(self, name: str) -> StreamConfig:
-        return StreamConfig(self.growth_rate, self.blocks, self.bottleneck_factor,
-                            self.compression, STREAM_CHANNELS[name])
 
 
 def stream_feature_shape(config: ModelConfig) -> tuple[int, int, int]:
@@ -123,96 +103,60 @@ class Prediction:
 # Stream subnetwork
 # ---------------------------------------------------------------------------
 
+def _bn_relu_conv(cin: int, cout: int, k: int, bn: bool, rng, dtype) -> list[Layer]:
+    """[BN]-ReLU-kxk conv from cin to cout channels, spatial size kept."""
+    return ([BatchNorm(cin, dtype=dtype)] if bn else []) + [
+        ReLU(), Conv2D(k, k, cin, cout, padding=k // 2, rng=rng, dtype=dtype)]
+
+
 class _DenseLayer:
     """BN-ReLU-1x1 conv (bottleneck) then BN-ReLU-3x3 conv; concatenates k
     new channels onto its input."""
 
-    def __init__(self, cin: int, cfg: StreamConfig, bn: bool, rng, dtype):
-        k = cfg.growth_rate
-        mid = cfg.bottleneck_factor * k
+    def __init__(self, cin: int, config: ModelConfig, rng, dtype):
+        k, bn = config.growth_rate, config.bn_enabled
+        mid = config.bottleneck_factor * k
         self.cin = cin
-        self.chain: list[Layer] = []
-        if bn:
-            self.chain.append(BatchNorm(cin, dtype=dtype))
-        self.chain += [ReLU(), Conv2D(1, 1, cin, mid, rng=rng, dtype=dtype)]
-        if bn:
-            self.chain.append(BatchNorm(mid, dtype=dtype))
-        self.chain += [ReLU(), Conv2D(3, 3, mid, k, padding=1, rng=rng, dtype=dtype)]
+        self.chain = (_bn_relu_conv(cin, mid, 1, bn, rng, dtype)
+                      + _bn_relu_conv(mid, k, 3, bn, rng, dtype))
 
     def forward(self, x, train=False):
-        h = x
-        for layer in self.chain:
-            h = layer.forward(h, train)
-        return np.concatenate([x, h], axis=2)
+        return np.concatenate([x, forward(self.chain, x, train)], axis=2)
 
     def backward(self, dy):
-        dx = dy[:, :, : self.cin]
-        grad = dy[:, :, self.cin :]
-        for layer in reversed(self.chain):
-            grad = layer.backward(grad)
-        return dx + grad
-
-
-class _Transition:
-    """BN-ReLU-1x1 conv to ceil(compression * channels), then 2x2 avg pool."""
-
-    def __init__(self, cin: int, cfg: StreamConfig, bn: bool, rng, dtype):
-        cout = math.ceil(cfg.compression * cin)
-        self.chain: list[Layer] = []
-        if bn:
-            self.chain.append(BatchNorm(cin, dtype=dtype))
-        self.chain += [ReLU(), Conv2D(1, 1, cin, cout, rng=rng, dtype=dtype), AvgPool2()]
-
-    def forward(self, x, train=False):
-        for layer in self.chain:
-            x = layer.forward(x, train)
-        return x
-
-    def backward(self, dy):
-        for layer in reversed(self.chain):
-            dy = layer.backward(dy)
-        return dy
+        return dy[:, :, : self.cin] + backward(self.chain, dy[:, :, self.cin :])
 
 
 class StreamNet:
-    """One stream: initial conv, dense blocks with transitions, final BN-ReLU."""
+    """One stream: initial conv, dense blocks with transitions (BN-ReLU-1x1
+    conv to ceil(compression * channels), then 2x2 avg pool), final BN-ReLU."""
 
-    def __init__(self, cfg: StreamConfig, bn: bool, rng, dtype):
-        k = cfg.growth_rate
-        self.initial = Conv2D(3, 3, cfg.input_channels, 2 * k, padding=1, rng=rng, dtype=dtype)
-        self.stages: list = []
+    def __init__(self, config: ModelConfig, input_channels: int, rng, dtype):
+        k, bn = config.growth_rate, config.bn_enabled
+        self.nodes: list = [Conv2D(3, 3, input_channels, 2 * k, padding=1, rng=rng, dtype=dtype)]
         channels = 2 * k
-        for b, n in enumerate(cfg.blocks):
+        for b, n in enumerate(config.blocks):
             for _ in range(n):
-                self.stages.append(_DenseLayer(channels, cfg, bn, rng, dtype))
+                self.nodes.append(_DenseLayer(channels, config, rng, dtype))
                 channels += k
-            if b < len(cfg.blocks) - 1:
-                self.stages.append(_Transition(channels, cfg, bn, rng, dtype))
-                channels = math.ceil(cfg.compression * channels)
-        self.final: list[Layer] = ([BatchNorm(channels, dtype=dtype)] if bn else []) + [ReLU()]
+            if b < len(config.blocks) - 1:
+                cout = math.ceil(config.compression * channels)
+                self.nodes += _bn_relu_conv(channels, cout, 1, bn, rng, dtype) + [AvgPool2()]
+                channels = cout
+        self.nodes += ([BatchNorm(channels, dtype=dtype)] if bn else []) + [ReLU()]
         self.out_channels = channels
 
     def layers(self) -> list[Layer]:
-        flat: list[Layer] = [self.initial]
-        for stage in self.stages:
-            flat.extend(stage.chain)
-        flat.extend(self.final)
+        flat: list[Layer] = []
+        for node in self.nodes:
+            flat.extend(node.chain if isinstance(node, _DenseLayer) else [node])
         return flat
 
     def forward(self, x, train=False):
-        h = self.initial.forward(x, train)
-        for stage in self.stages:
-            h = stage.forward(h, train)
-        for layer in self.final:
-            h = layer.forward(h, train)
-        return h
+        return forward(self.nodes, x, train)
 
     def backward(self, dy):
-        for layer in reversed(self.final):
-            dy = layer.backward(dy)
-        for stage in reversed(self.stages):
-            dy = stage.backward(dy)
-        return self.initial.backward(dy)
+        return backward(self.nodes, dy)
 
 
 # ---------------------------------------------------------------------------
@@ -257,7 +201,7 @@ class FusionModel:
         self.dtype = dtype
         rng = np.random.default_rng(seed)
         self.streams = {
-            name: StreamNet(config.stream_config(name), config.bn_enabled, rng, dtype)
+            name: StreamNet(config, STREAM_CHANNELS[name], rng, dtype)
             for name in config.streams
         }
         h, w, d = stream_feature_shape(config)
@@ -266,11 +210,8 @@ class FusionModel:
         self.head = Dense(len(config.streams) * d, config.num_classes, rng=rng, dtype=dtype)
 
     def layers(self) -> list[Layer]:
-        flat: list[Layer] = []
-        for name in self.config.streams:
-            flat.extend(self.streams[name].layers())
-        flat.append(self.head)
-        return flat
+        return [layer for name in self.config.streams
+                for layer in self.streams[name].layers()] + [self.head]
 
     def _gather_inputs(self, rgb, flow, hog) -> dict[str, np.ndarray]:
         available = {"rgb": rgb, "flow": flow, "hog": hog}
@@ -437,12 +378,7 @@ def evaluate(model: FusionModel, clips: Sequence[ClipSamples],
 # ---------------------------------------------------------------------------
 
 def _model_state(model: FusionModel) -> list[np.ndarray]:
-    tensors: list[np.ndarray] = []
-    for name in model.config.streams:
-        for layer in model.streams[name].layers():
-            tensors.extend(layer.state())
-    tensors.extend(model.head.state())
-    return tensors
+    return [t for layer in model.layers() for t in layer.state()]
 
 
 def save_model(model: FusionModel, path) -> None:
@@ -588,10 +524,8 @@ def load_model(path) -> FusionModel:
         raise FormatError("trailing bytes after checkpoint payload", field="payload")
 
     i = 0
-    for name in model.config.streams:
-        for layer in model.streams[name].layers():
-            width = len(layer.state())
-            layer.load_state(loaded[i : i + width])
-            i += width
-    model.head.load_state(loaded[i : i + 2])
+    for layer in model.layers():
+        width = len(layer.state())
+        layer.load_state(loaded[i : i + width])
+        i += width
     return model

@@ -23,7 +23,6 @@ from .layers import (
     Conv2D,
     Dense,
     GlobalAvgPool,
-    LayerGradients,
     ReLU,
     SGDMomentum,
     softmax_cross_entropy,
@@ -44,7 +43,6 @@ __all__ = [
     "Conv2D",
     "Dense",
     "GlobalAvgPool",
-    "LayerGradients",
     "ReLU",
     "SGDMomentum",
     "softmax_cross_entropy",

@@ -10,21 +10,12 @@ which is what makes shared-model inference safe from multiple threads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from ..errors import ContractViolationError
 from . import tensorops as T
-
-
-@dataclass
-class LayerGradients:
-    """Parameter gradients (shape-matched to the weights) plus the input gradient."""
-
-    params: list[dict[str, np.ndarray]]
-    input_grad: np.ndarray
 
 
 class Layer:
@@ -235,19 +226,24 @@ def softmax_cross_entropy(logits: np.ndarray, label: int) -> tuple[float, np.nda
     return loss, probs, dlogits
 
 
-def backward(layers: Sequence[Layer], dy: np.ndarray) -> LayerGradients:
+def forward(layers: Sequence[Layer], x: np.ndarray, train: bool = False) -> np.ndarray:
+    """Run x through a layer chain in order; ``train`` records each layer's
+    activations for ``backward``."""
+    for layer in layers:
+        x = layer.forward(x, train)
+    return x
+
+
+def backward(layers: Sequence[Layer], dy: np.ndarray) -> np.ndarray:
     """Backpropagate dy through a forward-ordered layer chain.
 
     Every layer must have run ``forward(..., train=True)`` first, in the
-    same order; the returned gradients are listed forward-ordered too.
+    same order. Parameter gradients accumulate into each layer's
+    ``grads``; returns the input gradient.
     """
-    grad = dy
     for layer in reversed(layers):
-        grad = layer.backward(grad)
-    return LayerGradients(
-        params=[{k: v.copy() for k, v in layer.grads.items()} for layer in layers],
-        input_grad=grad,
-    )
+        dy = layer.backward(dy)
+    return dy
 
 
 class SGDMomentum:

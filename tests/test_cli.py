@@ -3,7 +3,7 @@ import os
 import numpy as np
 import pytest
 
-from rtar import dataset, synth
+from rtar import dataset, mediaio, runtime, synth
 from rtar.cli import main
 from rtar.errors import ContractViolationError
 from rtar.network import FusionModel
@@ -155,6 +155,40 @@ class TestTrainEvalRun:
                      "--clip", str(synth_dir / clip), "--seed", "3"] + FAST_FLAGS)
         assert code == 2
         assert "third predict fails" in capsys.readouterr().err
+
+    @pytest.fixture
+    def live_configs(self, monkeypatch):
+        """Stands in for run_pipeline_live and records the config it gets."""
+        configs = []
+
+        def fake_live(frames, model, config, pre):
+            configs.append(config)
+            return [], 0
+
+        monkeypatch.setattr(runtime, "run_pipeline_live", fake_live)
+        return configs
+
+    def test_live_ring_sized_from_clip_fps(self, synth_dir, trained, tmp_path, live_configs):
+        cfg = tmp_path / "cfg"
+        cfg.write_text("fps=30\n")  # synth's frame rate key must not reach the runtime
+        clip = synth_dir / sorted(p.name for p in synth_dir.iterdir() if p.is_dir())[0]
+        code = main(["run", "--live", "--checkpoint", str(trained), "--clip", str(clip),
+                     "--config", str(cfg), "--seed", "3"] + FAST_FLAGS)
+        assert code == 0
+        clip_fps = mediaio.read_clip_meta(clip / "clip.meta").fps
+        assert clip_fps == 4
+        assert [c.fps for c in live_configs] == [clip_fps]
+
+    def test_run_header_lists_every_preprocess_setting(self, synth_dir, trained, capsys,
+                                                        live_configs):
+        clip = synth_dir / sorted(p.name for p in synth_dir.iterdir() if p.is_dir())[0]
+        code = main(["run", "--live", "--checkpoint", str(trained), "--clip", str(clip),
+                     "--seed", "3", "--alpha", "12.5"] + FAST_FLAGS)
+        assert code == 0
+        header = capsys.readouterr().err.splitlines()
+        for line in ("# target_size=16", "# sample_fps=2", "# pyramid_levels=2",
+                     "# iterations=8", "# flow_scale=0.5", "# alpha=12.5"):
+            assert line in header
 
 
 class TestConfigFile:

@@ -270,6 +270,67 @@ class TestCache:
         with pytest.raises(FormatError):
             dataset.load_clip_samples(clips, [name], {name: 0}, FAST_PRE, cache_dir=out)
 
+    def test_rebuild_at_lower_sample_rate_removes_stale_pairs(self, tmp_path):
+        clips, name, out = self._one_clip_cache(tmp_path)
+        assert len(list(out.glob("*.flo"))) == 3
+        lower = dataclasses.replace(FAST_PRE, sample_frames_per_second=2)
+        result = dataset.precompute_cache(clips, [name], lower, out)
+        rows = [line.split("\t") for line in (out / "cache.index").read_text().splitlines()]
+        assert len(rows) == 2
+        assert sorted(p.name for p in out.glob("*.flo")) == sorted(r[2] for r in rows)
+        assert sorted(p.name for p in out.glob("*.pgm")) == sorted(r[3] for r in rows)
+        assert result.written + result.skipped == 4
+
+    def test_non_finite_flow_fails_the_clip(self, tmp_path, monkeypatch):
+        clips = tmp_path / "clips"
+        clips.mkdir()
+        name = "HandWash_000_A_01_G_00.avi"
+        _write_test_clip(clips, name)
+        real_pair_maps = dataset.pair_maps
+
+        def nan_flow(*args):
+            frame, flow, hog_img = real_pair_maps(*args)
+            flow[0, 0, 0] = np.nan
+            return frame, flow, hog_img
+
+        monkeypatch.setattr(dataset, "pair_maps", nan_flow)
+        out = tmp_path / "cache"
+        result = dataset.precompute_cache(clips, [name], FAST_PRE, out)
+        assert [f[0] for f in result.failures] == [name]
+        assert "non-finite" in result.failures[0][1]
+        assert not list(out.glob("*.flo"))
+
+    def test_interrupted_write_leaves_target_unchanged(self, tmp_path, monkeypatch):
+        target = tmp_path / "a.flo"
+        target.write_bytes(b"old bytes")
+        real_open = open
+
+        class HalfWriter:
+            """Writes half of what it is given, then fails like a full disk."""
+
+            def __init__(self, f):
+                self.f = f
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.f.close()
+
+            def write(self, data):
+                self.f.write(data[: len(data) // 2])
+                raise OSError("no space left on device")
+
+        def failing_open(path, mode="r", *args, **kwargs):
+            f = real_open(path, mode, *args, **kwargs)
+            return HalfWriter(f) if "w" in mode else f
+
+        monkeypatch.setattr(dataset, "open", failing_open, raising=False)
+        with pytest.raises(OSError, match="no space"):
+            dataset._write_if_changed(str(target), b"new bytes that replace the old ones")
+        assert target.read_bytes() == b"old bytes"
+        assert [p.name for p in tmp_path.iterdir()] == ["a.flo"]
+
     def test_nonpositive_threads_rejected(self, tmp_path):
         with pytest.raises(ContractViolationError, match="threads"):
             dataset.precompute_cache(tmp_path, [], FAST_PRE, tmp_path / "cache", threads=0)

@@ -175,15 +175,16 @@ class TestBackwardChain:
             return h
 
         r = gen.standard_normal(3)
+        assert np.array_equal(L.forward(layers, x), run())
         run(train=True)
-        result = L.backward(layers, r.copy())
+        dx = L.backward(layers, r.copy())
 
         def obj():
             return float((run() * r).sum())
 
-        assert rel_err(result.input_grad, central_diff(obj, x)) <= 1e-6
+        assert rel_err(dx, central_diff(obj, x)) <= 1e-6
         conv_w_num = central_diff(obj, layers[0].params["w"])
-        assert rel_err(result.params[0]["w"], conv_w_num) <= 1e-6
+        assert rel_err(layers[0].grads["w"], conv_w_num) <= 1e-6
 
 
 class TestSgd:

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -57,12 +59,13 @@ class TestConcatFuse:
 
 class TestStreamShapes:
     def test_dense_block_channel_arithmetic(self):
-        cfg = net.StreamConfig(growth_rate=3, blocks=(4,), compression=1.0, input_channels=3)
-        stream = net.StreamNet(cfg, bn=False, rng=np.random.default_rng(0), dtype=np.float32)
+        cfg = tiny_config(growth_rate=3, blocks=(4,))
+        stream = net.StreamNet(cfg, 3, rng=np.random.default_rng(0), dtype=np.float32)
+        assert len(stream.nodes) == 6  # initial conv, 4 dense layers, final ReLU
         x = np.random.default_rng(1).random((8, 8, 3)).astype(np.float32)
-        h = stream.initial.forward(x)
+        h = stream.nodes[0].forward(x)
         assert h.shape[2] == 6
-        for n, layer in enumerate(stream.stages, start=1):
+        for n, layer in enumerate(stream.nodes[1:-1], start=1):
             h = layer.forward(h)
             assert h.shape[2] == 6 + n * 3
 
@@ -181,7 +184,7 @@ class TestParameterCount:
                        for p in layer.params.values())
 
         def first_conv(name):
-            return model.streams[name].initial.params["w"].size
+            return model.streams[name].nodes[0].params["w"].size
 
         tails = {stream_count(n) - first_conv(n) for n in ("rgb", "flow", "hog")}
         assert len(tails) == 1
@@ -288,6 +291,17 @@ class TestEvaluate:
 
 
 class TestCheckpoint:
+    def test_init_checkpoint_digest_pinned(self, tmp_path):
+        # Pins the layer order and the order of RNG draws at construction;
+        # conv init and checkpoint writing involve no BLAS, so the bytes
+        # are platform-stable.
+        cfg = net.ModelConfig(num_classes=4, growth_rate=2, blocks=(2, 1), bottleneck_factor=4,
+                              compression=0.5, input_size=16, bn_enabled=True)
+        path = tmp_path / "init.ckpt"
+        net.save_model(net.FusionModel(cfg, seed=0), path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "93276c8138fb097c4fbcc1436b8eb90618042b7fefd05892fc3829683f15801e")
+
     def test_round_trip_bit_identical(self, tmp_path, rng):
         model = net.FusionModel(tiny_config(bn_enabled=True), seed=11)
         samples = [(*rand_inputs(rng, 8), 0)]

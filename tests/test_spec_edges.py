@@ -16,8 +16,7 @@ class TestToyConfigShape:
         cfg = network.ModelConfig(num_classes=12, growth_rate=12, blocks=(4, 4),
                                   compression=0.5, input_size=112)
         assert network.stream_feature_shape(cfg) == (56, 56, 84)
-        stream = network.StreamNet(cfg.stream_config("hog"), bn=True,
-                                   rng=np.random.default_rng(0), dtype=np.float32)
+        stream = network.StreamNet(cfg, 1, rng=np.random.default_rng(0), dtype=np.float32)
         x = np.random.default_rng(1).random((112, 112, 1)).astype(np.float32)
         assert stream.forward(x).shape == (56, 56, 84)
 
