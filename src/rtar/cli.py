@@ -92,6 +92,8 @@ def _read_config_file(path: str) -> dict:
             lines = f.readlines()
     except OSError as e:
         raise UsageError(f"cannot read config file: {e}") from None
+    except UnicodeDecodeError as e:
+        raise UsageError(f"config file is not ASCII: {e}") from None
     for lineno, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -122,7 +124,9 @@ class Settings:
                 self._values[key] = default
         if self._values["threads"] is None:
             env = os.environ.get("RTAR_THREADS", "")
-            self._values["threads"] = int(env) if env.isdigit() and int(env) > 0 else 1
+            if env and not (env.isdigit() and int(env) > 0):
+                raise UsageError(f"RTAR_THREADS must be a positive integer, got {env!r}")
+            self._values["threads"] = int(env) if env else 1
 
     def __getattr__(self, key):
         try:
@@ -217,9 +221,9 @@ def _load_sections(data_dir: str):
 
 def cmd_train(args) -> int:
     s = Settings(args)
-    _emit(s.header("train", PREPROCESS_KEYS + ["growth", "blocks", "compression", "bottleneck",
-                                               "streams", "bn", "epochs", "lr", "momentum",
-                                               "batch"]))
+    _emit(s.header("train", PREPROCESS_KEYS + ["classes", "growth", "blocks", "compression",
+                                               "bottleneck", "streams", "bn", "epochs", "lr",
+                                               "momentum", "batch"]))
     manifest, labels = _load_sections(args.data)
     if not manifest.train:
         raise UsageError("split.txt has an empty [train] section")
@@ -349,7 +353,7 @@ def cmd_dataset(args) -> int:
 def cmd_bench(args) -> int:
     s = Settings(args)
     _emit(s.header("bench", ["frames"] + PREPROCESS_KEYS + ["growth", "blocks", "compression",
-                                                            "bottleneck", "streams"]))
+                                                            "bottleneck", "streams", "bn"]))
     rng = np.random.default_rng(s.seed)
     size = s.target_size
     n = s.frames

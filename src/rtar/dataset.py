@@ -157,13 +157,18 @@ def write_labels(labels: dict[str, int], path: str | os.PathLike) -> None:
 def read_labels(path: str | os.PathLike) -> dict[str, int]:
     labels: dict[str, int] = {}
     with open(path, "rb") as f:
-        text = f.read().decode("ascii")
+        try:
+            text = f.read().decode("ascii")
+        except UnicodeDecodeError as e:
+            raise FormatError(f"labels file is not ASCII: {e}", field="encoding") from None
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
         parts = line.split("\t")
         if len(parts) != 2 or not re.fullmatch(r"\d+", parts[1]):
             raise FormatError(f"labels line {lineno}: expected name<TAB>class_id", field="label")
+        if parts[0] in labels:
+            raise FormatError(f"labels line {lineno}: duplicate clip {parts[0]!r}", field="label")
         labels[parts[0]] = int(parts[1])
     return labels
 

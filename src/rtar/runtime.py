@@ -6,13 +6,17 @@ interval: records at or above the threshold confidence vote for their
 class, plurality wins, and ties break toward the class of the most
 recent above-threshold record. When no record clears the threshold for a
 stipulated stretch of stream time, one erroneous-action event fires for
-the whole low-confidence span. One poll step, ``poll_once``, serves both
-pipelines.
+the whole low-confidence span.
 
-Offline clip runs derive "time" from frame indices, so their event logs
-are pure functions of the inputs. Live mode feeds frames through a
-bounded drop-oldest queue into an inference worker and polls on the wall
-clock; it is excluded from determinism guarantees.
+Both pipelines poll on one schedule in stream time, set by the records'
+own timestamps: a poll at every multiple of ``poll_interval``, each
+seeing the records stamped at or before it, then a final poll at the
+stream's end. Offline clip runs stamp sampled pairs from frame indices
+and end at the clip duration, so their event logs are pure functions of
+the inputs. Live mode feeds frames through a bounded drop-oldest queue
+into one inference worker, stamps each pair with its first frame's
+timestamp and ends at ``last_ts + 1/fps``; its log is deterministic
+only while nothing is dropped.
 """
 
 from __future__ import annotations
@@ -209,6 +213,36 @@ def poll_once(buf: FrameBuffer, state: ErroneousState, t: float, config: Runtime
     return state
 
 
+class _Poller:
+    """The one poll schedule: marks at k * poll_interval in stream time.
+
+    ``push`` polls at every mark before the record's timestamp, so a poll
+    at mark m sees exactly the records stamped at or before m.
+    """
+
+    def __init__(self, capacity: int, config: RuntimeConfig):
+        self.buf = FrameBuffer(capacity)
+        self.config = config
+        self.state = ErroneousState()
+        self.lines: list[str] = []
+        self.k = 1
+
+    def _poll_marks(self, due: Callable[[float], bool]) -> None:
+        while due(mark := self.k * self.config.poll_interval):
+            self.state = poll_once(self.buf, self.state, mark, self.config, self.lines)
+            self.k += 1
+
+    def push(self, t: float, pred) -> None:
+        self._poll_marks(lambda mark: mark < t)
+        self.buf.push(FrameRecord(timestamp=t, class_id=pred.class_id, confidence=pred.confidence))
+
+    def finish(self, end: float) -> list[str]:
+        """Poll the marks up to ``end``, then once more at ``end``; returns the log."""
+        self._poll_marks(lambda mark: mark <= end + 1e-9)
+        self.state = poll_once(self.buf, self.state, end, self.config, self.lines)
+        return self.lines
+
+
 # ---------------------------------------------------------------------------
 # Offline (virtual-time) pipeline
 # ---------------------------------------------------------------------------
@@ -229,37 +263,17 @@ def run_pipeline_offline(
     """
     meta = read_clip_meta(os.path.join(clip_dir, "clip.meta"))
     sample_fps = pre_config.sample_frames_per_second
-    pairs = sample_frames(meta, sample_fps, pre_config.rng_seed)
-    duration = meta.frame_count / meta.fps
-
-    capacity = max(1, round(sample_fps * config.window_seconds))
-    buf = FrameBuffer(capacity)
-    state = ErroneousState()
-    lines: list[str] = []
-    poll_times = []
-    k = 1
-    while k * config.poll_interval <= duration + 1e-9:
-        poll_times.append(k * config.poll_interval)
-        k += 1
-    next_poll = 0
-
-    for i, j in pairs:
-        t = i / meta.fps
-        while next_poll < len(poll_times) and poll_times[next_poll] < t:
-            state = poll_once(buf, state, poll_times[next_poll], config, lines)
-            next_poll += 1
+    poller = _Poller(max(1, round(sample_fps * config.window_seconds)), config)
+    for i, j in sample_frames(meta, sample_fps, pre_config.rng_seed):
         rgb, flow, hog = preprocess_pair(
             read_frame(clip_dir, i, meta), read_frame(clip_dir, j, meta), pre_config
         )
-        pred = model.predict(rgb, flow, hog)
-        buf.push(FrameRecord(timestamp=t, class_id=pred.class_id, confidence=pred.confidence))
-    for t in poll_times[next_poll:] + [duration]:  # then a final poll on clean exhaustion
-        state = poll_once(buf, state, t, config, lines)
-    return lines
+        poller.push(i / meta.fps, model.predict(rgb, flow, hog))
+    return poller.finish(meta.duration_s)
 
 
 # ---------------------------------------------------------------------------
-# Live (wall-clock) pipeline
+# Live pipeline
 # ---------------------------------------------------------------------------
 
 class BoundedQueue:
@@ -287,11 +301,10 @@ class BoundedQueue:
             self._items.append(item)
             self._cond.notify()
 
-    def get(self, timeout: float | None = None):
+    def get(self):
         with self._cond:
             while not self._items and not self._closed:
-                if not self._cond.wait(timeout=timeout):
-                    return None
+                self._cond.wait()
             if self._items:
                 return self._items.popleft()
             return None  # closed and drained
@@ -313,80 +326,44 @@ def run_pipeline_live(
     config: RuntimeConfig = RuntimeConfig(),
     pre_config: PreprocessConfig = PreprocessConfig(),
     queue_size: int = 8,
-    clock: Callable[[], float] | None = None,
-    sleep: Callable[[float], None] | None = None,
 ) -> tuple[list[str], int]:
-    """Wall-clock pipeline: ingest -> bounded queue -> inference -> buffer.
+    """Stream pipeline: frames -> bounded queue -> inference worker -> poller.
 
-    ``frames`` yields (timestamp, HxWx3 uint8). If inference lags, the
-    oldest undecoded frames are dropped; the drop count is returned
-    alongside the event lines. Not deterministic; offline mode is the
-    reference behaviour. An exception raised while reading frames or
-    inferring closes the queue, stops both workers and is re-raised here
-    once they have been joined.
+    ``frames`` yields (timestamp, HxWx3 uint8) and is read on the caller's
+    thread; one worker thread infers each consecutive pair it takes off
+    the queue. If inference lags, the oldest queued frames are dropped;
+    the drop count is returned alongside the event lines. Polls follow
+    the frame timestamps, and the final poll falls at ``last_ts + 1/fps``.
+    An inference exception closes the queue, which stops the reading of
+    frames, and is re-raised here once the worker has been joined; an
+    exception from ``frames`` propagates.
     """
-    import time as _time
-
-    clock = clock or _time.monotonic
-    sleep = sleep or _time.sleep
     queue = BoundedQueue(queue_size)
-    capacity = max(1, round(config.fps * config.window_seconds))
-    buf = FrameBuffer(capacity)
-    done = threading.Event()
+    poller = _Poller(max(1, round(config.fps * config.window_seconds)), config)
     failures: list[Exception] = []
-
-    def worker(body):
-        def run():
-            try:
-                body()
-            except Exception as exc:  # re-raised on the caller's thread after join
-                failures.append(exc)
-            finally:
-                queue.close()
-        return run
-
-    def ingest():
-        for ts, frame in frames:
-            if queue.closed:
-                break
-            queue.put((ts, frame))
 
     def infer():
         prev = None
-        while True:
-            item = queue.get(timeout=0.1)
-            if item is None:
-                if done.is_set() or queue.closed:
-                    break
-                continue
-            ts, frame = item
-            if prev is not None:
-                rgb, flow, hog = preprocess_pair(prev[1], frame, pre_config)
-                pred = model.predict(rgb, flow, hog)
-                buf.push(FrameRecord(timestamp=prev[0], class_id=pred.class_id,
-                                     confidence=pred.confidence))
-            prev = (ts, frame)
+        try:
+            while (item := queue.get()) is not None:
+                if prev is not None:
+                    rgb, flow, hog = preprocess_pair(prev[1], item[1], pre_config)
+                    poller.push(prev[0], model.predict(rgb, flow, hog))
+                prev = item
+        except Exception as exc:  # re-raised on the caller's thread after join
+            failures.append(exc)
+            queue.close()
 
-    t_ingest = threading.Thread(target=worker(ingest), daemon=True)
-    t_infer = threading.Thread(target=worker(infer), daemon=True)
-    start = clock()
-    t_ingest.start()
-    t_infer.start()
-
-    lines: list[str] = []
-    state = ErroneousState()
-    next_poll = config.poll_interval
-    while t_infer.is_alive() or t_ingest.is_alive():
-        now = clock() - start
-        if now < next_poll:
-            sleep(min(next_poll - now, 0.02))
-            continue
-        state = poll_once(buf, state, next_poll, config, lines)
-        next_poll += config.poll_interval
-    done.set()
-    t_ingest.join()
-    t_infer.join()
-    if failures:
-        raise failures[0]
-    poll_once(buf, state, clock() - start, config, lines)
-    return lines, queue.dropped
+    worker = threading.Thread(target=infer, daemon=True)
+    worker.start()
+    end = 0.0
+    try:
+        for ts, frame in frames:
+            queue.put((ts, frame))  # refused once a failed worker has closed the queue
+            end = ts + 1 / config.fps
+    finally:
+        queue.close()
+        worker.join()
+        if failures:
+            raise failures[0]  # wins over the put the closed queue refused
+    return poller.finish(end), queue.dropped

@@ -103,6 +103,30 @@ class TestTrainEvalRun:
         assert "iterations=8" in err[0] and "iterations=1" in err[0]
         assert not (tmp_path / "run").exists()
 
+    def test_non_ascii_labels_exit_2(self, synth_dir, tmp_path, capsys):
+        data = tmp_path / "data"
+        data.mkdir()
+        (data / "split.txt").write_bytes((synth_dir / "split.txt").read_bytes())
+        (data / "labels.tsv").write_bytes((synth_dir / "labels.tsv").read_bytes() + b"\xff\n")
+        code = main(["train", "--data", str(data), "--out", str(tmp_path / "run")]
+                    + FAST_FLAGS + TINY_MODEL)
+        assert code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: labels file is not ASCII")
+
+    def test_train_and_bench_headers_list_classes_and_bn(self, synth_dir, tmp_path, capsys):
+        cfg = tmp_path / "cfg"
+        cfg.write_text("classes=5\nbn=0\n")
+        assert TINY_MODEL[-2:] == ["--classes", "4"]  # a flag would beat the config file
+        assert main(["train", "--data", str(synth_dir), "--out", str(tmp_path / "run"),
+                     "--config", str(cfg), "--seed", "3"] + FAST_FLAGS + TINY_MODEL[:-2]) == 0
+        header = capsys.readouterr().out.splitlines()
+        assert "# classes=5" in header and "# bn=False" in header
+        assert main(["bench", "--config", str(cfg), "--frames", "1", "--target-size", "32",
+                     "--growth", "2", "--blocks", "2", "--pyramid-levels", "2",
+                     "--iterations", "4"]) == 0
+        assert "# bn=False" in capsys.readouterr().out.splitlines()
+
     def test_eval_report(self, synth_dir, trained, capsys):
         code = main(["eval", "--checkpoint", str(trained), "--data", str(synth_dir),
                      "--seed", "3"] + FAST_FLAGS)
@@ -210,6 +234,15 @@ class TestConfigFile:
         assert code == 2
         assert "unknown key" in capsys.readouterr().err
 
+    def test_non_ascii_config_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_bytes(b"seed=1 # caf\xe9\n")
+        code = main(["dataset", "validate", "--manifest", str(tmp_path / "split.txt"),
+                     "--config", str(cfg)])
+        assert code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: config file is not ASCII")
+
     def test_threads_env_fallback(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("RTAR_THREADS", "3")
         cfg = tmp_path / "cfg"
@@ -218,6 +251,24 @@ class TestConfigFile:
                      "--pyramid-levels", "2", "--iterations", "4"])
         assert code == 0
         assert "# threads=3" in capsys.readouterr().out
+
+        split = tmp_path / "split.txt"
+        dataset.save_split(dataset.SplitManifest(train=["HandWash_001_A_01_G_00.avi"]), split)
+        validate = ["dataset", "validate", "--manifest", str(split)]
+        monkeypatch.setenv("RTAR_THREADS", "")
+        assert main(validate) == 0
+        assert "# threads=1" in capsys.readouterr().out
+        monkeypatch.delenv("RTAR_THREADS")
+        assert main(validate) == 0
+        assert "# threads=1" in capsys.readouterr().out
+        assert main(validate + ["--threads", "2"]) == 0
+        assert "# threads=2" in capsys.readouterr().out
+        for bad in ("0", "-2", "abc"):
+            monkeypatch.setenv("RTAR_THREADS", bad)
+            assert main(validate) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == f"error: RTAR_THREADS must be a positive integer, got {bad!r}\n"
 
 
 class TestBench:

@@ -121,6 +121,13 @@ class TestLabels:
         with pytest.raises(FormatError):
             dataset.read_labels(path)
 
+    def test_duplicate_clip_names_the_line(self, tmp_path):
+        path = tmp_path / "labels.tsv"
+        path.write_text("HandWash_000_A_01_G_00.avi\t0\nHandWash_001_A_01_G_00.avi\t1\n"
+                        "HandWash_000_A_01_G_00.avi\t3\n")
+        with pytest.raises(FormatError, match="labels line 3: duplicate clip"):
+            dataset.read_labels(path)
+
 
 def _write_test_clip(root, name, frame_count=30, fps=30, size=16, seed=0):
     rng = np.random.default_rng(seed)

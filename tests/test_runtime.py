@@ -338,6 +338,23 @@ class TestLivePipeline:
         assert dropped >= 0
         assert all(l.startswith(("POLL", "ERRONEOUS")) for l in lines)
 
+    def test_polls_follow_stream_time(self):
+        frames = [(i / 8, np.zeros((16, 16, 3), dtype=np.uint8)) for i in range(8)]
+
+        def run():
+            return runtime.run_pipeline_live(iter(frames), _ScriptedModel(),
+                                             RuntimeConfig(fps=8, poll_interval=0.25),
+                                             FAST_PRE, queue_size=8)
+
+        # pairs are stamped with their first frame, 0 .. 0.75; the 8-slot ring
+        # keeps all 7, and the final poll falls at last_ts + 1/fps = 1.0
+        lines, dropped = run()
+        assert dropped == 0
+        assert lines == ["POLL\t0.250\tclass\t1\t1=3", "POLL\t0.500\tclass\t1\t1=5",
+                         "POLL\t0.750\tclass\t1\t1=7", "POLL\t1.000\tclass\t1\t1=7",
+                         "POLL\t1.000\tclass\t1\t1=7"]
+        assert run() == (lines, 0)
+
     def test_inference_failure_is_reraised_and_stops_ingest(self):
         sent = []
 
