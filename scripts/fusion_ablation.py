@@ -4,7 +4,8 @@
 Generates a group-disjoint 4-class dataset, trains the fused model and
 the three single-stream ablations with an identical budget, and prints
 clip-level test accuracy for each. This is the experiment behind
-acceptance criterion 1, exposed with knobs for exploration.
+acceptance criterion 1 (``rtar.synth.fusion_ablation``), exposed with
+knobs for exploration.
 
 Example:
     python scripts/fusion_ablation.py --clips-per-class 40 --epochs 8
@@ -17,7 +18,7 @@ import time
 
 sys.path.insert(0, "src")
 
-from rtar import dataset, network, synth
+from rtar import network, synth
 from rtar.preprocess import FlowParams, PreprocessConfig
 
 
@@ -40,40 +41,29 @@ def main() -> int:
     args = ap.parse_args()
 
     t0 = time.monotonic()
-    out = args.keep or tempfile.mkdtemp(prefix="fusion_ablation_")
     cfg = synth.SynthConfig(num_classes=4, clips_per_class=args.clips_per_class,
                             fps=args.fps, duration_s=args.duration,
                             resolution=args.resolution, groups=args.groups)
-    result = synth.generate_synthetic(cfg, seed=args.seed, out_dir=out)
-    print(f"dataset: {len(result.clip_names)} clips "
-          f"({len(result.manifest.train)} train / {len(result.manifest.test)} test) in {out}")
-
     pre = PreprocessConfig(target_size=args.target_size,
                            sample_frames_per_second=args.sample_fps,
                            flow=FlowParams(pyramid_levels=3, iterations=30),
                            rng_seed=args.seed)
-    labels = dataset.read_labels(result.labels_path)
-    train_clips = dataset.load_clip_samples(out, result.manifest.train, labels, pre)
-    test_clips = dataset.load_clip_samples(out, result.manifest.test, labels, pre)
-    samples = dataset.flatten_samples(train_clips)
-    print(f"preprocessed {len(samples)} training pairs "
-          f"({time.monotonic() - t0:.0f}s elapsed)")
-
-    blocks = tuple(int(b) for b in args.blocks.split(","))
+    model = network.ModelConfig(num_classes=4, growth_rate=args.growth, compression=0.5,
+                                blocks=tuple(int(b) for b in args.blocks.split(",")),
+                                input_size=args.target_size, bn_enabled=False)
     hyper = network.TrainConfig(lr=args.lr, momentum=0.9, epochs=args.epochs,
                                 batch=args.batch, seed=args.seed)
+    with tempfile.TemporaryDirectory(prefix="fusion_ablation_") as scratch:
+        out = args.keep or scratch
+        manifest, train_clips, _, runs = synth.fusion_ablation(cfg, pre, model, hyper, out)
+    print(f"dataset: {len(manifest.train) + len(manifest.test)} clips "
+          f"({len(manifest.train)} train / {len(manifest.test)} test) in {out}")
+    print(f"preprocessed {sum(len(c.pairs) for c in train_clips)} training pairs")
+
     print(f"\n{'streams':<16}{'clip_acc':>9}{'frame_acc':>10}{'params':>9}{'secs':>6}")
-    for streams in (("rgb", "flow", "hog"), ("rgb",), ("flow",), ("hog",)):
-        t1 = time.monotonic()
-        config = network.ModelConfig(num_classes=4, growth_rate=args.growth,
-                                     blocks=blocks, compression=0.5,
-                                     input_size=args.target_size, bn_enabled=False,
-                                     streams=streams)
-        model = network.FusionModel(config, seed=args.seed)
-        network.train(model, samples, hyper)
-        report = network.evaluate(model, test_clips)
-        print(f"{','.join(streams):<16}{report.accuracy:>9.3f}{report.frame_accuracy:>10.3f}"
-              f"{network.parameter_count(model):>9d}{time.monotonic() - t1:>6.0f}")
+    for streams, run in runs.items():
+        print(f"{','.join(streams):<16}{run.report.accuracy:>9.3f}{run.report.frame_accuracy:>10.3f}"
+              f"{network.parameter_count(run.model):>9d}{run.seconds:>6.0f}")
     print(f"\ntotal wall time {time.monotonic() - t0:.0f}s")
     return 0
 

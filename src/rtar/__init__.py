@@ -11,7 +11,8 @@ Subsystems:
 * :mod:`rtar.runtime` - circular frame buffer, majority-vote polling,
   erroneous-action detection, offline and live pipelines
 * :mod:`rtar.dataset` / :mod:`rtar.synth` - naming/split conventions,
-  cache precomputation and the synthetic fine-grained-action generator
+  cache precomputation, the synthetic fine-grained-action generator and
+  the fusion ablation run on it
 * :mod:`rtar.cli` - the ``rtar`` command
 """
 

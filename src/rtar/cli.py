@@ -127,6 +127,10 @@ class Settings:
             if env and not (env.isdigit() and int(env) > 0):
                 raise UsageError(f"RTAR_THREADS must be a positive integer, got {env!r}")
             self._values["threads"] = int(env) if env else 1
+        if self._values["threads"] < 1:
+            raise UsageError(f"threads must be a positive integer, got {self._values['threads']}")
+        if not 0 <= self._values["threshold"] < 1:
+            raise UsageError("threshold_confidence must be in [0, 1)")
 
     def __getattr__(self, key):
         try:

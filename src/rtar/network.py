@@ -80,16 +80,32 @@ class ModelConfig:
             size //= 2
 
 
-def stream_feature_shape(config: ModelConfig) -> tuple[int, int, int]:
-    """Closed-form (H, W, D) of every stream's output feature map."""
-    size = config.input_size
-    channels = 2 * config.growth_rate
+def _stream_plan(config: ModelConfig, input_channels: int) -> tuple[list, tuple[int, int, int]]:
+    """One stream's nodes in build order and its output (H, W, D): the only
+    place that derives per-layer channel counts. A node is a layer spec,
+    ``("conv", kernel, cin, cout)``, ``("bn", c)``, ``("relu",)`` or
+    ``("pool",)``, or a dense layer's list of specs."""
+    k, size, c = config.growth_rate, config.input_size, 2 * config.growth_rate
+    mid = config.bottleneck_factor * k
+
+    def bn_relu(channels: int) -> list[tuple]:
+        return ([("bn", channels)] if config.bn_enabled else []) + [("relu",)]
+
+    nodes: list = [("conv", 3, input_channels, c)]
     for b, n in enumerate(config.blocks):
-        channels += n * config.growth_rate
+        for _ in range(n):
+            nodes.append(bn_relu(c) + [("conv", 1, c, mid)] + bn_relu(mid) + [("conv", 3, mid, k)])
+            c += k
         if b < len(config.blocks) - 1:
-            channels = math.ceil(config.compression * channels)
-            size //= 2
-    return size, size, channels
+            cout = math.ceil(config.compression * c)
+            nodes += bn_relu(c) + [("conv", 1, c, cout), ("pool",)]
+            c, size = cout, size // 2
+    return nodes + bn_relu(c), (size, size, c)
+
+
+def stream_feature_shape(config: ModelConfig) -> tuple[int, int, int]:
+    """(H, W, D) of every stream's output (input channels change only the first conv)."""
+    return _stream_plan(config, 1)[1]
 
 
 @dataclass(frozen=True)
@@ -103,28 +119,31 @@ class Prediction:
 # Stream subnetwork
 # ---------------------------------------------------------------------------
 
-def _bn_relu_conv(cin: int, cout: int, k: int, bn: bool, rng, dtype) -> list[Layer]:
-    """[BN]-ReLU-kxk conv from cin to cout channels, spatial size kept."""
-    return ([BatchNorm(cin, dtype=dtype)] if bn else []) + [
-        ReLU(), Conv2D(k, k, cin, cout, padding=k // 2, rng=rng, dtype=dtype)]
+def _build(node, rng, dtype):
+    """The layer for one plan node; a list of specs becomes a _DenseLayer."""
+    if isinstance(node, list):
+        return _DenseLayer([_build(spec, rng, dtype) for spec in node])
+    if node[0] == "conv":
+        _, kernel, cin, cout = node
+        return Conv2D(kernel, kernel, cin, cout, padding=kernel // 2, rng=rng, dtype=dtype)
+    if node[0] == "bn":
+        return BatchNorm(node[1], dtype=dtype)
+    return ReLU() if node[0] == "relu" else AvgPool2()
 
 
 class _DenseLayer:
     """BN-ReLU-1x1 conv (bottleneck) then BN-ReLU-3x3 conv; concatenates k
     new channels onto its input."""
 
-    def __init__(self, cin: int, config: ModelConfig, rng, dtype):
-        k, bn = config.growth_rate, config.bn_enabled
-        mid = config.bottleneck_factor * k
-        self.cin = cin
-        self.chain = (_bn_relu_conv(cin, mid, 1, bn, rng, dtype)
-                      + _bn_relu_conv(mid, k, 3, bn, rng, dtype))
+    def __init__(self, chain: list[Layer]):
+        self.chain = chain
+        self.k = chain[-1].params["w"].shape[3]
 
     def forward(self, x, train=False):
         return np.concatenate([x, forward(self.chain, x, train)], axis=2)
 
     def backward(self, dy):
-        return dy[:, :, : self.cin] + backward(self.chain, dy[:, :, self.cin :])
+        return dy[:, :, : -self.k] + backward(self.chain, dy[:, :, -self.k :])
 
 
 class StreamNet:
@@ -132,19 +151,7 @@ class StreamNet:
     conv to ceil(compression * channels), then 2x2 avg pool), final BN-ReLU."""
 
     def __init__(self, config: ModelConfig, input_channels: int, rng, dtype):
-        k, bn = config.growth_rate, config.bn_enabled
-        self.nodes: list = [Conv2D(3, 3, input_channels, 2 * k, padding=1, rng=rng, dtype=dtype)]
-        channels = 2 * k
-        for b, n in enumerate(config.blocks):
-            for _ in range(n):
-                self.nodes.append(_DenseLayer(channels, config, rng, dtype))
-                channels += k
-            if b < len(config.blocks) - 1:
-                cout = math.ceil(config.compression * channels)
-                self.nodes += _bn_relu_conv(channels, cout, 1, bn, rng, dtype) + [AvgPool2()]
-                channels = cout
-        self.nodes += ([BatchNorm(channels, dtype=dtype)] if bn else []) + [ReLU()]
-        self.out_channels = channels
+        self.nodes = [_build(node, rng, dtype) for node in _stream_plan(config, input_channels)[0]]
 
     def layers(self) -> list[Layer]:
         flat: list[Layer] = []
@@ -204,10 +211,10 @@ class FusionModel:
             name: StreamNet(config, STREAM_CHANNELS[name], rng, dtype)
             for name in config.streams
         }
-        h, w, d = stream_feature_shape(config)
-        self.feature_shape = (h, w, d)
+        self.feature_shape = stream_feature_shape(config)
         self.gap = GlobalAvgPool()
-        self.head = Dense(len(config.streams) * d, config.num_classes, rng=rng, dtype=dtype)
+        self.head = Dense(len(config.streams) * self.feature_shape[2], config.num_classes,
+                          rng=rng, dtype=dtype)
 
     def layers(self) -> list[Layer]:
         return [layer for name in self.config.streams
@@ -238,13 +245,9 @@ class FusionModel:
         if set(self.config.streams) == set(STREAM_ORDER):
             da, db, dc = deinterleave(dfused)
             return {"rgb": da, "flow": db, "hog": dc}
-        out = {}
-        at = 0
-        for name in self.config.streams:
-            d = self.streams[name].out_channels
-            out[name] = dfused[:, :, at : at + d]
-            at += d
-        return out
+        d = self.feature_shape[2]
+        return {name: dfused[:, :, i * d : (i + 1) * d]
+                for i, name in enumerate(self.config.streams)}
 
     def forward_logits(self, rgb=None, flow=None, hog=None, train: bool = False) -> np.ndarray:
         inputs = self._gather_inputs(rgb, flow, hog)
@@ -413,32 +416,18 @@ def save_model(model: FusionModel, path) -> None:
 
 def _state_scalar_count(config: ModelConfig) -> int:
     """Total scalars in the checkpoint's tensor payload (params plus BN
-    running stats), computed without building the model so absurd fuzzed
-    configs are rejected before any allocation."""
-    k = config.growth_rate
-    mid = config.bottleneck_factor * k
-    bn = config.bn_enabled
+    running stats), summed over the stream plans without building the
+    model so absurd fuzzed configs are rejected before any allocation."""
     total = 0
     for name in config.streams:
-        c = 2 * k
-        total += 3 * 3 * STREAM_CHANNELS[name] * c
-        for b, n in enumerate(config.blocks):
-            sum_cin = n * c + k * (n * (n - 1) // 2)
-            if bn:
-                total += 4 * sum_cin + n * 4 * mid
-            total += sum_cin * mid + n * 9 * mid * k
-            c += n * k
-            if b < len(config.blocks) - 1:
-                cout = math.ceil(config.compression * c)
-                if bn:
-                    total += 4 * c
-                total += c * cout
-                c = cout
-        if bn:
-            total += 4 * c
-    d = c
-    total += len(config.streams) * d * config.num_classes + config.num_classes
-    return total
+        nodes, (_, _, d) = _stream_plan(config, STREAM_CHANNELS[name])
+        for node in nodes:
+            for spec in node if isinstance(node, list) else [node]:
+                if spec[0] == "conv":
+                    total += spec[1] * spec[1] * spec[2] * spec[3]
+                elif spec[0] == "bn":
+                    total += 4 * spec[1]  # gamma, beta, running mean and var
+    return total + len(config.streams) * d * config.num_classes + config.num_classes
 
 
 class _Reader:
@@ -476,6 +465,12 @@ def load_model(path) -> FusionModel:
     if n_blocks < 1 or n_blocks > 64:
         raise FormatError(f"implausible block count {n_blocks}", field="blocks")
     blocks = tuple(r.u32() for _ in range(n_blocks))
+    # The stream plan walks every dense layer, so a mutated block count
+    # near 2**32 would stall the loader before the size check below. Each
+    # dense layer stores two 4-d conv tensors of at least 24 bytes each.
+    if 48 * sum(blocks) > len(raw):
+        raise FormatError(f"blocks {blocks} need more bytes than the checkpoint has",
+                          field="blocks")
     n_streams = r.u32()
     if n_streams < 1 or n_streams > 3:
         raise FormatError(f"implausible stream count {n_streams}", field="streams")
@@ -506,8 +501,7 @@ def load_model(path) -> FusionModel:
         raise FormatError(
             f"checkpoint has {count} tensors, model needs {len(expected)}", field="tensors"
         )
-    loaded: list[np.ndarray] = []
-    for target in expected:
+    for target in expected:  # the model's own state arrays, filled in place
         ndim = r.u32()
         if ndim > 8:
             raise FormatError(f"implausible tensor rank {ndim}", field="tensors")
@@ -517,15 +511,7 @@ def load_model(path) -> FusionModel:
                 f"tensor shape {shape} does not match model shape {target.shape}",
                 field="tensors",
             )
-        n = int(np.prod(shape, dtype=np.int64)) if shape else 1
-        data = np.frombuffer(r.take(4 * n), dtype="<f4").reshape(shape)
-        loaded.append(data)
+        target[...] = np.frombuffer(r.take(4 * target.size), dtype="<f4").reshape(shape)
     if r.at != len(raw):
         raise FormatError("trailing bytes after checkpoint payload", field="payload")
-
-    i = 0
-    for layer in model.layers():
-        width = len(layer.state())
-        layer.load_state(loaded[i : i + width])
-        i += width
     return model

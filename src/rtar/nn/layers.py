@@ -29,17 +29,9 @@ class Layer:
             g.fill(0)
 
     def state(self) -> list[np.ndarray]:
-        """Persistent tensors in a fixed order (trainable params, name-sorted)."""
+        """Persistent tensors in a fixed order (trainable params, name-sorted);
+        a checkpoint saves them and loads into them in place."""
         return [self.params[k] for k in sorted(self.params)]
-
-    def load_state(self, tensors: list[np.ndarray]) -> None:
-        for key, arr in zip(sorted(self.params), tensors):
-            if self.params[key].shape != arr.shape:
-                raise ContractViolationError(
-                    f"{type(self).__name__}.{key}: checkpoint shape {arr.shape} "
-                    f"does not match model shape {self.params[key].shape}"
-                )
-            self.params[key][...] = arr
 
     def forward(self, x: np.ndarray, train: bool = False) -> np.ndarray:
         raise NotImplementedError
@@ -123,14 +115,6 @@ class BatchNorm(Layer):
 
     def state(self):
         return super().state() + [self.running_mean, self.running_var]
-
-    def load_state(self, tensors):
-        super().load_state(tensors[:2])
-        mean, var = tensors[2], tensors[3]
-        if mean.shape != self.running_mean.shape or var.shape != self.running_var.shape:
-            raise ContractViolationError("BatchNorm running-stat shapes do not match")
-        self.running_mean = mean.astype(self.running_mean.dtype)
-        self.running_var = var.astype(self.running_var.dtype)
 
     def backward(self, dy):
         x_hat, var = self._take_cache()

@@ -17,19 +17,22 @@ displacement at constant magnitude (sign flips at the folds), which
 makes almost every sampled pair carry a full-strength motion cue.
 
 Everything derives from one seed, so generated trees are byte-reproducible.
+``fusion_ablation`` runs the fusion-vs-single-stream experiment on such a set.
 """
 
 from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
+import time
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import ContractViolationError
-from . import mediaio
+from . import dataset, mediaio, network
 from .dataset import ClipId, SplitManifest, format_clip_name, save_split, write_labels
+from .preprocess import PreprocessConfig
 
 MOTIONS = ("horizontal", "vertical", "cw", "ccw")
 
@@ -215,3 +218,32 @@ def _test_groups(config: SynthConfig) -> set[int]:
     """Deterministic 20% of groups (at least one) reserved for testing."""
     n_test = max(1, round(0.2 * config.groups))
     return set(range(config.groups - n_test, config.groups))
+
+
+@dataclass
+class AblationRun:
+    model: network.FusionModel
+    report: network.EvalReport  # on the test section
+    seconds: float  # training plus test evaluation
+
+
+def fusion_ablation(config: SynthConfig, pre: PreprocessConfig, model: network.ModelConfig,
+                    hyper: network.TrainConfig, out_dir: str | os.PathLike):
+    """Acceptance criterion 1's experiment: generate the set into ``out_dir``,
+    load both split sections, then train ``model`` on the fused and on each
+    single stream set and evaluate it on the test section. ``hyper.seed``
+    also draws the clips and initialises every model. Returns ``(manifest,
+    train_clips, test_clips, runs)``, ``runs`` keyed by stream set."""
+    result = generate_synthetic(config, seed=hyper.seed, out_dir=out_dir)
+    labels = dataset.read_labels(result.labels_path)
+    train_clips = dataset.load_clip_samples(out_dir, result.manifest.train, labels, pre)
+    test_clips = dataset.load_clip_samples(out_dir, result.manifest.test, labels, pre)
+    samples = dataset.flatten_samples(train_clips)
+    runs = {}
+    for streams in (("rgb", "flow", "hog"), ("rgb",), ("flow",), ("hog",)):
+        t0 = time.monotonic()
+        trained = network.FusionModel(replace(model, streams=streams), seed=hyper.seed)
+        network.train(trained, samples, hyper)
+        report = network.evaluate(trained, test_clips)
+        runs[streams] = AblationRun(trained, report, time.monotonic() - t0)
+    return result.manifest, train_clips, test_clips, runs

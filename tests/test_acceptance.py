@@ -2,7 +2,7 @@
 
 Each test records a pass/fail line that pytest prints in its terminal
 summary. Criterion 1 trains four models end to end and dominates the
-suite's runtime (several minutes on one desktop core).
+suite's runtime (about 160 s on a 2-core host).
 """
 
 import hashlib
@@ -33,38 +33,22 @@ EXP_PRE = PreprocessConfig(target_size=32, sample_frames_per_second=2,
                            flow=FlowParams(pyramid_levels=3, iterations=30),
                            rng_seed=0)
 EXP_TRAIN = network.TrainConfig(lr=0.05, momentum=0.9, epochs=8, batch=8, seed=0)
-
-
-def _experiment_model(streams):
-    config = network.ModelConfig(num_classes=4, growth_rate=6, blocks=(2, 2),
-                                 compression=0.5, input_size=32, bn_enabled=False,
-                                 streams=streams)
-    return network.FusionModel(config, seed=0)
+EXP_MODEL = network.ModelConfig(num_classes=4, growth_rate=6, blocks=(2, 2), compression=0.5,
+                                input_size=32, bn_enabled=False)
 
 
 @pytest.mark.slow
 def test_criterion_1_fusion_beats_streams(tmp_path):
     t0 = time.monotonic()
-    result = synth.generate_synthetic(EXP_SYNTH, seed=0, out_dir=tmp_path / "data")
-    labels = dataset.read_labels(result.labels_path)
-    manifest = result.manifest
+    manifest, train_clips, _, runs = synth.fusion_ablation(EXP_SYNTH, EXP_PRE, EXP_MODEL,
+                                                           EXP_TRAIN, tmp_path / "data")
     assert len(manifest.train) == 128 and len(manifest.test) == 32
     train_groups = {dataset.parse_clip_name(n).group for n in manifest.train}
     test_groups = {dataset.parse_clip_name(n).group for n in manifest.test}
     assert not (train_groups & test_groups), "split must be group-disjoint"
 
-    train_clips = dataset.load_clip_samples(tmp_path / "data", manifest.train, labels, EXP_PRE)
-    test_clips = dataset.load_clip_samples(tmp_path / "data", manifest.test, labels, EXP_PRE)
-    samples = dataset.flatten_samples(train_clips)
-
-    accuracy = {}
-    fused_train_accuracy = 0.0
-    for streams in (("rgb", "flow", "hog"), ("rgb",), ("flow",), ("hog",)):
-        model = _experiment_model(streams)
-        network.train(model, samples, EXP_TRAIN)
-        accuracy[streams] = network.evaluate(model, test_clips).accuracy
-        if len(streams) == 3:
-            fused_train_accuracy = network.evaluate(model, train_clips).accuracy
+    accuracy = {streams: run.report.accuracy for streams, run in runs.items()}
+    fused_train_accuracy = network.evaluate(runs[("rgb", "flow", "hog")].model, train_clips).accuracy
     elapsed = time.monotonic() - t0
 
     fused = accuracy[("rgb", "flow", "hog")]

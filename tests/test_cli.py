@@ -136,6 +136,14 @@ class TestTrainEvalRun:
         assert "below-threshold rate" in out
         assert "per-class accuracy" in out
 
+    def test_eval_threshold_out_of_range_exits_2(self, synth_dir, trained, capsys):
+        code = main(["eval", "--checkpoint", str(trained), "--data", str(synth_dir),
+                     "--threshold", "1.5"] + FAST_FLAGS)
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: threshold_confidence must be in [0, 1)\n"
+
     def test_eval_size_mismatch_is_usage_error(self, synth_dir, trained, capsys):
         code = main(["eval", "--checkpoint", str(trained), "--data", str(synth_dir),
                      "--target-size", "32", "--sample-fps", "2"])
@@ -269,6 +277,24 @@ class TestConfigFile:
             captured = capsys.readouterr()
             assert captured.out == ""
             assert captured.err == f"error: RTAR_THREADS must be a positive integer, got {bad!r}\n"
+
+    def test_nonpositive_threads_flag_exits_2(self, tmp_path, capsys):
+        validate = ["dataset", "validate", "--manifest", str(tmp_path / "split.txt")]
+        for bad in ("0", "-3"):
+            assert main(validate + ["--threads", bad]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == f"error: threads must be a positive integer, got {bad}\n"
+
+    def test_nonpositive_threads_config_key_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg"
+        cfg.write_text("threads=0\n")
+        code = main(["eval", "--checkpoint", str(tmp_path / "m.ckpt"), "--data", str(tmp_path),
+                     "--config", str(cfg)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: threads must be a positive integer, got 0\n"
 
 
 class TestBench:

@@ -1,4 +1,5 @@
 import hashlib
+import struct
 
 import numpy as np
 import pytest
@@ -14,6 +15,12 @@ def tiny_config(**kw):
                     compression=1.0, input_size=8, bn_enabled=False)
     defaults.update(kw)
     return net.ModelConfig(**defaults)
+
+
+# three blocks with BN; compression 0.5 rounds the odd channel counts 9 and
+# 11 up to 5 and 6 at the two transitions
+ODD_CEIL_CONFIG = tiny_config(growth_rate=3, blocks=(1, 2, 1), compression=0.5,
+                              input_size=16, bn_enabled=True)
 
 
 def rand_inputs(rng, size, dtype=np.float32):
@@ -84,16 +91,17 @@ class TestStreamShapes:
         assert not stream.forward(x).any()
 
     def test_streams_share_feature_shape(self):
-        model = net.FusionModel(tiny_config(), seed=0)
-        rng = np.random.default_rng(5)
-        rgb, flow, hog = rand_inputs(rng, 8)
-        shapes = {
-            model.streams["rgb"].forward(rgb).shape,
-            model.streams["flow"].forward(flow).shape,
-            model.streams["hog"].forward(hog).shape,
-        }
-        assert len(shapes) == 1
-        assert shapes.pop() == model.feature_shape
+        for cfg, expected in ((tiny_config(), (8, 8, 6)), (ODD_CEIL_CONFIG, (4, 4, 9))):
+            model = net.FusionModel(cfg, seed=0)
+            rng = np.random.default_rng(5)
+            rgb, flow, hog = rand_inputs(rng, cfg.input_size)
+            shapes = {
+                model.streams["rgb"].forward(rgb).shape,
+                model.streams["flow"].forward(flow).shape,
+                model.streams["hog"].forward(hog).shape,
+            }
+            assert len(shapes) == 1
+            assert shapes.pop() == model.feature_shape == expected
 
 
 class TestPredict:
@@ -357,10 +365,20 @@ class TestCheckpoint:
     def test_state_count_matches_model(self):
         for cfg in (tiny_config(), tiny_config(bn_enabled=True, blocks=(2, 1)),
                     tiny_config(streams=("flow",), compression=0.5, blocks=(1, 1),
-                                input_size=16)):
+                                input_size=16), ODD_CEIL_CONFIG):
             model = net.FusionModel(cfg, seed=0)
             actual = sum(t.size for t in net._model_state(model))
             assert net._state_scalar_count(cfg) == actual
+
+    def test_block_sum_beyond_file_size_rejected(self, tmp_path):
+        path = tmp_path / "m.ckpt"
+        net.save_model(net.FusionModel(tiny_config(), seed=0), path)
+        data = bytearray(path.read_bytes())
+        struct.pack_into("<I", data, 40, 0xFF000000)  # the first block's layer count
+        path.write_bytes(bytes(data))
+        with pytest.raises(FormatError) as exc:
+            net.load_model(path)
+        assert exc.value.field == "blocks"
 
     def test_header_int_mutations_never_allocate_blindly(self, tmp_path):
         # flipping high bytes of header integers must yield FormatError, not
