@@ -11,11 +11,12 @@ Example:
 """
 
 import argparse
+import os
 import sys
 
 import numpy as np
 
-sys.path.insert(0, "src")
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src"))
 
 from rtar.preprocess import FlowParams, compute_flow
 

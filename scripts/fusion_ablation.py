@@ -12,11 +12,12 @@ Example:
 """
 
 import argparse
+import os
 import sys
 import tempfile
 import time
 
-sys.path.insert(0, "src")
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src"))
 
 from rtar import network, synth
 from rtar.preprocess import FlowParams, PreprocessConfig

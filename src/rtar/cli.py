@@ -14,6 +14,7 @@ import argparse
 import os
 import sys
 import time
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -69,6 +70,8 @@ OPTION_DEFAULTS: dict[str, tuple] = {
 # the settings that shape PreprocessConfig, printed in every header that uses it
 PREPROCESS_KEYS = ["target_size", "sample_fps", "pyramid_levels", "flow_scale", "alpha",
                    "iterations"]
+# the settings that shape ModelConfig besides its class count and input size
+MODEL_KEYS = ["growth", "blocks", "compression", "bottleneck", "streams", "bn"]
 
 
 def _coerce(key: str, raw: str):
@@ -113,36 +116,31 @@ class Settings:
 
     def __init__(self, args: argparse.Namespace):
         file_values = _read_config_file(args.config) if getattr(args, "config", None) else {}
-        self._values = {}
         for key, (default, _) in OPTION_DEFAULTS.items():
             flag = getattr(args, key, None)
-            if flag is not None:
-                self._values[key] = flag
-            elif key in file_values:
-                self._values[key] = file_values[key]
-            else:
-                self._values[key] = default
-        if self._values["threads"] is None:
+            setattr(self, key, flag if flag is not None else file_values.get(key, default))
+        if self.threads is None:
             env = os.environ.get("RTAR_THREADS", "")
             if env and not (env.isdigit() and int(env) > 0):
                 raise UsageError(f"RTAR_THREADS must be a positive integer, got {env!r}")
-            self._values["threads"] = int(env) if env else 1
-        if self._values["threads"] < 1:
-            raise UsageError(f"threads must be a positive integer, got {self._values['threads']}")
-        if not 0 <= self._values["threshold"] < 1:
+            self.threads = int(env) if env else 1
+        if self.threads < 1:
+            raise UsageError(f"threads must be a positive integer, got {self.threads}")
+        if not 0 <= self.threshold < 1:
             raise UsageError("threshold_confidence must be in [0, 1)")
-
-    def __getattr__(self, key):
+        if self.section not in ("train", "test"):
+            raise UsageError(f"section must be train or test, got {self.section!r}")
+        if self.frames < 1:
+            raise UsageError(f"frames must be a positive integer, got {self.frames}")
         try:
-            return self._values[key]
-        except KeyError:
-            raise AttributeError(key) from None
+            self._blocks = tuple(int(b) for b in str(self.blocks).split(",") if b)
+        except ValueError:
+            raise UsageError(f"blocks must be comma-separated integers, "
+                             f"got {self.blocks!r}") from None
 
-    def header(self, command: str, keys: list[str]) -> list[str]:
-        lines = [f"# command={command}"]
-        for key in ["seed", "threads"] + keys:
-            lines.append(f"# {key}={self._values[key]}")
-        return lines
+    def header(self, command: str) -> list[str]:
+        return [f"# command={command}"] + [f"# {key}={getattr(self, key)}"
+                                           for key in ["seed", "threads"] + COMMANDS[command].keys]
 
     def preprocess_config(self) -> PreprocessConfig:
         return PreprocessConfig(
@@ -155,10 +153,9 @@ class Settings:
         )
 
     def model_config(self, num_classes: int) -> network.ModelConfig:
-        blocks = tuple(int(b) for b in str(self.blocks).split(",") if b)
         streams = tuple(s.strip() for s in str(self.streams).split(",") if s.strip())
         return network.ModelConfig(
-            num_classes=num_classes, growth_rate=self.growth, blocks=blocks,
+            num_classes=num_classes, growth_rate=self.growth, blocks=self._blocks,
             bottleneck_factor=self.bottleneck, compression=self.compression,
             input_size=self.target_size, bn_enabled=self.bn, streams=streams,
         )
@@ -199,9 +196,7 @@ def _emit(lines, stream=None):
 # Commands
 # ---------------------------------------------------------------------------
 
-def cmd_preprocess(args) -> int:
-    s = Settings(args)
-    _emit(s.header("preprocess", PREPROCESS_KEYS))
+def cmd_preprocess(args, s: Settings) -> int:
     names = _clip_names_in(args.clips)
     result = ds.precompute_cache(args.clips, names, s.preprocess_config(), args.out,
                                  threads=s.threads)
@@ -223,11 +218,7 @@ def _load_sections(data_dir: str):
     return manifest, labels
 
 
-def cmd_train(args) -> int:
-    s = Settings(args)
-    _emit(s.header("train", PREPROCESS_KEYS + ["classes", "growth", "blocks", "compression",
-                                               "bottleneck", "streams", "bn", "epochs", "lr",
-                                               "momentum", "batch"]))
+def cmd_train(args, s: Settings) -> int:
     manifest, labels = _load_sections(args.data)
     if not manifest.train:
         raise UsageError("split.txt has an empty [train] section")
@@ -260,9 +251,7 @@ def _check_input_size(model, pre: PreprocessConfig) -> None:
         )
 
 
-def cmd_eval(args) -> int:
-    s = Settings(args)
-    _emit(s.header("eval", PREPROCESS_KEYS + ["threshold", "section"]))
+def cmd_eval(args, s: Settings) -> int:
     model = network.load_model(args.checkpoint)
     manifest, labels = _load_sections(args.data)
     names = manifest.test if s.section == "test" else manifest.train
@@ -282,10 +271,7 @@ def cmd_eval(args) -> int:
     return 0
 
 
-def cmd_run(args) -> int:
-    s = Settings(args)
-    _emit(s.header("run", PREPROCESS_KEYS + ["threshold", "poll_interval", "stipulated_time",
-                                             "window_seconds"]), stream=sys.stderr)
+def cmd_run(args, s: Settings) -> int:
     model = network.load_model(args.checkpoint)
     pre = s.preprocess_config()
     _check_input_size(model, pre)
@@ -309,76 +295,67 @@ def cmd_run(args) -> int:
     return 0
 
 
-def cmd_dataset(args) -> int:
-    s = Settings(args)
-    if args.action == "validate":
-        _emit(s.header("dataset validate", ["expect_train", "expect_test"]))
-        manifest = ds.load_split(args.manifest)
-        expected = None
-        if s.expect_train >= 0 or s.expect_test >= 0:
-            expected = (s.expect_train, s.expect_test)
-        counts = ds.validate_split(manifest, expected)
-        print(f"train clips {counts[0]}")
-        print(f"test clips  {counts[1]}")
-        return 0
-    if args.action == "synth":
-        _emit(s.header("dataset synth", ["classes", "clips_per_class", "fps",
-                                         "duration", "resolution", "groups"]))
-        config = synth.SynthConfig(
-            num_classes=s.classes or 4, clips_per_class=s.clips_per_class,
-            fps=s.fps, duration_s=s.duration, resolution=s.resolution,
-            groups=s.groups,
-        )
-        result = synth.generate_synthetic(config, seed=s.seed, out_dir=args.out)
-        print(f"generated {len(result.clip_names)} clips in {result.out_dir}")
-        print(f"labels: {result.labels_path}")
-        print(f"split:  {result.split_path} "
-              f"({len(result.manifest.train)} train / {len(result.manifest.test)} test)")
-        return 0
-    if args.action == "split":
-        _emit(s.header("dataset split", ["test_fraction"]))
-        names = _clip_names_in(args.clips)
-        groups = sorted({ds.parse_clip_name(n).group for n in names})
-        n_test = max(1, round(s.test_fraction * len(groups)))
-        if n_test >= len(groups):
-            raise UsageError(f"test_fraction {s.test_fraction} leaves no training groups")
-        test_groups = set(groups[-n_test:])
-        manifest = ds.SplitManifest()
-        for name in names:
-            section = manifest.test if ds.parse_clip_name(name).group in test_groups else manifest.train
-            section.append(name)
-        ds.save_split(manifest, args.out)
-        print(f"wrote {args.out}: {len(manifest.train)} train / {len(manifest.test)} test "
-              f"(test groups: {sorted(test_groups)})")
-        return 0
-    raise UsageError(f"unknown dataset action {args.action!r}")
+def cmd_validate(args, s: Settings) -> int:
+    manifest = ds.load_split(args.manifest)
+    expected = None
+    if s.expect_train >= 0 or s.expect_test >= 0:
+        expected = (s.expect_train, s.expect_test)
+    counts = ds.validate_split(manifest, expected)
+    print(f"train clips {counts[0]}")
+    print(f"test clips  {counts[1]}")
+    return 0
 
 
-def cmd_bench(args) -> int:
-    s = Settings(args)
-    _emit(s.header("bench", ["frames"] + PREPROCESS_KEYS + ["growth", "blocks", "compression",
-                                                            "bottleneck", "streams", "bn"]))
+def cmd_synth(args, s: Settings) -> int:
+    config = synth.SynthConfig(
+        num_classes=s.classes or 4, clips_per_class=s.clips_per_class,
+        fps=s.fps, duration_s=s.duration, resolution=s.resolution,
+        groups=s.groups,
+    )
+    result = synth.generate_synthetic(config, seed=s.seed, out_dir=args.out)
+    print(f"generated {len(result.clip_names)} clips in {result.out_dir}")
+    print(f"labels: {result.labels_path}")
+    print(f"split:  {result.split_path} "
+          f"({len(result.manifest.train)} train / {len(result.manifest.test)} test)")
+    return 0
+
+
+def cmd_split(args, s: Settings) -> int:
+    names = _clip_names_in(args.clips)
+    groups = {ds.parse_clip_name(n).group for n in names}
+    test_groups = ds.held_out_groups(groups, s.test_fraction)
+    if len(test_groups) >= len(groups):
+        raise UsageError(f"test_fraction {s.test_fraction} leaves no training groups")
+    manifest = ds.SplitManifest()
+    for name in names:
+        section = manifest.test if ds.parse_clip_name(name).group in test_groups else manifest.train
+        section.append(name)
+    ds.save_split(manifest, args.out)
+    print(f"wrote {args.out}: {len(manifest.train)} train / {len(manifest.test)} test "
+          f"(test groups: {sorted(test_groups)})")
+    return 0
+
+
+def cmd_bench(args, s: Settings) -> int:
     rng = np.random.default_rng(s.seed)
     size = s.target_size
     n = s.frames
     model = network.FusionModel(s.model_config(num_classes=4), seed=s.seed)
-    h, w, d = model.feature_shape
     pre = s.preprocess_config()
 
     src = [rng.integers(0, 256, (2 * size, 2 * size, 3), dtype=np.uint8) for _ in range(2)]
     gray = [grayscale_bt601(unit_scale(resize_bilinear(f, size, size))) for f in src]
     inputs = dict(zip(("rgb", "flow", "hog"), stream_inputs(*pair_maps(src[0], src[1], pre))))
     stream = model.config.streams[0]
-    maps = [rng.standard_normal((h, w, d)).astype(np.float32) for _ in range(3)]
+    maps = {name: rng.standard_normal(model.feature_shape).astype(np.float32)
+            for name in model.config.streams}
 
     stages = {
         "resize": lambda: resize_bilinear(src[0], size, size),
         "flow": lambda: compute_flow(gray[0], gray[1], pre.flow),
         "hog": lambda: render_hog(compute_hog(gray[0], pre.hog), size, size),
         "stream_forward": lambda: model.streams[stream].forward(inputs[stream]),
-        "fuse_head": lambda: model.head.forward(
-            network.concat_fuse(*maps).mean(axis=(0, 1))
-        ),
+        "fuse_head": lambda: model.head.forward(model.gap.forward(model.fuse(maps))),
         "pre_combined": lambda: preprocess_pair(src[0], src[1], pre),
     }
 
@@ -403,14 +380,53 @@ def cmd_bench(args) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Parser
+# Command table and parser
 # ---------------------------------------------------------------------------
 
-def _add_common(p: argparse.ArgumentParser):
-    p.add_argument("--seed", type=int, default=None, help="master random seed")
-    p.add_argument("--config", default=None, help="key=value settings file")
-    p.add_argument("--threads", type=int, default=None,
-                   help="worker threads (default: RTAR_THREADS or 1)")
+class Command(NamedTuple):
+    run: Callable[[argparse.Namespace, Settings], int]
+    help: str
+    args: dict[str, dict]  # path arguments -> add_argument keywords
+    keys: list[str]  # settings taken as flags, in header order after seed and threads
+
+
+REQUIRED = {"required": True}
+
+COMMANDS = {
+    "preprocess": Command(cmd_preprocess, "precompute flow/HOG cache for clips",
+                          {"clips": REQUIRED, "out": REQUIRED}, PREPROCESS_KEYS),
+    "train": Command(cmd_train, "train a model on a clip dataset",
+                     {"data": REQUIRED, "out": REQUIRED, "cache": {}},
+                     PREPROCESS_KEYS + ["classes"] + MODEL_KEYS
+                     + ["epochs", "lr", "momentum", "batch"]),
+    "eval": Command(cmd_eval, "evaluate a checkpoint on a split section",
+                    {"checkpoint": REQUIRED, "data": REQUIRED, "cache": {}},
+                    PREPROCESS_KEYS + ["threshold", "section"]),
+    "run": Command(cmd_run, "classify a clip, emitting the event log",
+                   {"checkpoint": REQUIRED, "clip": REQUIRED, "live": {"action": "store_true"}},
+                   PREPROCESS_KEYS + ["threshold", "poll_interval", "stipulated_time",
+                                      "window_seconds"]),
+    "dataset validate": Command(cmd_validate, "check a split manifest",
+                                {"manifest": REQUIRED}, ["expect_train", "expect_test"]),
+    "dataset synth": Command(cmd_synth, "generate a synthetic clip set", {"out": REQUIRED},
+                             ["classes", "clips_per_class", "fps", "duration", "resolution",
+                              "groups"]),
+    "dataset split": Command(cmd_split, "write a group-disjoint split manifest",
+                             {"clips": REQUIRED, "out": REQUIRED}, ["test_fraction"]),
+    "bench": Command(cmd_bench, "per-stage timing table", {},
+                     ["frames"] + PREPROCESS_KEYS + MODEL_KEYS),
+}
+
+HELP = {
+    "config": "key=value settings file",
+    "seed": "master random seed",
+    "threads": "worker threads (default: RTAR_THREADS or 1)",
+    "data": "dir with clips, labels.tsv, split.txt",
+    "cache": "precomputed cache dir",
+    "live": "replay at wall-clock speed (non-deterministic)",
+    "blocks": "dense block sizes, e.g. 4,4",
+    "streams": "subset of rgb,flow,hog",
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -419,105 +435,34 @@ def build_parser() -> argparse.ArgumentParser:
         description="three-stream real-time action recognition pipeline",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("preprocess", help="precompute flow/HOG cache for clips")
-    p.add_argument("--clips", required=True)
-    p.add_argument("--out", required=True)
-    for flag in ("--target-size", "--sample-fps", "--pyramid-levels", "--iterations"):
-        p.add_argument(flag, type=int, default=None)
-    p.add_argument("--flow-scale", type=float, default=None)
-    p.add_argument("--alpha", type=float, default=None)
-    _add_common(p)
-    p.set_defaults(fn=cmd_preprocess)
-
-    p = sub.add_parser("train", help="train a model on a clip dataset")
-    p.add_argument("--data", required=True, help="dir with clips, labels.tsv, split.txt")
-    p.add_argument("--out", required=True)
-    p.add_argument("--cache", default=None, help="precomputed cache dir")
-    for flag in ("--target-size", "--sample-fps", "--growth", "--bottleneck",
-                 "--classes", "--epochs", "--batch", "--pyramid-levels", "--iterations"):
-        p.add_argument(flag, type=int, default=None)
-    for flag in ("--lr", "--momentum", "--compression", "--flow-scale", "--alpha"):
-        p.add_argument(flag, type=float, default=None)
-    p.add_argument("--blocks", default=None, help="dense block sizes, e.g. 4,4")
-    p.add_argument("--streams", default=None, help="subset of rgb,flow,hog")
-    p.add_argument("--bn", dest="bn", action="store_true", default=None)
-    p.add_argument("--no-bn", dest="bn", action="store_false", default=None)
-    _add_common(p)
-    p.set_defaults(fn=cmd_train)
-
-    p = sub.add_parser("eval", help="evaluate a checkpoint on a split section")
-    p.add_argument("--checkpoint", required=True)
-    p.add_argument("--data", required=True)
-    p.add_argument("--cache", default=None)
-    p.add_argument("--section", choices=("train", "test"), default=None)
-    for flag in ("--target-size", "--sample-fps", "--pyramid-levels", "--iterations"):
-        p.add_argument(flag, type=int, default=None)
-    p.add_argument("--threshold", type=float, default=None)
-    p.add_argument("--flow-scale", type=float, default=None)
-    p.add_argument("--alpha", type=float, default=None)
-    _add_common(p)
-    p.set_defaults(fn=cmd_eval)
-
-    p = sub.add_parser("run", help="classify a clip, emitting the event log")
-    p.add_argument("--checkpoint", required=True)
-    p.add_argument("--clip", required=True)
-    p.add_argument("--live", action="store_true",
-                   help="replay at wall-clock speed (non-deterministic)")
-    for flag in ("--target-size", "--sample-fps", "--pyramid-levels", "--iterations"):
-        p.add_argument(flag, type=int, default=None)
-    for flag in ("--threshold", "--poll-interval", "--stipulated-time",
-                 "--window-seconds", "--flow-scale", "--alpha"):
-        p.add_argument(flag, type=float, default=None)
-    _add_common(p)
-    p.set_defaults(fn=cmd_run)
-
-    p = sub.add_parser("dataset", help="dataset tooling")
-    p.add_argument("action", choices=("validate", "split", "synth"))
-    p.add_argument("--manifest", default=None, help="split file (validate)")
-    p.add_argument("--clips", default=None, help="clip tree (split)")
-    p.add_argument("--out", default=None, help="output dir or file")
-    p.add_argument("--expect-train", type=int, default=None)
-    p.add_argument("--expect-test", type=int, default=None)
-    p.add_argument("--test-fraction", type=float, default=None)
-    for flag in ("--classes", "--clips-per-class", "--fps", "--resolution", "--groups"):
-        p.add_argument(flag, type=int, default=None)
-    p.add_argument("--duration", type=float, default=None)
-    _add_common(p)
-    p.set_defaults(fn=cmd_dataset)
-
-    p = sub.add_parser("bench", help="per-stage timing table")
-    for flag in ("--frames", "--target-size", "--growth", "--bottleneck",
-                 "--pyramid-levels", "--iterations"):
-        p.add_argument(flag, type=int, default=None)
-    p.add_argument("--blocks", default=None)
-    p.add_argument("--compression", type=float, default=None)
-    p.add_argument("--flow-scale", type=float, default=None)
-    p.add_argument("--alpha", type=float, default=None)
-    p.add_argument("--streams", default=None)
-    _add_common(p)
-    p.set_defaults(fn=cmd_bench)
-
+    groups = {}  # "dataset" -> its nested subparsers
+    for name, command in COMMANDS.items():
+        group, _, action = name.rpartition(" ")
+        if group and group not in groups:
+            groups[group] = sub.add_parser(group, help=f"{group} tooling").add_subparsers(
+                dest="action", required=True)
+        p = (groups[group] if group else sub).add_parser(action, help=command.help)
+        p.set_defaults(command=name)
+        for arg, kwargs in command.args.items():
+            p.add_argument(f"--{arg}", help=HELP.get(arg), **kwargs)
+        p.add_argument("--config", help=HELP["config"])
+        for key in ["seed", "threads"] + command.keys:
+            typ = OPTION_DEFAULTS[key][1]
+            kind = {"action": argparse.BooleanOptionalAction} if typ is bool else {"type": typ}
+            p.add_argument("--" + key.replace("_", "-"), help=HELP.get(key), **kind)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    # required argument presence beyond argparse's reach
-    if args.command == "dataset":
-        need = {"validate": ["manifest"], "split": ["clips", "out"],
-                "synth": ["out"]}[args.action]
-        for attr in need:
-            if getattr(args, attr) is None:
-                print(f"error: dataset {args.action} requires --{attr}", file=sys.stderr)
-                return 2
     try:
-        return args.fn(args)
-    except (UsageError, FormatError, ContractViolationError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as e:
+        args = build_parser().parse_args(argv)
+    except SystemExit as e:  # argparse has printed the usage and its reason
+        return e.code
+    try:
+        s = Settings(args)
+        _emit(s.header(args.command), sys.stderr if args.command == "run" else sys.stdout)
+        return COMMANDS[args.command].run(args, s)
+    except (UsageError, FormatError, ContractViolationError, FileNotFoundError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

@@ -126,6 +126,13 @@ def save_split(manifest: SplitManifest, path: str | os.PathLike) -> None:
             f.write(name.encode("ascii") + b"\n")
 
 
+def held_out_groups(groups, fraction: float) -> set[int]:
+    """The test groups of a group-disjoint split: the last ``fraction`` of
+    the sorted ``groups``, at least one."""
+    groups = sorted(groups)
+    return set(groups[-max(1, round(fraction * len(groups))):])
+
+
 def validate_split(
     manifest: SplitManifest, expected_counts: tuple[int, int] | None = None
 ) -> tuple[int, int]:

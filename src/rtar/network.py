@@ -236,7 +236,7 @@ class FusionModel:
             inputs[name] = x
         return inputs
 
-    def _fuse(self, maps: dict[str, np.ndarray]) -> np.ndarray:
+    def fuse(self, maps: dict[str, np.ndarray]) -> np.ndarray:
         if set(self.config.streams) == set(STREAM_ORDER):
             return concat_fuse(maps["rgb"], maps["flow"], maps["hog"])
         return np.concatenate([maps[n] for n in self.config.streams], axis=2)
@@ -252,7 +252,7 @@ class FusionModel:
     def forward_logits(self, rgb=None, flow=None, hog=None, train: bool = False) -> np.ndarray:
         inputs = self._gather_inputs(rgb, flow, hog)
         maps = {name: self.streams[name].forward(inputs[name], train) for name in self.config.streams}
-        fused = self._fuse(maps)
+        fused = self.fuse(maps)
         pooled = self.gap.forward(fused, train)
         return self.head.forward(pooled, train)
 

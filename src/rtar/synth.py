@@ -184,7 +184,7 @@ def generate_synthetic(config: SynthConfig, seed: int, out_dir: str | os.PathLik
     names: list[str] = []
     labels: dict[str, int] = {}
     manifest = SplitManifest()
-    test_groups = _test_groups(config)
+    test_groups = dataset.held_out_groups(range(config.groups), 0.2)
 
     for wash in range(config.clips_per_class):
         group = wash % config.groups
@@ -212,12 +212,6 @@ def generate_synthetic(config: SynthConfig, seed: int, out_dir: str | os.PathLik
     save_split(manifest, split_path)
     return SynthResult(out_dir=str(out_dir), clip_names=names, labels_path=labels_path,
                        split_path=split_path, manifest=manifest)
-
-
-def _test_groups(config: SynthConfig) -> set[int]:
-    """Deterministic 20% of groups (at least one) reserved for testing."""
-    n_test = max(1, round(0.2 * config.groups))
-    return set(range(config.groups - n_test, config.groups))
 
 
 @dataclass

@@ -1,10 +1,11 @@
+import argparse
 import os
 
 import numpy as np
 import pytest
 
 from rtar import dataset, mediaio, runtime, synth
-from rtar.cli import main
+from rtar.cli import OPTION_DEFAULTS, Settings, build_parser, main
 from rtar.errors import ContractViolationError
 from rtar.network import FusionModel
 from tests.test_dataset import full_dataset_manifest
@@ -15,6 +16,8 @@ FAST_FLAGS = ["--target-size", "16", "--sample-fps", "2",
               "--pyramid-levels", "2", "--iterations", "8"]
 TINY_MODEL = ["--growth", "2", "--blocks", "2", "--epochs", "1", "--batch", "4",
               "--classes", "4"]
+TINY_BENCH = ["bench", "--frames", "1", "--target-size", "32", "--growth", "2", "--blocks", "2",
+              "--pyramid-levels", "2", "--iterations", "4"]
 
 
 @pytest.fixture(scope="module")
@@ -65,6 +68,29 @@ class TestDatasetCommands:
         code = main(["dataset", "validate"])
         assert code == 2
         assert "--manifest" in capsys.readouterr().err
+
+
+def _leaf_parsers(parser, prefix=""):
+    """(command, parser) for every runnable command, ``dataset`` actions included."""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                yield from _leaf_parsers(sub, f"{prefix}{name} ")
+            return
+    yield prefix.strip(), parser
+
+
+def test_every_command_takes_exactly_its_header_keys(monkeypatch):
+    monkeypatch.delenv("RTAR_THREADS", raising=False)
+    settings = Settings(argparse.Namespace())
+    commands = dict(_leaf_parsers(build_parser()))
+    assert sorted(commands) == ["bench", "dataset split", "dataset synth", "dataset validate",
+                                "eval", "preprocess", "run", "train"]
+    for command, parser in commands.items():
+        flags = {a.dest for a in parser._actions if a.dest in OPTION_DEFAULTS}
+        header = [line[2:].partition("=")[0] for line in settings.header(command)]
+        assert header[0] == "command" and header[1:3] == ["seed", "threads"]
+        assert sorted(header[1:]) == sorted(flags), command
 
 
 class TestPreprocessCommand:
@@ -286,6 +312,27 @@ class TestConfigFile:
             assert captured.out == ""
             assert captured.err == f"error: threads must be a positive integer, got {bad}\n"
 
+    def test_section_config_key_checked(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg"
+        cfg.write_text("section=tset\n")
+        code = main(["eval", "--checkpoint", str(tmp_path / "m.ckpt"), "--data", str(tmp_path),
+                     "--config", str(cfg)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: section must be train or test, got 'tset'\n"
+
+    def test_bad_blocks_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg"
+        cfg.write_text("blocks=4,x\n")
+        train = ["train", "--data", str(tmp_path), "--out", str(tmp_path / "run"),
+                 "--config", str(cfg)]
+        for argv in (TINY_BENCH + ["--blocks", "4,x"], train):
+            assert main(argv) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == "error: blocks must be comma-separated integers, got '4,x'\n"
+
     def test_nonpositive_threads_config_key_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "cfg"
         cfg.write_text("threads=0\n")
@@ -306,3 +353,16 @@ class TestBench:
         for stage in ("resize", "flow", "hog", "stream_forward", "fuse_head",
                       "pre_combined"):
             assert stage in out
+
+    @pytest.mark.parametrize("streams", ["rgb", "flow,hog"])
+    def test_stream_subsets(self, streams, capsys):
+        assert main(TINY_BENCH + ["--streams", streams]) == 0
+        out = capsys.readouterr().out
+        assert f"# streams={streams}" in out.splitlines()
+        assert "fuse_head" in out
+
+    def test_zero_frames_exits_2(self, capsys):
+        assert main(["bench", "--frames", "0"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: frames must be a positive integer, got 0\n"

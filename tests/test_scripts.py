@@ -2,6 +2,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
@@ -21,3 +23,12 @@ def test_fusion_ablation_prints_four_rows_and_removes_its_dataset(tmp_path):
         assert int(row[3]) > 0
     assert out[header + 5] == ""
     assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("script", ["fusion_ablation.py", "flow_accuracy.py"])
+def test_script_help_runs_from_another_directory(script, tmp_path):
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    out = subprocess.run([sys.executable, os.path.join(ROOT, "scripts", script), "--help"],
+                         cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60,
+                         check=True).stdout
+    assert out.startswith("usage: ")
