@@ -21,7 +21,7 @@ import numpy as np
 from .errors import ContractViolationError, FormatError
 from . import dataset as ds
 from . import mediaio, network, runtime, synth
-from .preprocess import (FlowParams, HogParams, PreprocessConfig, compute_flow, compute_hog,
+from .preprocess import (FlowParams, PreprocessConfig, compute_flow, compute_hog,
                          grayscale_bt601, pair_maps, preprocess_pair, render_hog,
                          resize_bilinear, stream_inputs, unit_scale)
 
@@ -30,40 +30,41 @@ class UsageError(Exception):
     pass
 
 
-# dest -> (default, type); config-file keys use the dest name
+# dest -> (default, type); config-file keys use the dest name. A setting that
+# a library config also has takes that config's default.
 OPTION_DEFAULTS: dict[str, tuple] = {
-    "seed": (0, int),
+    "seed": (PreprocessConfig.rng_seed, int),
     "threads": (None, int),  # falls back to RTAR_THREADS, then 1
-    "target_size": (112, int),
-    "sample_fps": (3, int),
-    "pyramid_levels": (4, int),
-    "flow_scale": (0.5, float),
-    "alpha": (15.0, float),
-    "iterations": (50, int),
-    "growth": (12, int),
-    "blocks": ("4,4", str),
-    "bottleneck": (4, int),
-    "compression": (0.5, float),
-    "streams": ("rgb,flow,hog", str),
-    "bn": (True, bool),
+    "target_size": (PreprocessConfig.target_size, int),
+    "sample_fps": (PreprocessConfig.sample_frames_per_second, int),
+    "pyramid_levels": (FlowParams.pyramid_levels, int),
+    "flow_scale": (FlowParams.scale, float),
+    "alpha": (FlowParams.alpha, float),
+    "iterations": (FlowParams.iterations, int),
+    "growth": (network.ModelConfig.growth_rate, int),
+    "blocks": (",".join(map(str, network.ModelConfig.blocks)), str),
+    "bottleneck": (network.ModelConfig.bottleneck_factor, int),
+    "compression": (network.ModelConfig.compression, float),
+    "streams": (",".join(network.ModelConfig.streams), str),
+    "bn": (network.ModelConfig.bn_enabled, bool),
     "classes": (0, int),  # 0 = infer from labels
-    "epochs": (10, int),
-    "lr": (0.05, float),
-    "momentum": (0.9, float),
-    "batch": (8, int),
-    "threshold": (0.0, float),
-    "poll_interval": (0.5, float),
-    "stipulated_time": (2.0, float),
-    "window_seconds": (1.0, float),
-    "clips_per_class": (10, int),
-    "fps": (8, int),
-    "duration": (2.0, float),
-    "resolution": (64, int),
-    "groups": (5, int),
-    "test_fraction": (0.2, float),
+    "epochs": (network.TrainConfig.epochs, int),
+    "lr": (network.TrainConfig.lr, float),
+    "momentum": (network.TrainConfig.momentum, float),
+    "batch": (network.TrainConfig.batch, int),
+    "threshold": (runtime.RuntimeConfig.threshold_confidence, float),
+    "poll_interval": (runtime.RuntimeConfig.poll_interval, float),
+    "stipulated_time": (runtime.RuntimeConfig.stipulated_time, float),
+    "window_seconds": (runtime.RuntimeConfig.window_seconds, float),
+    "clips_per_class": (synth.SynthConfig.clips_per_class, int),
+    "fps": (synth.SynthConfig.fps, int),
+    "duration": (synth.SynthConfig.duration_s, float),
+    "resolution": (synth.SynthConfig.resolution, int),
+    "groups": (synth.SynthConfig.groups, int),
+    "test_fraction": (ds.TEST_FRACTION, float),
     "frames": (20, int),
-    "expect_train": (-1, int),
-    "expect_test": (-1, int),
+    "expect_train": (None, int),  # None = not checked
+    "expect_test": (None, int),
     "section": ("test", str),
 }
 
@@ -148,7 +149,6 @@ class Settings:
             sample_frames_per_second=self.sample_fps,
             flow=FlowParams(pyramid_levels=self.pyramid_levels, scale=self.flow_scale,
                             alpha=self.alpha, iterations=self.iterations),
-            hog=HogParams(),
             rng_seed=self.seed,
         )
 
@@ -296,11 +296,7 @@ def cmd_run(args, s: Settings) -> int:
 
 
 def cmd_validate(args, s: Settings) -> int:
-    manifest = ds.load_split(args.manifest)
-    expected = None
-    if s.expect_train >= 0 or s.expect_test >= 0:
-        expected = (s.expect_train, s.expect_test)
-    counts = ds.validate_split(manifest, expected)
+    counts = ds.validate_split(ds.load_split(args.manifest), (s.expect_train, s.expect_test))
     print(f"train clips {counts[0]}")
     print(f"test clips  {counts[1]}")
     return 0
@@ -308,7 +304,7 @@ def cmd_validate(args, s: Settings) -> int:
 
 def cmd_synth(args, s: Settings) -> int:
     config = synth.SynthConfig(
-        num_classes=s.classes or 4, clips_per_class=s.clips_per_class,
+        num_classes=s.classes or synth.SynthConfig.num_classes, clips_per_class=s.clips_per_class,
         fps=s.fps, duration_s=s.duration, resolution=s.resolution,
         groups=s.groups,
     )
@@ -353,7 +349,7 @@ def cmd_bench(args, s: Settings) -> int:
     stages = {
         "resize": lambda: resize_bilinear(src[0], size, size),
         "flow": lambda: compute_flow(gray[0], gray[1], pre.flow),
-        "hog": lambda: render_hog(compute_hog(gray[0], pre.hog), size, size),
+        "hog": lambda: render_hog(compute_hog(gray[0]), size, size),
         "stream_forward": lambda: model.streams[stream].forward(inputs[stream]),
         "fuse_head": lambda: model.head.forward(model.gap.forward(model.fuse(maps))),
         "pre_combined": lambda: preprocess_pair(src[0], src[1], pre),

@@ -18,8 +18,8 @@ from dataclasses import dataclass, field
 from .errors import ContractViolationError, FormatError
 from . import mediaio
 from .network import ClipSamples
-from .preprocess import (PreprocessConfig, pair_maps, preprocess_pair, resize_bilinear,
-                         sample_frames, stream_inputs)
+from .preprocess import (PREPROCESS_VERSION, PreprocessConfig, pair_maps, preprocess_pair,
+                         resize_bilinear, sample_frames, stream_inputs)
 
 
 @dataclass(frozen=True)
@@ -126,6 +126,9 @@ def save_split(manifest: SplitManifest, path: str | os.PathLike) -> None:
             f.write(name.encode("ascii") + b"\n")
 
 
+TEST_FRACTION = 0.2  # the share of groups a generated or split set holds out
+
+
 def held_out_groups(groups, fraction: float) -> set[int]:
     """The test groups of a group-disjoint split: the last ``fraction`` of
     the sorted ``groups``, at least one."""
@@ -134,16 +137,17 @@ def held_out_groups(groups, fraction: float) -> set[int]:
 
 
 def validate_split(
-    manifest: SplitManifest, expected_counts: tuple[int, int] | None = None
+    manifest: SplitManifest, expected_counts: tuple[int | None, int | None] = (None, None)
 ) -> tuple[int, int]:
-    """Re-check disjointness (and optional counts); returns (train, test) sizes."""
+    """Re-check disjointness and the expected (train, test) counts, each
+    checked only when given; returns the (train, test) sizes."""
     overlap = sorted(set(manifest.train) & set(manifest.test))
     if overlap:
         raise FormatError(
             f"clips present in both sections: {', '.join(overlap)}", field="overlap"
         )
     counts = (len(manifest.train), len(manifest.test))
-    if expected_counts is not None and counts != tuple(expected_counts):
+    if any(e is not None and e != c for c, e in zip(counts, expected_counts)):
         raise FormatError(
             f"split counts {counts} do not match expected {tuple(expected_counts)}",
             field="counts",
@@ -222,8 +226,13 @@ def _write_if_changed(path: str, data: bytes) -> bool:
 CACHE_CONFIG = "cache.config"
 
 
+def _config_stamp(config: PreprocessConfig) -> str:
+    """What ``cache.config`` holds: the preprocessing version and the config."""
+    return f"preprocess_version={PREPROCESS_VERSION} {config!r}"
+
+
 def _cached_config(cache_dir) -> str | None:
-    """The config repr a cache directory was built with, None if unrecorded."""
+    """The stamp a cache directory was built with, None if unrecorded."""
     try:
         with open(os.path.join(cache_dir, CACHE_CONFIG), encoding="ascii") as f:
             return f.read()
@@ -276,15 +285,16 @@ def precompute_cache(
     unreadable clip is recorded as FAILED in the index and processing
     continues. Clips are processed on ``threads`` workers; the index is
     written once at the end by a single writer. ``cache.config`` records
-    the config the files were computed with: it is removed while files of
-    another config may remain, written last, and counted in neither
-    ``written`` nor ``skipped``.
+    the preprocessing version and the config the files were computed with:
+    it is removed while files of another config may remain, written last,
+    and counted in neither ``written`` nor ``skipped``.
     """
     if threads < 1:
         raise ContractViolationError(f"threads must be >= 1, got {threads}")
     os.makedirs(out_dir, exist_ok=True)
     config_path = os.path.join(out_dir, CACHE_CONFIG)
-    if _cached_config(out_dir) not in (None, repr(config)):
+    stamp = _config_stamp(config)
+    if _cached_config(out_dir) not in (None, stamp):
         os.remove(config_path)
     results: dict[str, list[str]] = {}
     failures: list[tuple[str, str]] = []
@@ -301,7 +311,7 @@ def precompute_cache(
                 skipped += s
             except (FormatError, OSError, ContractViolationError) as e:
                 failures.append((name, str(e)))
-    _write_if_changed(config_path, repr(config).encode("ascii"))
+    _write_if_changed(config_path, stamp.encode("ascii"))
 
     index_path = os.path.join(out_dir, "cache.index")
     lines = [row for name in clip_names for row in results.get(name, [])]
@@ -328,12 +338,13 @@ def load_clip_samples(
 
     With a cache directory, flow and HOG come from the cached files (the
     RGB input is recomputed; resizing is cheap) and missing cache entries
-    fall back to direct computation. A cache built with another config,
-    or recording none, raises FormatError.
+    fall back to direct computation. A cache built with another config or
+    preprocessing version, or recording none, raises FormatError.
     """
-    if cache_dir is not None and (built := _cached_config(cache_dir)) != repr(config):
+    stamp = _config_stamp(config)
+    if cache_dir is not None and (built := _cached_config(cache_dir)) != stamp:
         raise FormatError(f"cache {cache_dir} was built with {built or 'an unrecorded config'}, "
-                          f"not {config!r}", field=CACHE_CONFIG)
+                          f"not {stamp}", field=CACHE_CONFIG)
     out: list[ClipSamples] = []
     s = config.target_size
     for name in names:

@@ -87,9 +87,11 @@ class BatchNorm(Layer):
     bit-deterministic.
     """
 
-    def __init__(self, channels, momentum=0.9, eps=1e-5, dtype=np.float32):
+    momentum = 0.9
+    eps = 1e-5
+
+    def __init__(self, channels, dtype=np.float32):
         super().__init__()
-        self.momentum, self.eps = momentum, eps
         self.params = {
             "gamma": np.ones(channels, dtype=dtype),
             "beta": np.zeros(channels, dtype=dtype),

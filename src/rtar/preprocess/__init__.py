@@ -2,14 +2,14 @@
 
 from .resize import bilinear_sample, grayscale_bt601, resize_bilinear
 from .flow import FlowParams, compute_flow, horn_schunck_step
-from .hog import HogDescriptor, HogParams, compute_hog, render_hog
-from .pipeline import (PreprocessConfig, pair_maps, preprocess_pair, sample_frames,
-                       stream_inputs, unit_scale)
+from .hog import HogDescriptor, compute_hog, render_hog
+from .pipeline import (PREPROCESS_VERSION, PreprocessConfig, pair_maps, preprocess_pair,
+                       sample_frames, stream_inputs, unit_scale)
 
 __all__ = [
+    "PREPROCESS_VERSION",
     "FlowParams",
     "HogDescriptor",
-    "HogParams",
     "PreprocessConfig",
     "bilinear_sample",
     "compute_flow",

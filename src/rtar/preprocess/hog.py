@@ -9,15 +9,10 @@ import numpy as np
 from ..errors import ContractViolationError
 
 
-@dataclass(frozen=True)
-class HogParams:
-    cell: int = 8
-    bins: int = 9
-    block: int = 2
-
-    def __post_init__(self):
-        if self.cell < 1 or self.bins < 1 or self.block != 2:
-            raise ContractViolationError("cell/bins must be positive; block size is fixed at 2")
+# the textbook geometry (Dalal & Triggs, 2005): 8x8-pixel cells, 9 unsigned
+# orientation bins, and blocks of 2x2 cells
+CELL = 8
+BINS = 9
 
 
 @dataclass(frozen=True)
@@ -40,7 +35,7 @@ _HYS_CLIP = 0.2
 _EPS = 1e-6
 
 
-def compute_hog(image: np.ndarray, params: HogParams = HogParams()) -> HogDescriptor:
+def compute_hog(image: np.ndarray) -> HogDescriptor:
     """HOG of a real-valued grayscale image whose extents divide the cell size.
 
     Gradients are centered [-1, 0, 1] differences with replicated borders;
@@ -51,10 +46,9 @@ def compute_hog(image: np.ndarray, params: HogParams = HogParams()) -> HogDescri
     if image.ndim != 2:
         raise ContractViolationError(f"expected 2-D grayscale image, got shape {image.shape}")
     h, w = image.shape
-    cell, bins = params.cell, params.bins
-    if h % cell or w % cell:
-        raise ContractViolationError(f"image {h}x{w} not divisible by cell size {cell}")
-    cells_y, cells_x = h // cell, w // cell
+    if h % CELL or w % CELL:
+        raise ContractViolationError(f"image {h}x{w} not divisible by cell size {CELL}")
+    cells_y, cells_x = h // CELL, w // CELL
 
     img = image.astype(np.float64)
     px = np.pad(img, ((0, 0), (1, 1)), mode="edge")
@@ -64,29 +58,29 @@ def compute_hog(image: np.ndarray, params: HogParams = HogParams()) -> HogDescri
     mag = np.hypot(gx, gy)
     ang = np.degrees(np.arctan2(gy, gx)) % 180.0
 
-    bin_width = 180.0 / bins
+    bin_width = 180.0 / BINS
     t = ang / bin_width
-    lo = np.floor(t).astype(np.intp) % bins
+    lo = np.floor(t).astype(np.intp) % BINS
     frac = t - np.floor(t)
-    hi = (lo + 1) % bins
+    hi = (lo + 1) % BINS
 
-    cell_y = (np.arange(h) // cell)[:, None]
-    cell_x = (np.arange(w) // cell)[None, :]
-    flat_cell = (cell_y * cells_x + cell_x) * bins
+    cell_y = (np.arange(h) // CELL)[:, None]
+    cell_x = (np.arange(w) // CELL)[None, :]
+    flat_cell = (cell_y * cells_x + cell_x) * BINS
 
-    hist = np.zeros(cells_y * cells_x * bins)
+    hist = np.zeros(cells_y * cells_x * BINS)
     np.add.at(hist, (flat_cell + lo).ravel(), (mag * (1.0 - frac)).ravel())
     np.add.at(hist, (flat_cell + hi).ravel(), (mag * frac).ravel())
-    cell_hist = hist.reshape(cells_y, cells_x, bins)
+    cell_hist = hist.reshape(cells_y, cells_x, BINS)
 
-    blocks = np.empty((cells_y - 1, cells_x - 1, 2, 2, bins))
+    blocks = np.empty((cells_y - 1, cells_x - 1, 2, 2, BINS))
     for by in range(cells_y - 1):
         for bx in range(cells_x - 1):
             v = cell_hist[by : by + 2, bx : bx + 2, :]
             v = v / np.sqrt((v * v).sum() + _EPS * _EPS)
             v = np.minimum(v, _HYS_CLIP)
             blocks[by, bx] = v / np.sqrt((v * v).sum() + _EPS * _EPS)
-    return HogDescriptor(cells_x=cells_x, cells_y=cells_y, bins=bins,
+    return HogDescriptor(cells_x=cells_x, cells_y=cells_y, bins=BINS,
                          cell_hist=cell_hist, blocks=blocks)
 
 

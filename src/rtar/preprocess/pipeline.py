@@ -10,7 +10,7 @@ import numpy as np
 from ..errors import ContractViolationError
 from ..mediaio import ClipMeta
 from .flow import FlowParams, compute_flow
-from .hog import HogParams, compute_hog, render_hog
+from .hog import CELL, compute_hog, render_hog
 from .resize import grayscale_bt601, resize_bilinear
 
 
@@ -19,7 +19,6 @@ class PreprocessConfig:
     target_size: int = 112
     sample_frames_per_second: int = 3
     flow: FlowParams = field(default_factory=FlowParams)
-    hog: HogParams = field(default_factory=HogParams)
     rng_seed: int = 0
 
     def __post_init__(self):
@@ -27,9 +26,9 @@ class PreprocessConfig:
             raise ContractViolationError(f"target_size must be >= 16, got {self.target_size}")
         if self.sample_frames_per_second < 1:
             raise ContractViolationError("sample_frames_per_second must be positive")
-        if self.target_size % self.hog.cell:
+        if self.target_size % CELL:
             raise ContractViolationError(
-                f"target_size {self.target_size} must divide by the HOG cell {self.hog.cell}"
+                f"target_size {self.target_size} must divide by the HOG cell {CELL}"
             )
 
 
@@ -75,6 +74,11 @@ def unit_scale(image: np.ndarray) -> np.ndarray:
     return image.astype(np.float32) / np.float32(255)
 
 
+# Recorded in every cache; bump it on any change to sample_frames' choices or
+# to the bytes pair_maps returns, so that older caches are refused.
+PREPROCESS_VERSION = 1
+
+
 def pair_maps(
     prev_frame: np.ndarray, next_frame: np.ndarray, config: PreprocessConfig = PreprocessConfig()
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -94,7 +98,7 @@ def pair_maps(
     gray_prev = grayscale_bt601(unit_scale(frame))
     gray_next = grayscale_bt601(unit_scale(resize_bilinear(next_frame, s, s)))
     flow = compute_flow(gray_prev, gray_next, config.flow).astype(np.float32)
-    return frame, flow, render_hog(compute_hog(gray_prev, config.hog), s, s)
+    return frame, flow, render_hog(compute_hog(gray_prev), s, s)
 
 
 def stream_inputs(

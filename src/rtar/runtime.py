@@ -99,9 +99,7 @@ class FrameBuffer:
         if capacity < 1:
             raise ContractViolationError(f"capacity must be >= 1, got {capacity}")
         self.capacity = capacity
-        self._slots: list[Optional[FrameRecord]] = [None] * capacity
-        self._cursor = 0
-        self._size = 0
+        self._records: deque[FrameRecord] = deque(maxlen=capacity)
         self._last_timestamp = -np.inf
         self._lock = threading.Lock()
 
@@ -112,20 +110,12 @@ class FrameBuffer:
                     f"timestamp {record.timestamp} decreases below {self._last_timestamp}"
                 )
             self._last_timestamp = record.timestamp
-            self._slots[self._cursor] = record
-            self._cursor = (self._cursor + 1) % self.capacity
-            self._size = min(self._size + 1, self.capacity)
+            self._records.append(record)
 
     def records(self) -> list[FrameRecord]:
         """Snapshot in insertion order, oldest first."""
         with self._lock:
-            if self._size < self.capacity:
-                return [r for r in self._slots[: self._size]]
-            return self._slots[self._cursor :] + self._slots[: self._cursor]
-
-    def __len__(self):
-        with self._lock:
-            return self._size
+            return list(self._records)
 
 
 def plurality_vote(
@@ -313,11 +303,6 @@ class BoundedQueue:
         with self._cond:
             self._closed = True
             self._cond.notify_all()
-
-    @property
-    def closed(self) -> bool:
-        with self._cond:
-            return self._closed
 
 
 def run_pipeline_live(

@@ -51,7 +51,6 @@ class SynthConfig:
     duration_s: float = 2.0
     resolution: int = 64
     groups: int = 5
-    texture_seed: int = 0
     motions: tuple[str, ...] = MOTIONS
 
     def __post_init__(self):
@@ -93,18 +92,20 @@ def _smooth_noise(rng: np.random.Generator, h: int, w: int, channels: int, passe
     return out
 
 
-def _wash_rng(config: SynthConfig, seed: int, wash: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence([seed, config.texture_seed, 1, wash]))
+# The 0 in both seed sequences is a fixed slot: changing it would change the
+# bytes of every generated tree.
+def _wash_rng(seed: int, wash: int) -> np.random.Generator:
+    return np.random.default_rng(np.random.SeedSequence([seed, 0, 1, wash]))
 
 
-def _group_rng(config: SynthConfig, seed: int, group: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence([seed, config.texture_seed, 2, group]))
+def _group_rng(seed: int, group: int) -> np.random.Generator:
+    return np.random.default_rng(np.random.SeedSequence([seed, 0, 2, group]))
 
 
-def _wash_params(config: SynthConfig, seed: int, wash: int) -> tuple[float, float]:
+def _wash_params(seed: int, wash: int) -> tuple[float, float]:
     """(triangle-wave phase in [0,1), starting angle in [0, 2pi)); shared by
     every class of the wash."""
-    rng = _wash_rng(config, seed, wash)
+    rng = _wash_rng(seed, wash)
     return float(rng.random()), float(rng.random() * 2 * math.pi)
 
 
@@ -129,7 +130,7 @@ def pair_motion(config: SynthConfig, seed: int, wash: int, class_index: int,
                 frame: int) -> tuple[float, float, float]:
     """Analytic (du, dv, dtheta) of the patch between frames (frame, frame+1)."""
     motion = config.motions[class_index]
-    phase0, theta0 = _wash_params(config, seed, wash)
+    phase0, theta0 = _wash_params(seed, wash)
     x0, y0, a0 = _motion_at(config, motion, phase0, theta0, frame)
     x1, y1, a1 = _motion_at(config, motion, phase0, theta0, frame + 1)
     return x1 - x0, y1 - y0, a1 - a0
@@ -177,18 +178,18 @@ def generate_synthetic(config: SynthConfig, seed: int, out_dir: str | os.PathLik
     tex_n = int(2 * _RADIUS_FRAC * res) + 6
 
     backgrounds = {
-        g: 0.3 + 0.2 * _smooth_noise(_group_rng(config, seed, g), res, res, 3)
+        g: 0.3 + 0.2 * _smooth_noise(_group_rng(seed, g), res, res, 3)
         for g in range(config.groups)
     }
 
     names: list[str] = []
     labels: dict[str, int] = {}
     manifest = SplitManifest()
-    test_groups = dataset.held_out_groups(range(config.groups), 0.2)
+    test_groups = dataset.held_out_groups(range(config.groups), dataset.TEST_FRACTION)
 
     for wash in range(config.clips_per_class):
         group = wash % config.groups
-        rng = _wash_rng(config, seed, wash)
+        rng = _wash_rng(seed, wash)
         phase0, theta0 = float(rng.random()), float(rng.random() * 2 * math.pi)
         texture = _smooth_noise(rng, tex_n, tex_n, 3, passes=2)
         for class_index in range(config.num_classes):

@@ -48,6 +48,22 @@ class TestDatasetCommands:
         assert "train clips 2624" in out
         assert "test clips  880" in out
 
+    @pytest.mark.parametrize("flag, count", [("--expect-train", "2624"),
+                                             ("--expect-test", "880")])
+    def test_validate_one_count(self, tmp_path, capsys, flag, count):
+        path = tmp_path / "split.txt"
+        dataset.save_split(full_dataset_manifest(), path)
+        assert main(["dataset", "validate", "--manifest", str(path), flag, count]) == 0
+        assert "train clips 2624" in capsys.readouterr().out
+
+    def test_validate_one_count_mismatch_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "split.txt"
+        dataset.save_split(full_dataset_manifest(), path)
+        code = main(["dataset", "validate", "--manifest", str(path), "--expect-test", "881"])
+        assert code == 2
+        assert "split counts (2624, 880) do not match expected (None, 881)" in (
+            capsys.readouterr().err)
+
     def test_validate_overlap_exits_2(self, tmp_path, capsys):
         name = "HandWash_005_A_03_G_01.avi"
         path = tmp_path / "overlap.txt"
@@ -127,6 +143,28 @@ class TestTrainEvalRun:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: cache ")
         assert "iterations=8" in err[0] and "iterations=1" in err[0]
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("recorded", [
+        # what caches recorded before they carried a preprocessing version
+        "PreprocessConfig(target_size=16, sample_frames_per_second=2, flow=FlowParams("
+        "pyramid_levels=2, scale=0.5, alpha=15.0, iterations=8), hog=HogParams(cell=8, "
+        "bins=9, block=2), rng_seed=3)",
+        "PreprocessConfig(target_size=16, sample_frames_per_second=2, flow=FlowParams("
+        "pyramid_levels=2, scale=0.5, alpha=15.0, iterations=8), rng_seed=3)",
+    ], ids=["with_hog_params", "bare_repr"])
+    def test_train_on_unversioned_cache_exits_2(self, synth_dir, tmp_path, capsys, recorded):
+        cache = tmp_path / "cache"
+        assert main(["preprocess", "--clips", str(synth_dir), "--out", str(cache),
+                     "--seed", "3"] + FAST_FLAGS) == 0
+        (cache / "cache.config").write_text(recorded)
+        capsys.readouterr()
+        code = main(["train", "--data", str(synth_dir), "--out", str(tmp_path / "run"),
+                     "--cache", str(cache), "--seed", "3"] + FAST_FLAGS + TINY_MODEL)
+        assert code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: cache ")
+        assert recorded in err[0] and "preprocess_version=" in err[0]
         assert not (tmp_path / "run").exists()
 
     def test_non_ascii_labels_exit_2(self, synth_dir, tmp_path, capsys):

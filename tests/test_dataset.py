@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 
 from rtar import dataset, mediaio
 from rtar.errors import ContractViolationError, FormatError
-from rtar.preprocess import FlowParams, PreprocessConfig, compute_flow, sample_frames
+from rtar.preprocess import (PREPROCESS_VERSION, FlowParams, PreprocessConfig, compute_flow,
+                             sample_frames)
 from rtar.preprocess.resize import grayscale_bt601, resize_bilinear
 
 
@@ -267,9 +268,10 @@ class TestCache:
     def test_rebuild_with_another_config_records_it(self, tmp_path):
         other = dataclasses.replace(FAST_PRE, rng_seed=5)
         clips, name, out = self._one_clip_cache(tmp_path)
-        assert (out / "cache.config").read_text() == repr(FAST_PRE)
+        stamp = f"preprocess_version={PREPROCESS_VERSION} "
+        assert (out / "cache.config").read_text() == stamp + repr(FAST_PRE)
         dataset.precompute_cache(clips, [name], other, out)
-        assert (out / "cache.config").read_text() == repr(other)
+        assert (out / "cache.config").read_text() == stamp + repr(other)
         cached = dataset.load_clip_samples(clips, [name], {name: 0}, other, cache_dir=out)
         direct = dataset.load_clip_samples(clips, [name], {name: 0}, other)
         for a, b in zip(cached[0].pairs, direct[0].pairs):

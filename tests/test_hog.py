@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from rtar.errors import ContractViolationError
-from rtar.preprocess import HogParams, compute_hog, render_hog
+from rtar.preprocess import compute_hog, render_hog
 from rtar.preprocess.hog import cell_strengths
 
 

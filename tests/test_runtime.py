@@ -31,7 +31,7 @@ class TestFrameBuffer:
     def test_push_into_empty(self):
         buf = FrameBuffer(4)
         buffer_push(buf, rec(0.0, 1))
-        assert len(buf) == 1
+        assert len(buf.records()) == 1
 
     def test_fcfs_eviction(self):
         buf = FrameBuffer(3)
@@ -303,14 +303,6 @@ class TestBoundedQueue:
         q.close()
         assert q.get() == "a"
         assert q.get() is None
-
-    def test_closed_property_is_read_only(self):
-        q = BoundedQueue(2)
-        assert not q.closed
-        q.close()
-        assert q.closed
-        with pytest.raises(AttributeError):
-            q.closed = False
 
     def test_put_after_close_rejected(self):
         q = BoundedQueue(2)
