@@ -5,14 +5,20 @@ float64 for gradient-check runs).
 
 Convolution has two forward implementations sharing one argument check.
 ``conv2d_gemm`` is the one the layers run: it lowers the convolution to
-one BLAS matrix product per kernel tap (Chellapilla et al., 2006),
-accumulated into a single (Ho*Wo, Cout) buffer, so no full im2col matrix
-is ever materialised. BLAS reorders the floating-point sums, so its
-output is float32-close to, not bit-identical with, a naive loop.
+one BLAS matrix product per kernel tap (Chellapilla et al., 2006). The
+input is zero-padded once into one flat (Hp*Wp + kw-1, Cin) buffer and
+the stride-1 output is computed at the full padded width Wp, so tap
+(ky, kx) reads the contiguous rows starting at ky*Wp + kx: every product
+reads a view, no patch or im2col matrix is copied, and the kw-1 columns
+that wrap into the next row are dropped on return. An unpadded 1x1 conv
+reads x itself. ``conv2d_backward`` runs the same tap views. BLAS
+reorders the floating-point sums, so the output is float32-close to, not
+bit-identical with, a naive loop.
 ``conv2d`` is the reference oracle: it accumulates the receptive field
 strictly in (ky, kx, cin) order, one fused multiply-add per term, so its
 output is bit-identical to a naive six-nested-loop evaluation with the
-same inner order. Tests hold ``conv2d_gemm`` to ``conv2d``.
+same inner order. Tests hold ``conv2d_gemm`` to ``conv2d``, and
+``conv2d_backward`` to a float64 loop.
 """
 
 from __future__ import annotations
@@ -70,45 +76,87 @@ def conv2d(x: np.ndarray, w: np.ndarray, stride: int = 1, padding: int = 0) -> n
     return out
 
 
+def _flat_padded(x: np.ndarray, kh: int, kw: int, padding: int) -> tuple[np.ndarray, int, int]:
+    """conv2d_gemm's input layout; returns (xp, Wp, n).
+
+    xp is x zero-padded on both spatial axes and flattened to
+    (Hp*Wp + kw-1, Cin) rows, with Wp = W + 2p. The stride-1 output at the
+    full padded width has n = (Hp-kh+1)*Wp rows, and tap (ky, kx) reads
+    the contiguous rows xp[ky*Wp+kx : ky*Wp+kx+n]. The kw-1 trailing zero
+    rows let the last tap read past the padded image. An unpadded 1x1
+    conv needs neither, so xp is then x itself as a view.
+    """
+    h, w_in, cin = x.shape
+    hp, wp = h + 2 * padding, w_in + 2 * padding
+    n = (hp - kh + 1) * wp
+    if not padding and kw == 1:
+        return x.reshape(h * w_in, cin), wp, n
+    xp = np.zeros((hp * wp + kw - 1, cin), dtype=x.dtype)
+    xp[: hp * wp].reshape(hp, wp, cin)[padding : padding + h, padding : padding + w_in] = x
+    return xp, wp, n
+
+
+def _output_grid(full: np.ndarray, ho: int, wo: int, stride: int) -> np.ndarray:
+    """The (Ho, Wo) strided output positions within a stride-1, padded-width
+    output (rows, Wp, C); the wrapped columns past the last valid one drop out."""
+    return full[: (ho - 1) * stride + 1 : stride, : (wo - 1) * stride + 1 : stride]
+
+
 def conv2d_gemm(x: np.ndarray, w: np.ndarray, stride: int = 1, padding: int = 0) -> np.ndarray:
     """conv2d as one BLAS product per kernel tap; same contract, float-close output.
 
-    Each tap (ky, kx) adds patch (Ho*Wo, Cin) @ w[ky, kx] (Cin, Cout) into
-    one accumulator. An unpadded 1x1 stride-1 patch is x itself, so the
-    reshape is a view and nothing is copied.
+    x is zero-padded once into one flat buffer and the stride-1 output is
+    computed at the full padded width (see ``_flat_padded``), so each tap's
+    product reads a contiguous view of that buffer and the taps accumulate
+    into one (n, Cout) buffer; the wrapped columns are dropped on return.
+    An unpadded 1x1 conv reads x itself, so nothing is copied. A stride
+    above 1 subsamples the stride-1 result.
     """
     ho, wo = _conv_output_extents(x, w, stride, padding)
-    kh, kw, cin, cout = w.shape
-    xp = np.pad(x, ((padding, padding), (padding, padding), (0, 0))) if padding else x
-    out = np.zeros((ho * wo, cout), dtype=x.dtype)
+    kh, kw, _, cout = w.shape
+    xp, wp, n = _flat_padded(x, kh, kw, padding)
+    out = xp[:n] @ w[0, 0]
     for ky in range(kh):
         for kx in range(kw):
-            patch = xp[ky : ky + (ho - 1) * stride + 1 : stride,
-                       kx : kx + (wo - 1) * stride + 1 : stride, :]
-            out += patch.reshape(-1, cin) @ w[ky, kx]
-    return out.reshape(ho, wo, cout)
+            if ky or kx:
+                o = ky * wp + kx
+                out += xp[o : o + n] @ w[ky, kx]
+    return _output_grid(out.reshape(-1, wp, cout), ho, wo, stride)
 
 
 def conv2d_backward(
     x: np.ndarray, w: np.ndarray, dy: np.ndarray, stride: int, padding: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Gradients of conv2d: returns (dx, dw) for upstream dy (Ho, Wo, Cout)."""
+    """Gradients of conv2d: returns (dx, dw) for upstream dy (Ho, Wo, Cout).
+
+    Uses conv2d_gemm's layout. dy is zero-filled into the stride-1,
+    padded-width output rows, so the wrapped columns add nothing; then
+    dw[ky, kx] = xp[o:o+n].T @ dyf, dxp[o:o+n] += dyf @ w[ky, kx].T, and dx
+    is the interior of dxp.
+    """
+    ho, wo = _conv_output_extents(x, w, stride, padding)
     kh, kw, cin, cout = w.shape
-    ho, wo = dy.shape[:2]
-    xp = np.pad(x, ((padding, padding), (padding, padding), (0, 0))) if padding else x
-    dxp = np.zeros_like(xp)
-    dw = np.zeros_like(w)
+    if dy.shape != (ho, wo, cout) or dy.dtype != x.dtype:
+        raise ContractViolationError(
+            f"conv2d_backward expects dy of shape {(ho, wo, cout)} and dtype {x.dtype}, "
+            f"got {dy.shape} {dy.dtype}"
+        )
+    xp, wp, n = _flat_padded(x, kh, kw, padding)
+    dyf = np.zeros((n, cout), dtype=dy.dtype)
+    _output_grid(dyf.reshape(-1, wp, cout), ho, wo, stride)[...] = dy
+    dxp = np.empty_like(xp)
+    np.matmul(dyf, w[0, 0].T, out=dxp[:n])
+    dxp[n:] = 0
+    dw = np.empty_like(w)
     for ky in range(kh):
         for kx in range(kw):
-            sl_y = slice(ky, ky + (ho - 1) * stride + 1, stride)
-            sl_x = slice(kx, kx + (wo - 1) * stride + 1, stride)
-            patch = xp[sl_y, sl_x, :]
-            dw[ky, kx] = np.tensordot(patch, dy, axes=([0, 1], [0, 1]))
-            dxp[sl_y, sl_x, :] += dy @ w[ky, kx].T
-    if padding:
-        h, w_in = x.shape[:2]
-        return dxp[padding : padding + h, padding : padding + w_in, :], dw
-    return dxp, dw
+            o = ky * wp + kx
+            np.matmul(xp[o : o + n].T, dyf, out=dw[ky, kx])
+            if ky or kx:
+                dxp[o : o + n] += dyf @ w[ky, kx].T
+    h, w_in = x.shape[:2]
+    dx = dxp[: (h + 2 * padding) * wp].reshape(-1, wp, cin)
+    return dx[padding : padding + h, padding : padding + w_in], dw
 
 
 def batch_norm_train(

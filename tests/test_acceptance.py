@@ -2,7 +2,7 @@
 
 Each test records a pass/fail line that pytest prints in its terminal
 summary. Criterion 1 trains four models end to end and dominates the
-suite's runtime (about 160 s on a 2-core host).
+suite's runtime (about 100 s on a 2-core host).
 """
 
 import hashlib

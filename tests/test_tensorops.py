@@ -28,6 +28,25 @@ def conv2d_naive(x, w, stride, padding):
     return out
 
 
+def conv2d_backward_oracle(x, w, dy, stride, padding):
+    """float64 (dx, dw) of conv2d, one output position and tap at a time."""
+    x, w, dy = (a.astype(np.float64) for a in (x, w, dy))
+    kh, kw = w.shape[:2]
+    h, w_in = x.shape[:2]
+    ho, wo = dy.shape[:2]
+    xp = np.pad(x, ((padding, padding), (padding, padding), (0, 0)))
+    dxp = np.zeros_like(xp)
+    dw = np.zeros_like(w)
+    for i in range(ho):
+        for j in range(wo):
+            for ky in range(kh):
+                for kx in range(kw):
+                    r, c = i * stride + ky, j * stride + kx
+                    dw[ky, kx] += np.outer(xp[r, c], dy[i, j])
+                    dxp[r, c] += w[ky, kx] @ dy[i, j]
+    return dxp[padding : padding + h, padding : padding + w_in], dw
+
+
 class TestConv2d:
     def test_scalar_product(self):
         x = np.array([[[5.0]]], dtype=np.float32)
@@ -100,7 +119,7 @@ class TestConv2dGemm:
         h=st.integers(1, 8), w=st.integers(1, 8),
         cin=st.integers(1, 4), cout=st.integers(1, 3),
         k=st.sampled_from([1, 3]), stride=st.integers(1, 2),
-        padding=st.integers(0, 1), seed=st.integers(0, 2**32 - 1),
+        padding=st.integers(0, 2), seed=st.integers(0, 2**32 - 1),
     )
     def test_close_to_oracle_property(self, dtype, h, w, cin, cout, k, stride, padding, seed):
         ho = (h + 2 * padding - k) // stride + 1
@@ -129,12 +148,67 @@ class TestConv2dGemm:
             messages.append(str(err.value))
         assert messages[0] == messages[1]
 
+    def test_unpadded_1x1_reads_its_input_in_place(self, rng):
+        x = rng.random((5, 4, 3), dtype=np.float32)
+        assert np.shares_memory(T._flat_padded(x, 1, 1, 0)[0], x)
+
     def test_conv2d_layer_runs_gemm_in_both_modes(self, rng):
         layer = Conv2D(3, 3, 2, 4, stride=1, padding=1, rng=rng)
         x = rng.random((6, 5, 2), dtype=np.float32)
         want = T.conv2d_gemm(x, layer.params["w"], 1, 1)
         assert np.array_equal(layer.forward(x, train=False), want)
         assert np.array_equal(layer.forward(x, train=True), want)
+
+
+class TestConv2dBackward:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @given(
+        h=st.integers(1, 8), w=st.integers(1, 8),
+        cin=st.integers(1, 4), cout=st.integers(1, 3),
+        k=st.sampled_from([1, 3]), stride=st.integers(1, 2),
+        padding=st.integers(0, 2), seed=st.integers(0, 2**32 - 1),
+    )
+    def test_close_to_oracle_property(self, dtype, h, w, cin, cout, k, stride, padding, seed):
+        ho = (h + 2 * padding - k) // stride + 1
+        wo = (w + 2 * padding - k) // stride + 1
+        if ho < 1 or wo < 1:
+            return
+        gen = np.random.default_rng(seed)
+        x = gen.standard_normal((h, w, cin)).astype(dtype)
+        wt = gen.standard_normal((k, k, cin, cout)).astype(dtype)
+        dy = gen.standard_normal((ho, wo, cout)).astype(dtype)
+        dx, dw = T.conv2d_backward(x, wt, dy, stride, padding)
+        want_dx, want_dw = conv2d_backward_oracle(x, wt, dy, stride, padding)
+        assert dx.dtype == dw.dtype == dtype
+        assert dx.shape == x.shape and dw.shape == wt.shape
+        # Each sum carries at most n*eps*sum|terms| rounding error over its n terms.
+        mag_dx, mag_dw = conv2d_backward_oracle(np.abs(x), np.abs(wt), np.abs(dy), stride, padding)
+        eps = np.finfo(dtype).eps
+        assert np.all(np.abs(dx - want_dx) <= 2 * k * k * cout * eps * mag_dx)
+        assert np.all(np.abs(dw - want_dw) <= 2 * ho * wo * eps * mag_dw)
+
+    @pytest.mark.parametrize("x_shape,w_shape,stride,padding", CONV_CONTRACT_CASES)
+    def test_contract_violations_match_forward(self, rng, x_shape, w_shape, stride, padding):
+        x = rng.random(x_shape, dtype=np.float32)
+        wt = rng.random(w_shape, dtype=np.float32)
+        dy = np.zeros((1, 1, 1), dtype=np.float32)
+        with pytest.raises(ContractViolationError) as forward_err:
+            T.conv2d(x, wt, stride, padding)
+        with pytest.raises(ContractViolationError) as backward_err:
+            T.conv2d_backward(x, wt, dy, stride, padding)
+        assert str(backward_err.value) == str(forward_err.value)
+
+    @pytest.mark.parametrize("dy_shape,dtype", [
+        ((5, 1, 2), np.float32),  # would broadcast across the output columns
+        ((5, 4, 1), np.float32),  # would broadcast across the output channels
+        ((4, 4, 2), np.float32),  # one output row short
+        ((5, 4, 2), np.float64),  # dtype differs from x
+    ])
+    def test_rejects_mismatched_dy(self, rng, dy_shape, dtype):
+        x = rng.random((5, 4, 3), dtype=np.float32)
+        wt = rng.random((3, 3, 3, 2), dtype=np.float32)
+        with pytest.raises(ContractViolationError, match="expects dy of shape"):
+            T.conv2d_backward(x, wt, np.zeros(dy_shape, dtype=dtype), 1, 1)
 
 
 class TestBatchNorm:
