@@ -83,8 +83,8 @@ class BatchNorm(Layer):
 
     Train mode normalizes with the sample's own spatial statistics and
     folds them into the running estimates (``running = m*running +
-    (1-m)*batch``); eval mode applies the running estimates and is
-    bit-deterministic.
+    (1-m)*batch``); eval mode applies the running estimates, folded into
+    one scale and shift per channel on each call, and is bit-deterministic.
     """
 
     momentum = 0.9
@@ -110,7 +110,7 @@ class BatchNorm(Layer):
             self.running_var = (m * self.running_var + (1 - m) * var).astype(x.dtype)
             self._cache = (x_hat, var)
             return y
-        return T.batch_norm_eval(
+        return T.batch_norm_eval_folded(
             x, self.params["gamma"], self.params["beta"],
             self.running_mean, self.running_var, self.eps,
         )

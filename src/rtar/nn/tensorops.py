@@ -19,6 +19,10 @@ strictly in (ky, kx, cin) order, one fused multiply-add per term, so its
 output is bit-identical to a naive six-nested-loop evaluation with the
 same inner order. Tests hold ``conv2d_gemm`` to ``conv2d``, and
 ``conv2d_backward`` to a float64 loop.
+
+Eval-mode batch norm likewise: the layers run ``batch_norm_eval_folded``,
+one per-channel scale and shift, and tests hold it to the term-by-term
+``batch_norm_eval``.
 """
 
 from __future__ import annotations
@@ -184,9 +188,36 @@ def batch_norm_eval(
     running_var: np.ndarray,
     eps: float,
 ) -> np.ndarray:
+    """Eval-mode batch norm, term by term; the oracle for
+    ``batch_norm_eval_folded``."""
     if eps <= 0:
         raise ContractViolationError(f"eps must be > 0, got {eps}")
     return gamma * (x - running_mean) / np.sqrt(running_var + eps) + beta
+
+
+def batch_norm_eval_folded(
+    x: np.ndarray,
+    gamma: np.ndarray,
+    beta: np.ndarray,
+    running_mean: np.ndarray,
+    running_var: np.ndarray,
+    eps: float,
+) -> np.ndarray:
+    """``batch_norm_eval`` as one per-channel affine map (Ioffe & Szegedy, 2015).
+
+    scale = gamma / sqrt(var + eps) and shift = beta - mean * scale are
+    length-C vectors, folded on every call, so nothing is cached and a
+    shared model stays safe to evaluate from several threads. The tensor
+    takes one multiply into a new buffer and one add in place. The terms
+    round in another order, so the result is float-close to, not
+    bit-identical with, the oracle.
+    """
+    if eps <= 0:
+        raise ContractViolationError(f"eps must be > 0, got {eps}")
+    scale = gamma / np.sqrt(running_var + eps)
+    y = x * scale
+    y += beta - running_mean * scale
+    return y
 
 
 def relu(x: np.ndarray) -> np.ndarray:

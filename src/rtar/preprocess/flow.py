@@ -7,6 +7,12 @@ Jacobi updates of the Horn-Schunck equations on the residual motion.
 Derivatives use centered differences averaged over the frame pair, which
 keeps the estimate equivariant under horizontal mirroring.
 
+The Jacobi loop (``_jacobi``) smooths u and v as one stacked array inside
+one preallocated edge-padded buffer, refreshing only its border on each
+update. ``horn_schunck_step`` is the same update, one pad per call; tests
+hold the loop to chained steps bit for bit, so the flow bytes do not
+depend on which of the two ran (Horn & Schunck, 1981).
+
 Intensities are expected in [0, 1] and are scaled by 255 internally so
 the default smoothness weight sits at the classic operating point for
 8-bit imagery.
@@ -79,6 +85,46 @@ def horn_schunck_step(
     return u_bar - fx * common, v_bar - fy * common
 
 
+def _jacobi(fx: np.ndarray, fy: np.ndarray, ft: np.ndarray, alpha: float,
+            iterations: int) -> np.ndarray:
+    """``iterations`` Horn-Schunck steps from zero flow; returns (du, dv) stacked (2, H, W).
+
+    Bit-identical to chaining ``horn_schunck_step``, without its pads: du
+    and dv live in the interior of one edge-padded (2, H+2, W+2) buffer.
+    Each step writes its result into that interior and then copies the
+    edge rows and columns by slice. Every element sees the same operations
+    in the same order as in the step, and its denominator is the step's
+    expression, computed once.
+    """
+    h, w = ft.shape
+    padded = np.zeros((2, h + 2, w + 2), dtype=ft.dtype)
+    d = padded[:, 1 : h + 1, 1 : w + 1]
+    grad = np.stack([fx, fy])
+    denom = alpha * alpha + fx * fx + fy * fy
+    taps = [(np.asarray(weight, dtype=ft.dtype),
+             padded[:, 1 + dy : 1 + dy + h, 1 + dx : 1 + dx + w])
+            for dy, dx, weight in _AVG_OFFSETS]
+    bar, term = np.empty_like(d), np.empty_like(d)
+    common, tmp = np.empty_like(ft), np.empty_like(ft)
+    for _ in range(iterations):
+        padded[:, 0, 1 : w + 1] = d[:, 0]
+        padded[:, h + 1, 1 : w + 1] = d[:, h - 1]
+        padded[:, :, 0] = padded[:, :, 1]
+        padded[:, :, w + 1] = padded[:, :, w]
+        bar.fill(0)  # as in the step: 0 + (-0.0) is +0.0, so the zero start is in the bytes
+        for weight, view in taps:
+            np.multiply(weight, view, out=term)
+            bar += term
+        np.multiply(fx, bar[0], out=common)
+        np.multiply(fy, bar[1], out=tmp)
+        common += tmp
+        common += ft
+        common /= denom
+        np.multiply(grad, common, out=d)
+        np.subtract(bar, d, out=d)
+    return d
+
+
 def _gaussian_blur(img: np.ndarray) -> np.ndarray:
     # separable binomial [1, 4, 6, 4, 1] / 16, edge-replicated
     kernel = np.array([1, 4, 6, 4, 1], dtype=img.dtype) / np.asarray(16, dtype=img.dtype)
@@ -139,10 +185,7 @@ def compute_flow(prev: np.ndarray, next: np.ndarray, params: FlowParams = FlowPa
         fx = np.asarray(0.5, np.float32) * (_central_diff_x(p1) + _central_diff_x(warped))
         fy = np.asarray(0.5, np.float32) * (_central_diff_y(p1) + _central_diff_y(warped))
         ft = warped - p1
-        du = np.zeros_like(u)
-        dv = np.zeros_like(v)
-        for _ in range(params.iterations):
-            du, dv = horn_schunck_step(du, dv, fx, fy, ft, alpha)
+        du, dv = _jacobi(fx, fy, ft, alpha, params.iterations)
         u = u + du
         v = v + dv
     return np.stack([u, v], axis=-1)

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from rtar.errors import ContractViolationError
 from rtar.preprocess import FlowParams, compute_flow, horn_schunck_step
+from rtar.preprocess.flow import _jacobi
 
 
 def smooth_periodic_texture(size, seed, cutoff=6):
@@ -55,6 +58,24 @@ class TestHornSchunckStep:
         got_u, got_v = horn_schunck_step(u, v, fx, fy, ft, alpha)
         assert np.allclose(got_u, want_u, atol=1e-12)
         assert np.allclose(got_v, want_v, atol=1e-12)
+
+
+class TestJacobiLoop:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @given(
+        h=st.integers(1, 20), w=st.integers(1, 20), iterations=st.integers(1, 60),
+        alpha=st.floats(0.5, 30), seed=st.integers(0, 2**32 - 1),
+    )
+    def test_bit_identical_to_chained_steps(self, dtype, h, w, iterations, alpha, seed):
+        gen = np.random.default_rng(seed)
+        fx, fy, ft = (gen.normal(0, 40, (h, w)).astype(dtype) for _ in range(3))
+        fx[gen.random((h, w)) < 0.2] = 0  # flat regions, as in real frames
+        du = dv = np.zeros((h, w), dtype=dtype)
+        for _ in range(iterations):
+            du, dv = horn_schunck_step(du, dv, fx, fy, ft, alpha)
+        got = _jacobi(fx, fy, ft, alpha, iterations)
+        assert got.dtype == dtype and got.shape == (2, h, w)
+        assert got[0].tobytes() == du.tobytes() and got[1].tobytes() == dv.tobytes()
 
 
 class TestComputeFlow:

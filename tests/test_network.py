@@ -1,5 +1,6 @@
 import hashlib
 import struct
+import threading
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from rtar.errors import ContractViolationError, FormatError
 from rtar import network as net
+from rtar.nn.layers import BatchNorm
 
 
 def tiny_config(**kw):
@@ -128,6 +130,47 @@ class TestPredict:
         a = model.predict(*inputs).probabilities
         b = model.predict(*inputs).probabilities
         assert np.array_equal(a, b)
+
+    def test_reflects_changed_running_statistics(self, tmp_path, rng):
+        # Eval BN folds its statistics on every call; a fold kept from an
+        # earlier predict would go stale after a training step or a load.
+        samples = [(*rand_inputs(rng, 16), i % 4) for i in range(3)]
+        inputs = rand_inputs(rng, 16)
+        model = net.FusionModel(ODD_CEIL_CONFIG, seed=5)
+        before = model.predict(*inputs).probabilities
+        net.train(model, samples, net.TrainConfig(lr=0.0, epochs=1, batch=3, seed=0))
+        after = model.predict(*inputs).probabilities
+        assert not np.array_equal(before, after), "running statistics moved, predict must follow"
+        path = tmp_path / "m.ckpt"
+        net.save_model(model, path)
+        fresh = net.load_model(path)
+        assert np.array_equal(fresh.predict(*inputs).probabilities, after)
+        for layer in model.layers() + fresh.layers():
+            if isinstance(layer, BatchNorm):
+                layer.running_var *= np.float32(3.0)  # in place, as load_model writes
+        changed = model.predict(*inputs).probabilities
+        assert not np.array_equal(changed, after)
+        assert np.array_equal(changed, fresh.predict(*inputs).probabilities)
+
+    def test_concurrent_predict_equals_serial(self, rng):
+        model = net.FusionModel(ODD_CEIL_CONFIG, seed=6)
+        batches = [[rand_inputs(rng, 16) for _ in range(6)] for _ in range(2)]
+        serial = [[model.predict(*x).probabilities for x in b] for b in batches]
+        results = [None, None]
+        start = threading.Barrier(2)
+
+        def worker(i):
+            start.wait()
+            results[i] = [model.predict(*x).probabilities for x in batches[i] * 3]
+
+        threads = [threading.Thread(target=worker, args=(i,)) for i in range(2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        for i in range(2):
+            assert all(np.array_equal(got, want)
+                       for got, want in zip(results[i], serial[i] * 3))
 
     def test_gap_then_fc_equals_fc_on_pooled_concat(self, rng):
         # linearity: pooling the fused map then applying the head must equal

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from rtar.errors import ContractViolationError
 from rtar.nn import tensorops as T
-from rtar.nn.layers import Conv2D
+from rtar.nn.layers import BatchNorm, Conv2D
 
 
 def conv2d_naive(x, w, stride, padding):
@@ -236,6 +236,56 @@ class TestBatchNorm:
         a = T.batch_norm_eval(*args)
         b = T.batch_norm_eval(*args)
         assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @given(
+        h=st.integers(1, 6), w=st.integers(1, 6), c=st.integers(1, 8),
+        min_log_var=st.floats(-12, 0), eps=st.sampled_from([1e-8, 1e-5, 1e-3]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_folded_eval_close_to_oracle_property(self, dtype, h, w, c, min_log_var, eps, seed):
+        gen = np.random.default_rng(seed)
+        x = (gen.standard_normal((h, w, c)) * 10.0 ** gen.uniform(-2, 2)).astype(dtype)
+        gamma = gen.uniform(-2, 2, c).astype(dtype)
+        beta = gen.normal(0, 1, c).astype(dtype)
+        mean = (gen.normal(0, 1, c) * 10.0 ** gen.uniform(-2, 2)).astype(dtype)
+        var = 10.0 ** gen.uniform(min_log_var, 2, c)
+        var[gen.random(c) < 0.25] = 0.0
+        var = var.astype(dtype)
+        got = T.batch_norm_eval_folded(x, gamma, beta, mean, var, eps)
+        want = T.batch_norm_eval(x, gamma, beta, mean, var, eps)
+        assert got.dtype == want.dtype == dtype and got.shape == want.shape
+        # Both share r = sqrt(var + eps), so with S = gamma / r the oracle
+        # rounds (x - m), * gamma, / r and + beta, and the fold rounds
+        # gamma / r, x * s, m * s, beta - m*s and the final add. Each
+        # rounding is a relative error of at most eps/2, which bounds both to
+        # first order by 4 * eps/2 * (|x S| + |m S| + |beta|): at most 4 eps
+        # times that magnitude apart, plus one eps for second-order terms.
+        scale = np.abs(gamma.astype(np.float64)) / np.sqrt(var.astype(np.float64) + eps)
+        magnitude = (np.abs(x) + np.abs(mean)) * scale + np.abs(beta)
+        assert np.all(np.abs(got - want) <= 5 * np.finfo(dtype).eps * magnitude)
+
+    @pytest.mark.parametrize("eps", [0.0, -1e-5])
+    def test_folded_eval_rejects_eps_like_oracle(self, eps):
+        ones = np.ones(2, np.float32)
+        args = (np.ones((2, 3, 2), np.float32), ones, ones, ones, ones, eps)
+        messages = []
+        for fn in (T.batch_norm_eval, T.batch_norm_eval_folded):
+            with pytest.raises(ContractViolationError) as err:
+                fn(*args)
+            messages.append(str(err.value))
+        assert messages[0] == messages[1]
+
+    def test_batchnorm_layer_eval_runs_folded(self, rng):
+        layer = BatchNorm(3)
+        layer.running_mean[...] = rng.normal(0, 1, 3)
+        layer.running_var[...] = rng.uniform(0.1, 2, 3)
+        layer.params["gamma"][...] = rng.uniform(0.5, 1.5, 3)
+        layer.params["beta"][...] = rng.normal(0, 1, 3)
+        x = rng.standard_normal((4, 5, 3)).astype(np.float32)
+        want = T.batch_norm_eval_folded(x, layer.params["gamma"], layer.params["beta"],
+                                        layer.running_mean, layer.running_var, layer.eps)
+        assert np.array_equal(layer.forward(x, train=False), want)
 
 
 class TestFullyConnected:
