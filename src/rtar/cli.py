@@ -215,6 +215,8 @@ def _load_sections(data_dir: str):
         raise UsageError(f"{data_dir} must contain split.txt and labels.tsv")
     manifest = ds.load_split(split_path)
     labels = ds.read_labels(labels_path)
+    if not labels:
+        raise UsageError(f"{labels_path} has no entries")
     return manifest, labels
 
 

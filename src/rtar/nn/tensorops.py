@@ -3,26 +3,21 @@
 All functions are pure and dtype-preserving (float32 for normal use,
 float64 for gradient-check runs).
 
-Convolution has two forward implementations sharing one argument check.
-``conv2d_gemm`` is the one the layers run: it lowers the convolution to
-one BLAS matrix product per kernel tap (Chellapilla et al., 2006). The
-input is zero-padded once into one flat (Hp*Wp + kw-1, Cin) buffer and
-the stride-1 output is computed at the full padded width Wp, so tap
-(ky, kx) reads the contiguous rows starting at ky*Wp + kx: every product
-reads a view, no patch or im2col matrix is copied, and the kw-1 columns
-that wrap into the next row are dropped on return. An unpadded 1x1 conv
-reads x itself. ``conv2d_backward`` runs the same tap views. BLAS
-reorders the floating-point sums, so the output is float32-close to, not
+``conv2d_gemm`` lowers the convolution to one BLAS matrix product per
+kernel tap (Chellapilla et al., 2006). The input is zero-padded once
+into one flat (Hp*Wp + kw-1, Cin) buffer and the stride-1 output is
+computed at the full padded width Wp, so tap (ky, kx) reads the
+contiguous rows starting at ky*Wp + kx: every product reads a view, no
+patch or im2col matrix is copied, and the kw-1 columns that wrap into
+the next row are dropped on return. An unpadded 1x1 conv reads x itself.
+``conv2d_backward`` runs the same tap views. BLAS reorders the
+floating-point sums, so the output is float32-close to, not
 bit-identical with, a naive loop.
-``conv2d`` is the reference oracle: it accumulates the receptive field
-strictly in (ky, kx, cin) order, one fused multiply-add per term, so its
-output is bit-identical to a naive six-nested-loop evaluation with the
-same inner order. Tests hold ``conv2d_gemm`` to ``conv2d``, and
-``conv2d_backward`` to a float64 loop.
 
-Eval-mode batch norm likewise: the layers run ``batch_norm_eval_folded``,
-one per-channel scale and shift, and tests hold it to the term-by-term
-``batch_norm_eval``.
+Eval-mode batch norm, ``batch_norm_eval_folded``, is one per-channel
+scale and shift, float-close to the term-by-term formula.
+
+The naive references these kernels are tested against live in the tests.
 """
 
 from __future__ import annotations
@@ -33,7 +28,7 @@ from ..errors import ContractViolationError
 
 
 def _conv_output_extents(x: np.ndarray, w: np.ndarray, stride: int, padding: int) -> tuple[int, int]:
-    """Check conv2d's argument contract; returns the output extents (Ho, Wo)."""
+    """Check the conv argument contract; returns the output extents (Ho, Wo)."""
     if x.ndim != 3 or w.ndim != 4:
         raise ContractViolationError(
             f"conv2d expects (H,W,Cin) and (kh,kw,Cin,Cout), got {x.shape} and {w.shape}"
@@ -57,27 +52,6 @@ def _conv_output_extents(x: np.ndarray, w: np.ndarray, stride: int, padding: int
             f"non-positive output extents {ho}x{wo} for input {h}x{w_in}"
         )
     return ho, wo
-
-
-def conv2d(x: np.ndarray, w: np.ndarray, stride: int = 1, padding: int = 0) -> np.ndarray:
-    """2-D convolution (cross-correlation), channel-last, no bias.
-
-    x: (H, W, Cin); w: (kh, kw, Cin, Cout) with kh, kw in {1, 3}.
-    Output (Ho, Wo, Cout) with Ho = (H + 2p - kh) // stride + 1.
-    """
-    ho, wo = _conv_output_extents(x, w, stride, padding)
-    kh, kw, cin, cout = w.shape
-    xp = np.pad(x, ((padding, padding), (padding, padding), (0, 0))) if padding else x
-    out = np.zeros((ho, wo, cout), dtype=x.dtype)
-    tmp = np.empty_like(out)
-    for ky in range(kh):
-        for kx in range(kw):
-            patch = xp[ky : ky + (ho - 1) * stride + 1 : stride,
-                       kx : kx + (wo - 1) * stride + 1 : stride, :]
-            for ci in range(cin):
-                np.multiply(patch[:, :, ci : ci + 1], w[ky, kx, ci], out=tmp)
-                np.add(out, tmp, out=out)
-    return out
 
 
 def _flat_padded(x: np.ndarray, kh: int, kw: int, padding: int) -> tuple[np.ndarray, int, int]:
@@ -107,7 +81,10 @@ def _output_grid(full: np.ndarray, ho: int, wo: int, stride: int) -> np.ndarray:
 
 
 def conv2d_gemm(x: np.ndarray, w: np.ndarray, stride: int = 1, padding: int = 0) -> np.ndarray:
-    """conv2d as one BLAS product per kernel tap; same contract, float-close output.
+    """2-D convolution (cross-correlation), channel-last, no bias.
+
+    x: (H, W, Cin); w: (kh, kw, Cin, Cout) with kh, kw in {1, 3}.
+    Output (Ho, Wo, Cout) with Ho = (H + 2p - kh) // stride + 1.
 
     x is zero-padded once into one flat buffer and the stride-1 output is
     computed at the full padded width (see ``_flat_padded``), so each tap's
@@ -131,7 +108,7 @@ def conv2d_gemm(x: np.ndarray, w: np.ndarray, stride: int = 1, padding: int = 0)
 def conv2d_backward(
     x: np.ndarray, w: np.ndarray, dy: np.ndarray, stride: int, padding: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Gradients of conv2d: returns (dx, dw) for upstream dy (Ho, Wo, Cout).
+    """Gradients of conv2d_gemm: returns (dx, dw) for upstream dy (Ho, Wo, Cout).
 
     Uses conv2d_gemm's layout. dy is zero-filled into the stride-1,
     padded-width output rows, so the wrapped columns add nothing; then
@@ -180,21 +157,6 @@ def batch_norm_train(
     return gamma * x_hat + beta, mean, var, x_hat
 
 
-def batch_norm_eval(
-    x: np.ndarray,
-    gamma: np.ndarray,
-    beta: np.ndarray,
-    running_mean: np.ndarray,
-    running_var: np.ndarray,
-    eps: float,
-) -> np.ndarray:
-    """Eval-mode batch norm, term by term; the oracle for
-    ``batch_norm_eval_folded``."""
-    if eps <= 0:
-        raise ContractViolationError(f"eps must be > 0, got {eps}")
-    return gamma * (x - running_mean) / np.sqrt(running_var + eps) + beta
-
-
 def batch_norm_eval_folded(
     x: np.ndarray,
     gamma: np.ndarray,
@@ -203,14 +165,14 @@ def batch_norm_eval_folded(
     running_var: np.ndarray,
     eps: float,
 ) -> np.ndarray:
-    """``batch_norm_eval`` as one per-channel affine map (Ioffe & Szegedy, 2015).
+    """Eval-mode batch norm as one per-channel affine map (Ioffe & Szegedy, 2015).
 
     scale = gamma / sqrt(var + eps) and shift = beta - mean * scale are
     length-C vectors, folded on every call, so nothing is cached and a
     shared model stays safe to evaluate from several threads. The tensor
     takes one multiply into a new buffer and one add in place. The terms
     round in another order, so the result is float-close to, not
-    bit-identical with, the oracle.
+    bit-identical with, gamma * (x - mean) / sqrt(var + eps) + beta.
     """
     if eps <= 0:
         raise ContractViolationError(f"eps must be > 0, got {eps}")

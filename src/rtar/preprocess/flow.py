@@ -9,9 +9,8 @@ keeps the estimate equivariant under horizontal mirroring.
 
 The Jacobi loop (``_jacobi``) smooths u and v as one stacked array inside
 one preallocated edge-padded buffer, refreshing only its border on each
-update. ``horn_schunck_step`` is the same update, one pad per call; tests
-hold the loop to chained steps bit for bit, so the flow bytes do not
-depend on which of the two ran (Horn & Schunck, 1981).
+update (Horn & Schunck, 1981). Tests hold it bit for bit to a chain of
+single updates that each edge-pad u and v afresh.
 
 Intensities are expected in [0, 1] and are scaled by 255 internally so
 the default smoothness weight sits at the classic operating point for
@@ -50,15 +49,6 @@ _AVG_OFFSETS = (
 )
 
 
-def _neighbour_avg(f: np.ndarray) -> np.ndarray:
-    p = np.pad(f, 1, mode="edge")
-    h, w = f.shape
-    out = np.zeros_like(f)
-    for dy, dx, weight in _AVG_OFFSETS:
-        out += np.asarray(weight, dtype=f.dtype) * p[1 + dy : 1 + dy + h, 1 + dx : 1 + dx + w]
-    return out
-
-
 def _central_diff_x(f: np.ndarray) -> np.ndarray:
     p = np.pad(f, ((0, 0), (1, 1)), mode="edge")
     return np.asarray(0.5, dtype=f.dtype) * (p[:, 2:] - p[:, :-2])
@@ -69,32 +59,17 @@ def _central_diff_y(f: np.ndarray) -> np.ndarray:
     return np.asarray(0.5, dtype=f.dtype) * (p[2:, :] - p[:-2, :])
 
 
-def horn_schunck_step(
-    u: np.ndarray, v: np.ndarray,
-    fx: np.ndarray, fy: np.ndarray, ft: np.ndarray,
-    alpha: float,
-) -> tuple[np.ndarray, np.ndarray]:
-    """One Jacobi update of the Horn-Schunck equations.
-
-    u <- u_bar - fx (fx u_bar + fy v_bar + ft) / (alpha^2 + fx^2 + fy^2)
-    and symmetrically for v, where the bars are neighbourhood averages.
-    """
-    u_bar = _neighbour_avg(u)
-    v_bar = _neighbour_avg(v)
-    common = (fx * u_bar + fy * v_bar + ft) / (alpha * alpha + fx * fx + fy * fy)
-    return u_bar - fx * common, v_bar - fy * common
-
-
 def _jacobi(fx: np.ndarray, fy: np.ndarray, ft: np.ndarray, alpha: float,
             iterations: int) -> np.ndarray:
     """``iterations`` Horn-Schunck steps from zero flow; returns (du, dv) stacked (2, H, W).
 
-    Bit-identical to chaining ``horn_schunck_step``, without its pads: du
-    and dv live in the interior of one edge-padded (2, H+2, W+2) buffer.
-    Each step writes its result into that interior and then copies the
-    edge rows and columns by slice. Every element sees the same operations
-    in the same order as in the step, and its denominator is the step's
-    expression, computed once.
+    A step is u <- u_bar - fx (fx u_bar + fy v_bar + ft) / (alpha^2 + fx^2
+    + fy^2), and symmetrically for v; the bars are ``_AVG_OFFSETS``
+    averages over edge-replicated neighbours. du and dv live in the
+    interior of one edge-padded (2, H+2, W+2) buffer: each step writes
+    that interior, then copies the edge rows and columns by slice. Every
+    element sees the same operations in the same order as in a step that
+    pads u and v afresh, and the denominator is computed once.
     """
     h, w = ft.shape
     padded = np.zeros((2, h + 2, w + 2), dtype=ft.dtype)
@@ -111,7 +86,7 @@ def _jacobi(fx: np.ndarray, fy: np.ndarray, ft: np.ndarray, alpha: float,
         padded[:, h + 1, 1 : w + 1] = d[:, h - 1]
         padded[:, :, 0] = padded[:, :, 1]
         padded[:, :, w + 1] = padded[:, :, w]
-        bar.fill(0)  # as in the step: 0 + (-0.0) is +0.0, so the zero start is in the bytes
+        bar.fill(0)  # averages start at +0.0, and 0 + (-0.0) is +0.0: it shows in the bytes
         for weight, view in taps:
             np.multiply(weight, view, out=term)
             bar += term

@@ -33,6 +33,8 @@ from .errors import ContractViolationError
 from . import dataset, mediaio, network
 from .dataset import ClipId, SplitManifest, format_clip_name, save_split, write_labels
 from .preprocess import PreprocessConfig
+from .preprocess.flow import _gaussian_blur
+from .preprocess.resize import bilinear_sample
 
 MOTIONS = ("horizontal", "vertical", "cw", "ccw")
 
@@ -80,8 +82,6 @@ def _tri(u: np.ndarray | float):
 
 def _smooth_noise(rng: np.random.Generator, h: int, w: int, channels: int, passes: int = 3):
     """Blurred random field per channel, normalized to [0, 1]."""
-    from .preprocess.flow import _gaussian_blur
-
     out = np.empty((h, w, channels))
     for c in range(channels):
         field = rng.standard_normal((h, w))
@@ -102,10 +102,9 @@ def _group_rng(seed: int, group: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([seed, 0, 2, group]))
 
 
-def _wash_params(seed: int, wash: int) -> tuple[float, float]:
-    """(triangle-wave phase in [0,1), starting angle in [0, 2pi)); shared by
-    every class of the wash."""
-    rng = _wash_rng(seed, wash)
+def _wash_params(rng: np.random.Generator) -> tuple[float, float]:
+    """(triangle-wave phase in [0,1), starting angle in [0, 2pi)); the first
+    two draws of a fresh ``_wash_rng``, shared by every class of the wash."""
     return float(rng.random()), float(rng.random() * 2 * math.pi)
 
 
@@ -130,7 +129,7 @@ def pair_motion(config: SynthConfig, seed: int, wash: int, class_index: int,
                 frame: int) -> tuple[float, float, float]:
     """Analytic (du, dv, dtheta) of the patch between frames (frame, frame+1)."""
     motion = config.motions[class_index]
-    phase0, theta0 = _wash_params(seed, wash)
+    phase0, theta0 = _wash_params(_wash_rng(seed, wash))
     x0, y0, a0 = _motion_at(config, motion, phase0, theta0, frame)
     x1, y1, a1 = _motion_at(config, motion, phase0, theta0, frame + 1)
     return x1 - x0, y1 - y0, a1 - a0
@@ -138,8 +137,6 @@ def pair_motion(config: SynthConfig, seed: int, wash: int, class_index: int,
 
 def _render_frame(res: int, background: np.ndarray, texture: np.ndarray,
                   offset: tuple[float, float], angle: float) -> np.ndarray:
-    from .preprocess.resize import bilinear_sample
-
     radius = _RADIUS_FRAC * res
     center = (res - 1) / 2.0
     ys, xs = np.meshgrid(np.arange(res, dtype=np.float64),
@@ -190,7 +187,7 @@ def generate_synthetic(config: SynthConfig, seed: int, out_dir: str | os.PathLik
     for wash in range(config.clips_per_class):
         group = wash % config.groups
         rng = _wash_rng(seed, wash)
-        phase0, theta0 = float(rng.random()), float(rng.random() * 2 * math.pi)
+        phase0, theta0 = _wash_params(rng)
         texture = _smooth_noise(rng, tex_n, tex_n, 3, passes=2)
         for class_index in range(config.num_classes):
             motion = config.motions[class_index]

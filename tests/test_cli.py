@@ -178,6 +178,21 @@ class TestTrainEvalRun:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: labels file is not ASCII")
 
+    def test_empty_labels_exit_2(self, synth_dir, trained, tmp_path, capsys):
+        data = tmp_path / "data"
+        data.mkdir()
+        (data / "split.txt").write_bytes((synth_dir / "split.txt").read_bytes())
+        (data / "labels.tsv").write_bytes(b"\n")
+        labels_path = str(data / "labels.tsv")
+        for argv in (["train", "--data", str(data), "--out", str(tmp_path / "run")]
+                     + FAST_FLAGS + TINY_MODEL[:-2],
+                     ["eval", "--checkpoint", str(trained), "--data", str(data)] + FAST_FLAGS):
+            capsys.readouterr()
+            assert main(argv) == 2
+            err = capsys.readouterr().err.splitlines()
+            assert err == [f"error: {labels_path} has no entries"]
+        assert not (tmp_path / "run").exists()
+
     def test_train_and_bench_headers_list_classes_and_bn(self, synth_dir, tmp_path, capsys):
         cfg = tmp_path / "cfg"
         cfg.write_text("classes=5\nbn=0\n")

@@ -224,20 +224,24 @@ class TestCache:
         for p in sorted(out1.iterdir()):
             assert (out2 / p.name).read_bytes() == p.read_bytes()
 
-    def test_load_clip_samples_cache_equals_direct(self, tmp_path):
-        clips = tmp_path / "clips"
-        clips.mkdir()
-        name = "HandWash_000_A_01_G_00.avi"
-        _write_test_clip(clips, name)
-        out = tmp_path / "cache"
-        dataset.precompute_cache(clips, [name], FAST_PRE, out)
-        labels = {name: 0}
-        direct = dataset.load_clip_samples(clips, [name], labels, FAST_PRE)
-        cached = dataset.load_clip_samples(clips, [name], labels, FAST_PRE, cache_dir=out)
-        for (r1, f1, h1), (r2, f2, h2) in zip(direct[0].pairs, cached[0].pairs):
+    def _assert_cached_load_equals_direct(self, clips, name, out):
+        direct = dataset.load_clip_samples(clips, [name], {name: 0}, FAST_PRE)
+        cached = dataset.load_clip_samples(clips, [name], {name: 0}, FAST_PRE, cache_dir=out)
+        for (r1, f1, h1), (r2, f2, h2) in zip(direct[0].pairs, cached[0].pairs, strict=True):
             assert np.array_equal(r1, r2)
             assert np.array_equal(f1, f2)
             assert np.array_equal(h1, h2)
+        return direct[0].pairs
+
+    def test_load_clip_samples_cache_equals_direct(self, tmp_path):
+        self._assert_cached_load_equals_direct(*self._one_clip_cache(tmp_path))
+
+    def test_load_clip_samples_recomputes_a_pair_missing_from_cache(self, tmp_path):
+        clips, name, out = self._one_clip_cache(tmp_path)
+        missing = out / dataset.cache_names(name, 1)[0]
+        missing.unlink()
+        assert len(self._assert_cached_load_equals_direct(clips, name, out)) > 2
+        assert not missing.exists()
 
     def _one_clip_cache(self, tmp_path):
         clips = tmp_path / "clips"

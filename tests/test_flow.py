@@ -4,8 +4,35 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from rtar.errors import ContractViolationError
-from rtar.preprocess import FlowParams, compute_flow, horn_schunck_step
+from rtar.preprocess import FlowParams, compute_flow
 from rtar.preprocess.flow import _jacobi
+
+# (dy, dx, weight) of Horn-Schunck's neighbourhood average, in summation order.
+AVG_WEIGHTS = [(-1, -1, 1 / 12), (-1, 0, 1 / 6), (-1, 1, 1 / 12),
+               (0, -1, 1 / 6), (0, 1, 1 / 6),
+               (1, -1, 1 / 12), (1, 0, 1 / 6), (1, 1, 1 / 12)]
+
+
+def neighbour_avg(f):
+    """u-bar: the weighted average of f's edge-replicated 8-neighbourhood."""
+    p = np.pad(f, 1, mode="edge")
+    h, w = f.shape
+    out = np.zeros_like(f)
+    for dy, dx, weight in AVG_WEIGHTS:
+        out += np.asarray(weight, dtype=f.dtype) * p[1 + dy : 1 + dy + h, 1 + dx : 1 + dx + w]
+    return out
+
+
+def horn_schunck_step(u, v, fx, fy, ft, alpha):
+    """One Jacobi update, one pad per average: the reference for ``_jacobi``.
+
+    u <- u_bar - fx (fx u_bar + fy v_bar + ft) / (alpha^2 + fx^2 + fy^2)
+    and symmetrically for v.
+    """
+    u_bar = neighbour_avg(u)
+    v_bar = neighbour_avg(v)
+    common = (fx * u_bar + fy * v_bar + ft) / (alpha * alpha + fx * fx + fy * fy)
+    return u_bar - fx * common, v_bar - fy * common
 
 
 def smooth_periodic_texture(size, seed, cutoff=6):
@@ -32,13 +59,9 @@ class TestHornSchunckStep:
         ft = np.array([[0.2, -0.1, 0.0], [0.3, 0.1, -0.2], [0.0, 0.2, 0.1]])
         alpha = 1.0
 
-        weights = [(-1, -1, 1 / 12), (-1, 0, 1 / 6), (-1, 1, 1 / 12),
-                   (0, -1, 1 / 6), (0, 1, 1 / 6),
-                   (1, -1, 1 / 12), (1, 0, 1 / 6), (1, 1, 1 / 12)]
-
         def avg(f, y, x):
             total = 0.0
-            for dy, dx, wgt in weights:
+            for dy, dx, wgt in AVG_WEIGHTS:
                 yy = min(max(y + dy, 0), 2)
                 xx = min(max(x + dx, 0), 2)
                 total += wgt * f[yy, xx]
