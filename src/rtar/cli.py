@@ -133,6 +133,8 @@ class Settings:
             raise UsageError(f"section must be train or test, got {self.section!r}")
         if self.frames < 1:
             raise UsageError(f"frames must be a positive integer, got {self.frames}")
+        if not 0 < self.test_fraction < 1:
+            raise UsageError(f"test_fraction must be in (0, 1), got {self.test_fraction}")
         try:
             self._blocks = tuple(int(b) for b in str(self.blocks).split(",") if b)
         except ValueError:
@@ -224,14 +226,14 @@ def cmd_train(args, s: Settings) -> int:
     manifest, labels = _load_sections(args.data)
     if not manifest.train:
         raise UsageError("split.txt has an empty [train] section")
+    hyper = network.TrainConfig(lr=s.lr, momentum=s.momentum, epochs=s.epochs,
+                                batch=s.batch, seed=s.seed)
     num_classes = s.classes or (max(labels.values()) + 1)
     pre = s.preprocess_config()
     clips = ds.load_clip_samples(args.data, manifest.train, labels, pre,
                                  cache_dir=args.cache)
     samples = ds.flatten_samples(clips)
     model = network.FusionModel(s.model_config(num_classes), seed=s.seed)
-    hyper = network.TrainConfig(lr=s.lr, momentum=s.momentum, epochs=s.epochs,
-                                batch=s.batch, seed=s.seed)
     history = network.train(model, samples, hyper)
     os.makedirs(args.out, exist_ok=True)
     ckpt = os.path.join(args.out, "model.ckpt")
@@ -351,7 +353,7 @@ def cmd_bench(args, s: Settings) -> int:
     stages = {
         "resize": lambda: resize_bilinear(src[0], size, size),
         "flow": lambda: compute_flow(gray[0], gray[1], pre.flow),
-        "hog": lambda: render_hog(compute_hog(gray[0]), size, size),
+        "hog": lambda: render_hog(compute_hog(gray[0])),
         "stream_forward": lambda: model.streams[stream].forward(inputs[stream]),
         "fuse_head": lambda: model.head.forward(model.gap.forward(model.fuse(maps))),
         "pre_combined": lambda: preprocess_pair(src[0], src[1], pre),

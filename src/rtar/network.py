@@ -125,7 +125,7 @@ def _build(node, rng, dtype):
         return _DenseLayer([_build(spec, rng, dtype) for spec in node])
     if node[0] == "conv":
         _, kernel, cin, cout = node
-        return Conv2D(kernel, kernel, cin, cout, padding=kernel // 2, rng=rng, dtype=dtype)
+        return Conv2D(kernel, cin, cout, rng=rng, dtype=dtype)
     if node[0] == "bn":
         return BatchNorm(node[1], dtype=dtype)
     return ReLU() if node[0] == "relu" else AvgPool2()
@@ -287,6 +287,12 @@ class TrainConfig:
     epochs: int = 10
     batch: int = 8
     seed: int = 0
+
+    def __post_init__(self):
+        if self.epochs < 1 or self.batch < 1:
+            raise ContractViolationError(
+                f"epochs and batch must be >= 1, got {self.epochs} and {self.batch}"
+            )
 
 
 @dataclass

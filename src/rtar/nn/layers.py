@@ -51,29 +51,27 @@ class Layer:
 
 
 class Conv2D(Layer):
-    """Channel-last convolution, weights (kh, kw, Cin, Cout), no bias."""
+    """"Same" channel-last convolution at stride 1, weights (k, k, Cin, Cout)
+    with k in {1, 3}, no bias."""
 
-    def __init__(self, kh, kw, cin, cout, stride=1, padding=0, *,
-                 rng: np.random.Generator | None = None, dtype=np.float32):
+    def __init__(self, k, cin, cout, *, rng: np.random.Generator, dtype=np.float32):
         super().__init__()
-        self.stride, self.padding = stride, padding
-        fan_in = kh * kw * cin
-        if rng is None:
-            w = np.zeros((kh, kw, cin, cout))
-        else:
-            w = rng.normal(0.0, np.sqrt(2.0 / fan_in), size=(kh, kw, cin, cout))
+        # fixed by the kernels; kept as attributes for perfbench's flop count
+        self.stride, self.padding = 1, k // 2
+        fan_in = k * k * cin
+        w = rng.normal(0.0, np.sqrt(2.0 / fan_in), size=(k, k, cin, cout))
         self.params = {"w": w.astype(dtype)}
         self._init_grads()
 
     def forward(self, x, train=False):
-        y = T.conv2d_gemm(x, self.params["w"], self.stride, self.padding)
+        y = T.conv2d_gemm(x, self.params["w"])
         if train:
             self._cache = x
         return y
 
     def backward(self, dy):
         x = self._take_cache()
-        dx, dw = T.conv2d_backward(x, self.params["w"], dy, self.stride, self.padding)
+        dx, dw = T.conv2d_backward(x, self.params["w"], dy)
         self.grads["w"] += dw
         return dx
 
@@ -174,12 +172,9 @@ class GlobalAvgPool(Layer):
 class Dense(Layer):
     """Fully connected layer on a flat vector: y = x @ w + b."""
 
-    def __init__(self, n, k, *, rng: np.random.Generator | None = None, dtype=np.float32):
+    def __init__(self, n, k, *, rng: np.random.Generator, dtype=np.float32):
         super().__init__()
-        if rng is None:
-            w = np.zeros((n, k))
-        else:
-            w = rng.normal(0.0, np.sqrt(2.0 / n), size=(n, k))
+        w = rng.normal(0.0, np.sqrt(2.0 / n), size=(n, k))
         self.params = {"w": w.astype(dtype), "b": np.zeros(k, dtype=dtype)}
         self._init_grads()
 

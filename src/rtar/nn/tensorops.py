@@ -3,13 +3,14 @@
 All functions are pure and dtype-preserving (float32 for normal use,
 float64 for gradient-check runs).
 
-``conv2d_gemm`` lowers the convolution to one BLAS matrix product per
-kernel tap (Chellapilla et al., 2006). The input is zero-padded once
-into one flat (Hp*Wp + kw-1, Cin) buffer and the stride-1 output is
-computed at the full padded width Wp, so tap (ky, kx) reads the
+``conv2d_gemm`` is the one conv the model runs: "same", stride 1, with a
+square 1x1 or 3x3 kernel padded by k//2. It lowers the convolution to one
+BLAS matrix product per kernel tap (Chellapilla et al., 2006). The input
+is zero-padded once into one flat (Hp*Wp + k-1, Cin) buffer and the
+output is computed at the full padded width Wp, so tap (ky, kx) reads the
 contiguous rows starting at ky*Wp + kx: every product reads a view, no
-patch or im2col matrix is copied, and the kw-1 columns that wrap into
-the next row are dropped on return. An unpadded 1x1 conv reads x itself.
+patch or im2col matrix is copied, and the k-1 columns that wrap into the
+next row are dropped on return. A 1x1 conv reads x itself.
 ``conv2d_backward`` runs the same tap views. BLAS reorders the
 floating-point sums, so the output is float32-close to, not
 bit-identical with, a naive loop.
@@ -27,117 +28,101 @@ import numpy as np
 from ..errors import ContractViolationError
 
 
-def _conv_output_extents(x: np.ndarray, w: np.ndarray, stride: int, padding: int) -> tuple[int, int]:
-    """Check the conv argument contract; returns the output extents (Ho, Wo)."""
+def _check_conv_args(x: np.ndarray, w: np.ndarray) -> None:
+    """Check the conv argument contract: (H, W, Cin) input, non-empty, and a
+    (k, k, Cin, Cout) kernel with k in {1, 3}."""
     if x.ndim != 3 or w.ndim != 4:
         raise ContractViolationError(
-            f"conv2d expects (H,W,Cin) and (kh,kw,Cin,Cout), got {x.shape} and {w.shape}"
+            f"conv2d expects (H,W,Cin) and (k,k,Cin,Cout), got {x.shape} and {w.shape}"
         )
     kh, kw, cin, _ = w.shape
-    if kh not in (1, 3) or kw not in (1, 3):
-        raise ContractViolationError(f"kernel extents must be 1 or 3, got {kh}x{kw}")
-    if stride < 1:
-        raise ContractViolationError(f"stride must be >= 1, got {stride}")
-    if padding < 0:
-        raise ContractViolationError(f"padding must be >= 0, got {padding}")
+    if kh != kw or kh not in (1, 3):
+        raise ContractViolationError(f"kernel must be 1x1 or 3x3, got {kh}x{kw}")
     if x.shape[2] != cin:
         raise ContractViolationError(
             f"input has {x.shape[2]} channels but weights expect {cin}"
         )
-    h, w_in = x.shape[:2]
-    ho = (h + 2 * padding - kh) // stride + 1
-    wo = (w_in + 2 * padding - kw) // stride + 1
-    if ho < 1 or wo < 1:
-        raise ContractViolationError(
-            f"non-positive output extents {ho}x{wo} for input {h}x{w_in}"
-        )
-    return ho, wo
+    if x.size == 0:
+        raise ContractViolationError(f"empty input {x.shape}")
 
 
-def _flat_padded(x: np.ndarray, kh: int, kw: int, padding: int) -> tuple[np.ndarray, int, int]:
+def _flat_padded(x: np.ndarray, k: int) -> tuple[np.ndarray, int, int]:
     """conv2d_gemm's input layout; returns (xp, Wp, n).
 
-    xp is x zero-padded on both spatial axes and flattened to
-    (Hp*Wp + kw-1, Cin) rows, with Wp = W + 2p. The stride-1 output at the
-    full padded width has n = (Hp-kh+1)*Wp rows, and tap (ky, kx) reads
-    the contiguous rows xp[ky*Wp+kx : ky*Wp+kx+n]. The kw-1 trailing zero
-    rows let the last tap read past the padded image. An unpadded 1x1
-    conv needs neither, so xp is then x itself as a view.
+    xp is x zero-padded by p = k//2 on both spatial axes and flattened to
+    (Hp*Wp + k-1, Cin) rows, with Wp = W + 2p. The output at the full
+    padded width has n = H*Wp rows, and tap (ky, kx) reads the contiguous
+    rows xp[ky*Wp+kx : ky*Wp+kx+n]. The k-1 trailing zero rows let the
+    last tap read past the padded image. A 1x1 conv needs neither, so xp
+    is then x itself as a view.
     """
     h, w_in, cin = x.shape
-    hp, wp = h + 2 * padding, w_in + 2 * padding
-    n = (hp - kh + 1) * wp
-    if not padding and kw == 1:
-        return x.reshape(h * w_in, cin), wp, n
-    xp = np.zeros((hp * wp + kw - 1, cin), dtype=x.dtype)
-    xp[: hp * wp].reshape(hp, wp, cin)[padding : padding + h, padding : padding + w_in] = x
+    p = k // 2
+    hp, wp = h + 2 * p, w_in + 2 * p
+    n = h * wp
+    if k == 1:
+        return x.reshape(n, cin), wp, n
+    xp = np.zeros((hp * wp + k - 1, cin), dtype=x.dtype)
+    xp[: hp * wp].reshape(hp, wp, cin)[p : p + h, p : p + w_in] = x
     return xp, wp, n
 
 
-def _output_grid(full: np.ndarray, ho: int, wo: int, stride: int) -> np.ndarray:
-    """The (Ho, Wo) strided output positions within a stride-1, padded-width
-    output (rows, Wp, C); the wrapped columns past the last valid one drop out."""
-    return full[: (ho - 1) * stride + 1 : stride, : (wo - 1) * stride + 1 : stride]
+def conv2d_gemm(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """"Same" 2-D convolution (cross-correlation), stride 1, channel-last, no bias.
 
+    x: (H, W, Cin); w: (k, k, Cin, Cout) with k in {1, 3}, padded by k//2.
+    Output (H, W, Cout).
 
-def conv2d_gemm(x: np.ndarray, w: np.ndarray, stride: int = 1, padding: int = 0) -> np.ndarray:
-    """2-D convolution (cross-correlation), channel-last, no bias.
-
-    x: (H, W, Cin); w: (kh, kw, Cin, Cout) with kh, kw in {1, 3}.
-    Output (Ho, Wo, Cout) with Ho = (H + 2p - kh) // stride + 1.
-
-    x is zero-padded once into one flat buffer and the stride-1 output is
-    computed at the full padded width (see ``_flat_padded``), so each tap's
-    product reads a contiguous view of that buffer and the taps accumulate
-    into one (n, Cout) buffer; the wrapped columns are dropped on return.
-    An unpadded 1x1 conv reads x itself, so nothing is copied. A stride
-    above 1 subsamples the stride-1 result.
+    x is zero-padded once into one flat buffer and the output is computed
+    at the full padded width (see ``_flat_padded``), so each tap's product
+    reads a contiguous view of that buffer and the taps accumulate into
+    one (n, Cout) buffer; the wrapped columns are dropped on return. A 1x1
+    conv reads x itself, so nothing is copied.
     """
-    ho, wo = _conv_output_extents(x, w, stride, padding)
-    kh, kw, _, cout = w.shape
-    xp, wp, n = _flat_padded(x, kh, kw, padding)
+    _check_conv_args(x, w)
+    k, _, _, cout = w.shape
+    xp, wp, n = _flat_padded(x, k)
     out = xp[:n] @ w[0, 0]
-    for ky in range(kh):
-        for kx in range(kw):
+    for ky in range(k):
+        for kx in range(k):
             if ky or kx:
                 o = ky * wp + kx
                 out += xp[o : o + n] @ w[ky, kx]
-    return _output_grid(out.reshape(-1, wp, cout), ho, wo, stride)
+    return out.reshape(-1, wp, cout)[:, : x.shape[1]]
 
 
-def conv2d_backward(
-    x: np.ndarray, w: np.ndarray, dy: np.ndarray, stride: int, padding: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Gradients of conv2d_gemm: returns (dx, dw) for upstream dy (Ho, Wo, Cout).
+def conv2d_backward(x: np.ndarray, w: np.ndarray, dy: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Gradients of conv2d_gemm: returns (dx, dw) for upstream dy (H, W, Cout).
 
-    Uses conv2d_gemm's layout. dy is zero-filled into the stride-1,
-    padded-width output rows, so the wrapped columns add nothing; then
+    Uses conv2d_gemm's layout. dy is zero-filled into the padded-width
+    output rows, so the wrapped columns add nothing; then
     dw[ky, kx] = xp[o:o+n].T @ dyf, dxp[o:o+n] += dyf @ w[ky, kx].T, and dx
     is the interior of dxp.
     """
-    ho, wo = _conv_output_extents(x, w, stride, padding)
-    kh, kw, cin, cout = w.shape
-    if dy.shape != (ho, wo, cout) or dy.dtype != x.dtype:
+    _check_conv_args(x, w)
+    k, _, cin, cout = w.shape
+    h, w_in = x.shape[:2]
+    if dy.shape != (h, w_in, cout) or dy.dtype != x.dtype:
         raise ContractViolationError(
-            f"conv2d_backward expects dy of shape {(ho, wo, cout)} and dtype {x.dtype}, "
+            f"conv2d_backward expects dy of shape {(h, w_in, cout)} and dtype {x.dtype}, "
             f"got {dy.shape} {dy.dtype}"
         )
-    xp, wp, n = _flat_padded(x, kh, kw, padding)
+    xp, wp, n = _flat_padded(x, k)
     dyf = np.zeros((n, cout), dtype=dy.dtype)
-    _output_grid(dyf.reshape(-1, wp, cout), ho, wo, stride)[...] = dy
+    dyf.reshape(-1, wp, cout)[:, :w_in] = dy
     dxp = np.empty_like(xp)
     np.matmul(dyf, w[0, 0].T, out=dxp[:n])
     dxp[n:] = 0
     dw = np.empty_like(w)
-    for ky in range(kh):
-        for kx in range(kw):
+    for ky in range(k):
+        for kx in range(k):
             o = ky * wp + kx
             np.matmul(xp[o : o + n].T, dyf, out=dw[ky, kx])
             if ky or kx:
                 dxp[o : o + n] += dyf @ w[ky, kx].T
-    h, w_in = x.shape[:2]
-    dx = dxp[: (h + 2 * padding) * wp].reshape(-1, wp, cin)
-    return dx[padding : padding + h, padding : padding + w_in], dw
+    p = k // 2
+    dx = dxp[: (h + 2 * p) * wp].reshape(-1, wp, cin)
+    return dx[p : p + h, p : p + w_in], dw
 
 
 def batch_norm_train(

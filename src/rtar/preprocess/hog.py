@@ -19,14 +19,11 @@ BINS = 9
 class HogDescriptor:
     """Per-cell orientation histograms plus L2-Hys-normalized block vectors.
 
-    cell_hist: (cells_y, cells_x, bins) raw magnitude-weighted votes.
-    blocks: (cells_y-1, cells_x-1, 2, 2, bins) normalized 2x2-cell blocks,
+    cell_hist: (cells_y, cells_x, BINS) raw magnitude-weighted votes.
+    blocks: (cells_y-1, cells_x-1, 2, 2, BINS) normalized 2x2-cell blocks,
     block stride one cell.
     """
 
-    cells_x: int
-    cells_y: int
-    bins: int
     cell_hist: np.ndarray
     blocks: np.ndarray
 
@@ -80,44 +77,41 @@ def compute_hog(image: np.ndarray) -> HogDescriptor:
             v = v / np.sqrt((v * v).sum() + _EPS * _EPS)
             v = np.minimum(v, _HYS_CLIP)
             blocks[by, bx] = v / np.sqrt((v * v).sum() + _EPS * _EPS)
-    return HogDescriptor(cells_x=cells_x, cells_y=cells_y, bins=BINS,
-                         cell_hist=cell_hist, blocks=blocks)
+    return HogDescriptor(cell_hist=cell_hist, blocks=blocks)
 
 
 def cell_strengths(d: HogDescriptor) -> np.ndarray:
-    """(cells_y, cells_x, bins) per-cell maxima of the normalized block values."""
-    out = np.zeros((d.cells_y, d.cells_x, d.bins))
-    for by in range(d.cells_y - 1):
-        for bx in range(d.cells_x - 1):
+    """(cells_y, cells_x, BINS) per-cell maxima of the normalized block values."""
+    out = np.zeros(d.cell_hist.shape)
+    cells_y, cells_x = out.shape[:2]
+    for by in range(cells_y - 1):
+        for bx in range(cells_x - 1):
             for i in range(2):
                 for j in range(2):
                     np.maximum(out[by + i, bx + j], d.blocks[by, bx, i, j], out=out[by + i, bx + j])
     return out
 
 
-def render_hog(d: HogDescriptor, w: int, h: int) -> np.ndarray:
-    """Draw the descriptor as a gray (h, w) uint8 image.
+def render_hog(d: HogDescriptor) -> np.ndarray:
+    """Draw the descriptor as a gray uint8 image at its own cell grid, one
+    CELL x CELL tile per cell, so the render has the described image's size.
 
     Each cell shows one line segment per orientation bin, drawn along the
     edge direction (bin center + 90 degrees), with intensity proportional
     to the cell's normalized bin strength; the whole image is scaled so
     the strongest response maps to 255.
     """
-    if w % d.cells_x or h % d.cells_y:
-        raise ContractViolationError(
-            f"render target {w}x{h} must be a multiple of the {d.cells_x}x{d.cells_y} cell grid"
-        )
-    tile_w, tile_h = w // d.cells_x, h // d.cells_y
     strengths = cell_strengths(d)
-    canvas = np.zeros((h, w))
-    half = (min(tile_w, tile_h) - 1) / 2.0
-    steps = np.linspace(-half, half, 2 * max(tile_w, tile_h))
-    bin_width = 180.0 / d.bins
-    for cy in range(d.cells_y):
-        for cx in range(d.cells_x):
-            center_y = cy * tile_h + (tile_h - 1) / 2.0
-            center_x = cx * tile_w + (tile_w - 1) / 2.0
-            for b in range(d.bins):
+    cells_y, cells_x = strengths.shape[:2]
+    canvas = np.zeros((cells_y * CELL, cells_x * CELL))
+    half = (CELL - 1) / 2.0
+    steps = np.linspace(-half, half, 2 * CELL)
+    bin_width = 180.0 / BINS
+    for cy in range(cells_y):
+        for cx in range(cells_x):
+            center_y = cy * CELL + half
+            center_x = cx * CELL + half
+            for b in range(BINS):
                 s = strengths[cy, cx, b]
                 if s <= 0:
                     continue
@@ -125,8 +119,8 @@ def render_hog(d: HogDescriptor, w: int, h: int) -> np.ndarray:
                 ys = np.rint(center_y + steps * np.sin(theta)).astype(int)
                 xs = np.rint(center_x + steps * np.cos(theta)).astype(int)
                 keep = (
-                    (ys >= cy * tile_h) & (ys < (cy + 1) * tile_h)
-                    & (xs >= cx * tile_w) & (xs < (cx + 1) * tile_w)
+                    (ys >= cy * CELL) & (ys < (cy + 1) * CELL)
+                    & (xs >= cx * CELL) & (xs < (cx + 1) * CELL)
                 )
                 np.maximum.at(canvas, (ys[keep], xs[keep]), s)
     peak = canvas.max()

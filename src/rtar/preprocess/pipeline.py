@@ -98,7 +98,7 @@ def pair_maps(
     gray_prev = grayscale_bt601(unit_scale(frame))
     gray_next = grayscale_bt601(unit_scale(resize_bilinear(next_frame, s, s)))
     flow = compute_flow(gray_prev, gray_next, config.flow).astype(np.float32)
-    return frame, flow, render_hog(compute_hog(gray_prev), s, s)
+    return frame, flow, render_hog(compute_hog(gray_prev))
 
 
 def stream_inputs(

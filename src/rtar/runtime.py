@@ -22,6 +22,7 @@ only while nothing is dropped.
 from __future__ import annotations
 
 import enum
+import math
 import os
 import threading
 from collections import deque
@@ -78,6 +79,9 @@ class RuntimeConfig:
     fps: int = 30
 
     def __post_init__(self):
+        for name in ("poll_interval", "stipulated_time", "window_seconds"):
+            if not math.isfinite(getattr(self, name)):
+                raise ContractViolationError(f"{name} must be finite, got {getattr(self, name)}")
         if self.poll_interval <= 0:
             raise ContractViolationError("poll_interval must be > 0")
         if self.stipulated_time < self.poll_interval:

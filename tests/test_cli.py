@@ -80,6 +80,18 @@ class TestDatasetCommands:
         manifest = dataset.load_split(split_out)
         assert manifest.train and manifest.test
 
+    @pytest.mark.parametrize("fraction", ["nan", "inf", "-0.5", "0", "1"])
+    def test_split_fraction_outside_unit_interval_exits_2(self, synth_dir, tmp_path, capsys,
+                                                           fraction):
+        split_out = tmp_path / "split.txt"
+        code = main(["dataset", "split", "--clips", str(synth_dir), "--out", str(split_out),
+                     "--test-fraction", fraction])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: test_fraction must be in (0, 1), got {float(fraction)}\n"
+        assert not split_out.exists()
+
     def test_missing_required_flag(self, capsys):
         code = main(["dataset", "validate"])
         assert code == 2
@@ -130,6 +142,15 @@ class TestTrainEvalRun:
         assert len(history) == 1
         epoch, loss = history[0].split("\t")
         assert epoch == "0" and float(loss) > 0
+
+    @pytest.mark.parametrize("flag,values", [("--epochs", "0 and 4"), ("--batch", "1 and 0")])
+    def test_train_zero_epochs_or_batch_exits_2(self, synth_dir, tmp_path, capsys, flag, values):
+        code = main(["train", "--data", str(synth_dir), "--out", str(tmp_path / "run")]
+                    + FAST_FLAGS + TINY_MODEL + [flag, "0"])
+        assert code == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: epochs and batch must be >= 1, got {values}"]
+        assert not (tmp_path / "run").exists()
 
     def test_train_on_cache_of_other_iterations_exits_2(self, synth_dir, tmp_path, capsys):
         cache = tmp_path / "cache"
@@ -239,6 +260,16 @@ class TestTrainEvalRun:
         assert lines
         assert all(l.split("\t")[0] in ("POLL", "ERRONEOUS") for l in lines)
         assert "# command=run" in captured.err  # header on stderr, log on stdout
+
+    @pytest.mark.parametrize("key", ["poll_interval", "stipulated_time", "window_seconds"])
+    def test_run_nan_timing_exits_2(self, synth_dir, trained, capsys, key):
+        clip = sorted(p.name for p in synth_dir.iterdir() if p.is_dir())[0]
+        code = main(["run", "--checkpoint", str(trained), "--clip", str(synth_dir / clip),
+                     "--" + key.replace("_", "-"), "nan"] + FAST_FLAGS)
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines()[-1] == f"error: {key} must be finite, got nan"
 
     def test_run_byte_identical(self, synth_dir, trained, capsys):
         clip = sorted(p.name for p in synth_dir.iterdir() if p.is_dir())[0]

@@ -77,7 +77,7 @@ class TestComputeHog:
 class TestRenderHog:
     def test_zero_descriptor_black(self):
         d = compute_hog(np.zeros((16, 16)))
-        img = render_hog(d, 16, 16)
+        img = render_hog(d)
         assert img.dtype == np.uint8
         assert np.all(img == 0)
 
@@ -85,9 +85,8 @@ class TestRenderHog:
         d = compute_hog(np.zeros((32, 32)))
         strengths = np.zeros_like(d.blocks)
         strengths[1, 1, 0, 0, 2] = 0.7  # only cell (1,1) carries weight
-        d = d.__class__(cells_x=d.cells_x, cells_y=d.cells_y, bins=d.bins,
-                        cell_hist=d.cell_hist, blocks=strengths)
-        img = render_hog(d, 32, 32)
+        d = d.__class__(cell_hist=d.cell_hist, blocks=strengths)
+        img = render_hog(d)
         mask = np.zeros((32, 32), dtype=bool)
         mask[8:16, 8:16] = True
         assert img[~mask].max() == 0
@@ -95,12 +94,11 @@ class TestRenderHog:
 
     def test_deterministic(self, rng):
         d = compute_hog(rng.random((16, 16)))
-        assert np.array_equal(render_hog(d, 32, 32), render_hog(d, 32, 32))
+        assert np.array_equal(render_hog(d), render_hog(d))
 
-    def test_rejects_nonmultiple_target(self, rng):
-        d = compute_hog(rng.random((16, 16)))
-        with pytest.raises(ContractViolationError):
-            render_hog(d, 17, 16)
+    def test_render_has_the_image_shape(self, rng):
+        img = rng.random((24, 40))
+        assert render_hog(compute_hog(img)).shape == img.shape
 
     def test_cell_strengths_max_of_blocks(self, rng):
         d = compute_hog(rng.random((24, 24)))

@@ -51,41 +51,34 @@ class TestConv2d:
     def test_scalar_product(self):
         x = np.array([[[5.0]]], dtype=np.float32)
         w = np.array([[[[2.0]]]], dtype=np.float32)
-        assert T.conv2d_gemm(x, w, 1, 0).tolist() == [[[10.0]]]
+        assert T.conv2d_gemm(x, w).tolist() == [[[10.0]]]
 
     def test_delta_kernel_identity(self, rng):
         x = rng.random((6, 7, 2), dtype=np.float32)
         w = np.zeros((3, 3, 2, 2), dtype=np.float32)
         w[1, 1, 0, 0] = 1.0
         w[1, 1, 1, 1] = 1.0
-        assert np.array_equal(T.conv2d_gemm(x, w, 1, 1), x)
+        assert np.array_equal(T.conv2d_gemm(x, w), x)
 
     def test_channel_mismatch(self, rng):
         x = rng.random((4, 4, 3), dtype=np.float32)
         w = rng.random((3, 3, 2, 1), dtype=np.float32)
         with pytest.raises(ContractViolationError):
-            T.conv2d_gemm(x, w, 1, 1)
+            T.conv2d_gemm(x, w)
 
     def test_rejects_unsupported_kernel(self, rng):
         x = rng.random((6, 6, 1), dtype=np.float32)
         w = rng.random((5, 5, 1, 1), dtype=np.float32)
         with pytest.raises(ContractViolationError):
-            T.conv2d_gemm(x, w, 1, 2)
-
-    def test_output_shape_formula(self, rng):
-        x = rng.random((9, 7, 2), dtype=np.float32)
-        w = rng.random((3, 3, 2, 5), dtype=np.float32)
-        y = T.conv2d_gemm(x, w, stride=2, padding=1)
-        assert y.shape == ((9 + 2 - 3) // 2 + 1, (7 + 2 - 3) // 2 + 1, 5)
+            T.conv2d_gemm(x, w)
 
 
 CONV_CONTRACT_CASES = [
-    ((4, 4), (3, 3, 1, 1), 1, 0),  # x is not (H, W, Cin)
-    ((6, 6, 1), (5, 5, 1, 1), 1, 2),  # unsupported kernel
-    ((4, 4, 1), (3, 3, 1, 1), 0, 1),  # stride < 1
-    ((4, 4, 1), (3, 3, 1, 1), 1, -1),  # padding < 0
-    ((4, 4, 3), (3, 3, 2, 1), 1, 1),  # channel mismatch
-    ((2, 2, 1), (3, 3, 1, 1), 1, 0),  # empty output
+    ((4, 4), (3, 3, 1, 1)),  # x is not (H, W, Cin)
+    ((6, 6, 1), (5, 5, 1, 1)),  # unsupported kernel
+    ((4, 4, 1), (1, 3, 1, 1)),  # non-square kernel
+    ((4, 4, 3), (3, 3, 2, 1)),  # channel mismatch
+    ((0, 4, 1), (3, 3, 1, 1)),  # empty input
 ]
 
 
@@ -94,41 +87,36 @@ class TestConv2dGemm:
     @given(
         h=st.integers(1, 8), w=st.integers(1, 8),
         cin=st.integers(1, 4), cout=st.integers(1, 3),
-        k=st.sampled_from([1, 3]), stride=st.integers(1, 2),
-        padding=st.integers(0, 2), seed=st.integers(0, 2**32 - 1),
+        k=st.sampled_from([1, 3]), seed=st.integers(0, 2**32 - 1),
     )
-    def test_close_to_oracle_property(self, dtype, h, w, cin, cout, k, stride, padding, seed):
-        ho = (h + 2 * padding - k) // stride + 1
-        wo = (w + 2 * padding - k) // stride + 1
-        if ho < 1 or wo < 1:
-            return
+    def test_close_to_oracle_property(self, dtype, h, w, cin, cout, k, seed):
         gen = np.random.default_rng(seed)
         x = gen.standard_normal((h, w, cin)).astype(dtype)
         wt = gen.standard_normal((k, k, cin, cout)).astype(dtype)
-        got = T.conv2d_gemm(x, wt, stride, padding)
-        want = conv2d_naive(x, wt, stride, padding)
-        assert got.dtype == want.dtype and got.shape == want.shape
+        got = T.conv2d_gemm(x, wt)
+        want = conv2d_naive(x, wt, 1, k // 2)
+        assert got.dtype == want.dtype and got.shape == want.shape == (h, w, cout)
         # Both sums carry at most n*eps*sum|x*w| rounding error over n = k*k*cin terms.
-        magnitude = conv2d_naive(np.abs(x), np.abs(wt), stride, padding)
+        magnitude = conv2d_naive(np.abs(x), np.abs(wt), 1, k // 2)
         tol = 2 * k * k * cin * np.finfo(dtype).eps * magnitude
         assert np.all(np.abs(got - want) <= tol)
 
-    @pytest.mark.parametrize("x_shape,w_shape,stride,padding", CONV_CONTRACT_CASES)
-    def test_contract_violations_match_oracle(self, rng, x_shape, w_shape, stride, padding):
+    @pytest.mark.parametrize("x_shape,w_shape", CONV_CONTRACT_CASES)
+    def test_contract_violations_match_oracle(self, rng, x_shape, w_shape):
         # conv2d_naive checks nothing, so the oracle here is the case table.
         x = rng.random(x_shape, dtype=np.float32)
         wt = rng.random(w_shape, dtype=np.float32)
         with pytest.raises(ContractViolationError):
-            T.conv2d_gemm(x, wt, stride, padding)
+            T.conv2d_gemm(x, wt)
 
     def test_unpadded_1x1_reads_its_input_in_place(self, rng):
         x = rng.random((5, 4, 3), dtype=np.float32)
-        assert np.shares_memory(T._flat_padded(x, 1, 1, 0)[0], x)
+        assert np.shares_memory(T._flat_padded(x, 1)[0], x)
 
     def test_conv2d_layer_runs_gemm_in_both_modes(self, rng):
-        layer = Conv2D(3, 3, 2, 4, stride=1, padding=1, rng=rng)
+        layer = Conv2D(3, 2, 4, rng=rng)
         x = rng.random((6, 5, 2), dtype=np.float32)
-        want = T.conv2d_gemm(x, layer.params["w"], 1, 1)
+        want = T.conv2d_gemm(x, layer.params["w"])
         assert np.array_equal(layer.forward(x, train=False), want)
         assert np.array_equal(layer.forward(x, train=True), want)
 
@@ -138,37 +126,32 @@ class TestConv2dBackward:
     @given(
         h=st.integers(1, 8), w=st.integers(1, 8),
         cin=st.integers(1, 4), cout=st.integers(1, 3),
-        k=st.sampled_from([1, 3]), stride=st.integers(1, 2),
-        padding=st.integers(0, 2), seed=st.integers(0, 2**32 - 1),
+        k=st.sampled_from([1, 3]), seed=st.integers(0, 2**32 - 1),
     )
-    def test_close_to_oracle_property(self, dtype, h, w, cin, cout, k, stride, padding, seed):
-        ho = (h + 2 * padding - k) // stride + 1
-        wo = (w + 2 * padding - k) // stride + 1
-        if ho < 1 or wo < 1:
-            return
+    def test_close_to_oracle_property(self, dtype, h, w, cin, cout, k, seed):
         gen = np.random.default_rng(seed)
         x = gen.standard_normal((h, w, cin)).astype(dtype)
         wt = gen.standard_normal((k, k, cin, cout)).astype(dtype)
-        dy = gen.standard_normal((ho, wo, cout)).astype(dtype)
-        dx, dw = T.conv2d_backward(x, wt, dy, stride, padding)
-        want_dx, want_dw = conv2d_backward_oracle(x, wt, dy, stride, padding)
+        dy = gen.standard_normal((h, w, cout)).astype(dtype)
+        dx, dw = T.conv2d_backward(x, wt, dy)
+        want_dx, want_dw = conv2d_backward_oracle(x, wt, dy, 1, k // 2)
         assert dx.dtype == dw.dtype == dtype
         assert dx.shape == x.shape and dw.shape == wt.shape
         # Each sum carries at most n*eps*sum|terms| rounding error over its n terms.
-        mag_dx, mag_dw = conv2d_backward_oracle(np.abs(x), np.abs(wt), np.abs(dy), stride, padding)
+        mag_dx, mag_dw = conv2d_backward_oracle(np.abs(x), np.abs(wt), np.abs(dy), 1, k // 2)
         eps = np.finfo(dtype).eps
         assert np.all(np.abs(dx - want_dx) <= 2 * k * k * cout * eps * mag_dx)
-        assert np.all(np.abs(dw - want_dw) <= 2 * ho * wo * eps * mag_dw)
+        assert np.all(np.abs(dw - want_dw) <= 2 * h * w * eps * mag_dw)
 
-    @pytest.mark.parametrize("x_shape,w_shape,stride,padding", CONV_CONTRACT_CASES)
-    def test_contract_violations_match_forward(self, rng, x_shape, w_shape, stride, padding):
+    @pytest.mark.parametrize("x_shape,w_shape", CONV_CONTRACT_CASES)
+    def test_contract_violations_match_forward(self, rng, x_shape, w_shape):
         x = rng.random(x_shape, dtype=np.float32)
         wt = rng.random(w_shape, dtype=np.float32)
         dy = np.zeros((1, 1, 1), dtype=np.float32)
         with pytest.raises(ContractViolationError) as forward_err:
-            T.conv2d_gemm(x, wt, stride, padding)
+            T.conv2d_gemm(x, wt)
         with pytest.raises(ContractViolationError) as backward_err:
-            T.conv2d_backward(x, wt, dy, stride, padding)
+            T.conv2d_backward(x, wt, dy)
         assert str(backward_err.value) == str(forward_err.value)
 
     @pytest.mark.parametrize("dy_shape,dtype", [
@@ -181,7 +164,7 @@ class TestConv2dBackward:
         x = rng.random((5, 4, 3), dtype=np.float32)
         wt = rng.random((3, 3, 3, 2), dtype=np.float32)
         with pytest.raises(ContractViolationError, match="expects dy of shape"):
-            T.conv2d_backward(x, wt, np.zeros(dy_shape, dtype=dtype), 1, 1)
+            T.conv2d_backward(x, wt, np.zeros(dy_shape, dtype=dtype))
 
 
 class TestBatchNorm:
