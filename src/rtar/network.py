@@ -289,6 +289,9 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("lr", "momentum"):
+            if not math.isfinite(getattr(self, name)):
+                raise ContractViolationError(f"{name} must be finite, got {getattr(self, name)}")
         if self.epochs < 1 or self.batch < 1:
             raise ContractViolationError(
                 f"epochs and batch must be >= 1, got {self.epochs} and {self.batch}"

@@ -19,6 +19,7 @@ the default smoothness weight sits at the classic operating point for
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,8 +38,10 @@ class FlowParams:
     def __post_init__(self):
         if not 0 < self.scale < 1:
             raise ContractViolationError(f"pyramid scale must be in (0,1), got {self.scale}")
-        if self.pyramid_levels < 1 or self.iterations < 1 or self.alpha <= 0:
-            raise ContractViolationError("pyramid_levels, iterations and alpha must be positive")
+        if self.pyramid_levels < 1 or self.iterations < 1:
+            raise ContractViolationError("pyramid_levels and iterations must be positive")
+        if not (math.isfinite(self.alpha) and self.alpha > 0):
+            raise ContractViolationError(f"alpha must be finite and > 0, got {self.alpha}")
 
 
 # Weights of the Jacobi neighbourhood average (Horn-Schunck's u-bar / v-bar).

@@ -65,18 +65,23 @@ def compute_hog(image: np.ndarray) -> HogDescriptor:
     cell_x = (np.arange(w) // CELL)[None, :]
     flat_cell = (cell_y * cells_x + cell_x) * BINS
 
-    hist = np.zeros(cells_y * cells_x * BINS)
-    np.add.at(hist, (flat_cell + lo).ravel(), (mag * (1.0 - frac)).ravel())
-    np.add.at(hist, (flat_cell + hi).ravel(), (mag * frac).ravel())
+    # all lo votes, then all hi votes: each bin sums its votes in pixel order
+    hist = np.bincount(
+        np.concatenate([(flat_cell + lo).ravel(), (flat_cell + hi).ravel()]),
+        weights=np.concatenate([(mag * (1.0 - frac)).ravel(), (mag * frac).ravel()]),
+        minlength=cells_y * cells_x * BINS,
+    )
     cell_hist = hist.reshape(cells_y, cells_x, BINS)
 
-    blocks = np.empty((cells_y - 1, cells_x - 1, 2, 2, BINS))
-    for by in range(cells_y - 1):
-        for bx in range(cells_x - 1):
-            v = cell_hist[by : by + 2, bx : bx + 2, :]
-            v = v / np.sqrt((v * v).sum() + _EPS * _EPS)
-            v = np.minimum(v, _HYS_CLIP)
-            blocks[by, bx] = v / np.sqrt((v * v).sum() + _EPS * _EPS)
+    # every 2x2-cell block as one 4*BINS vector, in (row, column, bin) order
+    v = np.concatenate(
+        [cell_hist[i : cells_y - 1 + i, j : cells_x - 1 + j] for i in range(2) for j in range(2)],
+        axis=-1,
+    )
+    v = v / np.sqrt((v * v).sum(axis=-1, keepdims=True) + _EPS * _EPS)
+    v = np.minimum(v, _HYS_CLIP)
+    v = v / np.sqrt((v * v).sum(axis=-1, keepdims=True) + _EPS * _EPS)
+    blocks = v.reshape(cells_y - 1, cells_x - 1, 2, 2, BINS)
     return HogDescriptor(cell_hist=cell_hist, blocks=blocks)
 
 
@@ -84,11 +89,10 @@ def cell_strengths(d: HogDescriptor) -> np.ndarray:
     """(cells_y, cells_x, BINS) per-cell maxima of the normalized block values."""
     out = np.zeros(d.cell_hist.shape)
     cells_y, cells_x = out.shape[:2]
-    for by in range(cells_y - 1):
-        for bx in range(cells_x - 1):
-            for i in range(2):
-                for j in range(2):
-                    np.maximum(out[by + i, bx + j], d.blocks[by, bx, i, j], out=out[by + i, bx + j])
+    for i in range(2):
+        for j in range(2):
+            tile = out[i : cells_y - 1 + i, j : cells_x - 1 + j]
+            np.maximum(tile, d.blocks[:, :, i, j], out=tile)
     return out
 
 
@@ -99,30 +103,23 @@ def render_hog(d: HogDescriptor) -> np.ndarray:
     Each cell shows one line segment per orientation bin, drawn along the
     edge direction (bin center + 90 degrees), with intensity proportional
     to the cell's normalized bin strength; the whole image is scaled so
-    the strongest response maps to 255.
+    the strongest response maps to 255. Where segments cross, a pixel
+    keeps the largest strength.
     """
     strengths = cell_strengths(d)
     cells_y, cells_x = strengths.shape[:2]
     canvas = np.zeros((cells_y * CELL, cells_x * CELL))
     half = (CELL - 1) / 2.0
     steps = np.linspace(-half, half, 2 * CELL)
-    bin_width = 180.0 / BINS
-    for cy in range(cells_y):
-        for cx in range(cells_x):
-            center_y = cy * CELL + half
-            center_x = cx * CELL + half
-            for b in range(BINS):
-                s = strengths[cy, cx, b]
-                if s <= 0:
-                    continue
-                theta = np.deg2rad(b * bin_width + 90.0)
-                ys = np.rint(center_y + steps * np.sin(theta)).astype(int)
-                xs = np.rint(center_x + steps * np.cos(theta)).astype(int)
-                keep = (
-                    (ys >= cy * CELL) & (ys < (cy + 1) * CELL)
-                    & (xs >= cx * CELL) & (xs < (cx + 1) * CELL)
-                )
-                np.maximum.at(canvas, (ys[keep], xs[keep]), s)
+    theta = np.deg2rad(np.arange(BINS) * (180.0 / BINS) + 90.0)[:, None]
+    # one (cells_y, cells_x, BINS, 2*CELL) grid of segment pixels; a segment
+    # reaches at most `half` px from its tile's center, so it stays in its
+    # tile, and a zero strength leaves the zero canvas as it is
+    top = (np.arange(cells_y) * CELL)[:, None, None, None]
+    left = (np.arange(cells_x) * CELL)[None, :, None, None]
+    ys = np.rint(top + half + steps * np.sin(theta)).astype(int)
+    xs = np.rint(left + half + steps * np.cos(theta)).astype(int)
+    np.maximum.at(canvas, (ys, xs), strengths[..., None])
     peak = canvas.max()
     if peak > 0:
         canvas = canvas * (255.0 / peak)

@@ -152,6 +152,16 @@ class TestTrainEvalRun:
             f"error: epochs and batch must be >= 1, got {values}"]
         assert not (tmp_path / "run").exists()
 
+    @pytest.mark.parametrize("flag,value", [("--lr", "nan"), ("--momentum", "inf")])
+    def test_train_non_finite_lr_or_momentum_exits_2(self, synth_dir, tmp_path, capsys,
+                                                      flag, value):
+        code = main(["train", "--data", str(synth_dir), "--out", str(tmp_path / "run")]
+                    + FAST_FLAGS + TINY_MODEL + [flag, value])
+        assert code == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {flag[2:]} must be finite, got {value}"]
+        assert not (tmp_path / "run").exists()
+
     def test_train_on_cache_of_other_iterations_exits_2(self, synth_dir, tmp_path, capsys):
         cache = tmp_path / "cache"
         assert main(["preprocess", "--clips", str(synth_dir), "--out", str(cache),
@@ -270,6 +280,16 @@ class TestTrainEvalRun:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.splitlines()[-1] == f"error: {key} must be finite, got nan"
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_run_non_finite_alpha_exits_2(self, synth_dir, trained, capsys, value):
+        clip = sorted(p.name for p in synth_dir.iterdir() if p.is_dir())[0]
+        code = main(["run", "--checkpoint", str(trained), "--clip", str(synth_dir / clip),
+                     "--alpha", value] + FAST_FLAGS)
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines()[-1] == f"error: alpha must be finite and > 0, got {value}"
 
     def test_run_byte_identical(self, synth_dir, trained, capsys):
         clip = sorted(p.name for p in synth_dir.iterdir() if p.is_dir())[0]

@@ -1,7 +1,10 @@
+import hashlib
+
 import numpy as np
 import pytest
 
-from rtar.preprocess import FlowParams, PreprocessConfig, preprocess_pair
+from rtar.preprocess import (PREPROCESS_VERSION, FlowParams, PreprocessConfig, pair_maps,
+                            preprocess_pair)
 from tests.test_flow import smooth_periodic_texture
 
 
@@ -50,3 +53,36 @@ class TestPreprocessPair:
         b = preprocess_pair(prev, nxt, cfg)
         for x, y in zip(a, b):
             assert np.array_equal(x, y)
+
+
+# sha256 of pair_maps' three outputs for one fixed synthetic pair, taken with
+# PREPROCESS_VERSION 1 under numpy 2.4.6. Caches record that version, so any
+# change to these bytes must come with a version bump and new digests.
+PAIR_MAPS_DIGESTS = {
+    32: {
+        "frame": "b0718565327610f3e0e119bbf64da1467b003b5766326fa0ceb5be3e1991fa45",
+        "flow": "e26c29ab9feec478dfed96e55b469ef1aba6259d8bd361508d28c9c3f06e623a",
+        "hog_img": "09fb426e61c8497009eeb3f3f83c0bcefa9b1ae01b7d4261fb8fdf4038a79592",
+    },
+    112: {
+        "frame": "77937f0cce3242d476057086456d30a50b0d542d4c2568673b875afd2bf0c7df",
+        "flow": "2dcb37b4f02c23743af94fb248b5b066da7ef8ea2552d987bec1187c4cb84cc1",
+        "hog_img": "c0bdf6d6da7653e78ab7ff5cd42dbebf40578725c02607b8ca9ea8eea4db597f",
+    },
+}
+
+
+def pinned_pair():
+    """A 120x160 pair of a smooth texture moved 3 px right, plus fixed noise."""
+    noise = np.random.default_rng(2024).integers(-12, 13, size=(2, 120, 160, 3))
+    frames = [texture_frame(160, seed=21, shift=s)[:120].astype(np.int64) for s in (0, 3)]
+    return [np.clip(f + n, 0, 255).astype(np.uint8) for f, n in zip(frames, noise)]
+
+
+@pytest.mark.parametrize("size", sorted(PAIR_MAPS_DIGESTS))
+def test_pair_maps_bytes_pinned_to_preprocess_version(size):
+    assert PREPROCESS_VERSION == 1
+    outputs = pair_maps(*pinned_pair(), PreprocessConfig(target_size=size))
+    got = {name: hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()
+           for name, a in zip(("frame", "flow", "hog_img"), outputs)}
+    assert got == PAIR_MAPS_DIGESTS[size]
