@@ -20,6 +20,7 @@ import time
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src"))
 
 from rtar import network, synth
+from rtar.errors import ContractViolationError
 from rtar.preprocess import FlowParams, PreprocessConfig
 
 
@@ -42,21 +43,25 @@ def main() -> int:
     args = ap.parse_args()
 
     t0 = time.monotonic()
-    cfg = synth.SynthConfig(num_classes=4, clips_per_class=args.clips_per_class,
-                            fps=args.fps, duration_s=args.duration,
-                            resolution=args.resolution, groups=args.groups)
-    pre = PreprocessConfig(target_size=args.target_size,
-                           sample_frames_per_second=args.sample_fps,
-                           flow=FlowParams(pyramid_levels=3, iterations=30),
-                           rng_seed=args.seed)
-    model = network.ModelConfig(num_classes=4, growth_rate=args.growth, compression=0.5,
-                                blocks=tuple(int(b) for b in args.blocks.split(",")),
-                                input_size=args.target_size, bn_enabled=False)
-    hyper = network.TrainConfig(lr=args.lr, momentum=0.9, epochs=args.epochs,
-                                batch=args.batch, seed=args.seed)
-    with tempfile.TemporaryDirectory(prefix="fusion_ablation_") as scratch:
-        out = args.keep or scratch
-        manifest, train_clips, _, runs = synth.fusion_ablation(cfg, pre, model, hyper, out)
+    try:
+        cfg = synth.SynthConfig(num_classes=4, clips_per_class=args.clips_per_class,
+                                fps=args.fps, duration_s=args.duration,
+                                resolution=args.resolution, groups=args.groups)
+        pre = PreprocessConfig(target_size=args.target_size,
+                               sample_frames_per_second=args.sample_fps,
+                               flow=FlowParams(pyramid_levels=3, iterations=30),
+                               rng_seed=args.seed)
+        model = network.ModelConfig(num_classes=4, growth_rate=args.growth, compression=0.5,
+                                    blocks=tuple(int(b) for b in args.blocks.split(",")),
+                                    input_size=args.target_size, bn_enabled=False)
+        hyper = network.TrainConfig(lr=args.lr, momentum=0.9, epochs=args.epochs,
+                                    batch=args.batch, seed=args.seed)
+        with tempfile.TemporaryDirectory(prefix="fusion_ablation_") as scratch:
+            out = args.keep or scratch
+            manifest, train_clips, _, runs = synth.fusion_ablation(cfg, pre, model, hyper, out)
+    except ContractViolationError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 2
     print(f"dataset: {len(manifest.train) + len(manifest.test)} clips "
           f"({len(manifest.train)} train / {len(manifest.test)} test) in {out}")
     print(f"preprocessed {sum(len(c.pairs) for c in train_clips)} training pairs")

@@ -98,13 +98,13 @@ def read_ppm(path: str | os.PathLike) -> np.ndarray:
         if maxval != 255:
             raise FormatError(f"unsupported maxval {maxval}", field="maxval")
         n = width * height * channels
-        payload = f.read(n)
-        if len(payload) != n:
+        payload = f.read()  # never more than the file holds, whatever n claims
+        if len(payload) < n:
             raise FormatError(
                 f"truncated payload: expected {n} bytes, got {len(payload)}",
                 field="payload",
             )
-    data = np.frombuffer(payload, dtype=np.uint8)
+    data = np.frombuffer(payload, dtype=np.uint8, count=n)
     if channels == 3:
         return data.reshape(height, width, 3)
     return data.reshape(height, width)
@@ -177,6 +177,8 @@ def read_flo(path: str | os.PathLike) -> np.ndarray:
             field="payload",
         )
     data = np.frombuffer(raw[12:], dtype="<f4")
+    if not np.all(np.isfinite(data)):
+        raise FormatError(f"{os.fspath(path)}: flow contains non-finite values", field="payload")
     return data.reshape(h, w, 2).copy()
 
 

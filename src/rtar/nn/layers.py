@@ -120,11 +120,11 @@ class BatchNorm(Layer):
         x_hat, var = self._take_cache()
         gamma = self.params["gamma"]
         n = x_hat.shape[0] * x_hat.shape[1]
-        self.grads["gamma"] += (dy * x_hat).sum(axis=(0, 1))
-        self.grads["beta"] += dy.sum(axis=(0, 1))
-        inv_std = 1.0 / np.sqrt(var + self.eps)
         sum_dy = dy.sum(axis=(0, 1))
         sum_dy_xhat = (dy * x_hat).sum(axis=(0, 1))
+        self.grads["gamma"] += sum_dy_xhat
+        self.grads["beta"] += sum_dy
+        inv_std = 1.0 / np.sqrt(var + self.eps)
         dx = (gamma * inv_std / n) * (n * dy - sum_dy - x_hat * sum_dy_xhat)
         return dx.astype(dy.dtype)
 

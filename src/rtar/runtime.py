@@ -177,63 +177,51 @@ def update_erroneous(
     return state, None
 
 
-# ---------------------------------------------------------------------------
-# Event log
-# ---------------------------------------------------------------------------
-
-def format_poll_line(decision: WindowDecision, erroneous_now: bool) -> str:
-    verdict = Verdict.ERRONEOUS if (erroneous_now and decision.verdict is not Verdict.CLASS) else decision.verdict
-    class_part = str(decision.class_id) if decision.class_id is not None else "-"
-    if decision.vote_counts:
-        votes = ",".join(f"{c}={decision.vote_counts[c]}" for c in sorted(decision.vote_counts))
-    else:
-        votes = "-"
-    return f"POLL\t{decision.poll_time:.3f}\t{verdict.value}\t{class_part}\t{votes}"
-
-
-def format_erroneous_line(event: ErroneousEvent) -> str:
-    return f"ERRONEOUS\t{event.time:.3f}"
-
-
-def poll_once(buf: FrameBuffer, state: ErroneousState, t: float, config: RuntimeConfig,
-              lines: list[str]) -> ErroneousState:
-    """Poll the buffer at stream time t, append the POLL line (and an
-    ERRONEOUS line when a span completes) to lines; returns the new state."""
-    decision = buffer_poll(buf, config.threshold_confidence, t)
-    state, event = update_erroneous(state, decision, config)
-    lines.append(format_poll_line(decision, erroneous_now=state.triggered))
-    if event is not None:
-        lines.append(format_erroneous_line(event))
-    return state
-
-
 class _Poller:
-    """The one poll schedule: marks at k * poll_interval in stream time.
+    """The one pair step and the one poll step, for both pipelines.
 
-    ``push`` polls at every mark before the record's timestamp, so a poll
-    at mark m sees exactly the records stamped at or before m.
+    Polls fall at k * poll_interval in stream time. ``classify`` polls
+    every mark before its pair's timestamp, then pushes the pair's record,
+    so a poll at mark m sees exactly the records stamped at or before m.
+    The ring holds one window of records arriving at ``rate`` per second.
     """
 
-    def __init__(self, capacity: int, config: RuntimeConfig):
-        self.buf = FrameBuffer(capacity)
-        self.config = config
+    def __init__(self, rate: float, config: RuntimeConfig, model, pre_config: PreprocessConfig):
+        self.buf = FrameBuffer(max(1, round(rate * config.window_seconds)))
+        self.config, self.model, self.pre_config = config, model, pre_config
         self.state = ErroneousState()
         self.lines: list[str] = []
         self.k = 1
 
+    def _poll(self, t: float) -> None:
+        """Poll the buffer at stream time t; log the POLL line, then an
+        ERRONEOUS line when a low-confidence span completes."""
+        decision = buffer_poll(self.buf, self.config.threshold_confidence, t)
+        self.state, event = update_erroneous(self.state, decision, self.config)
+        # a confident decision clears triggered, so only a low poll reads erroneous
+        verdict = Verdict.ERRONEOUS if self.state.triggered else decision.verdict
+        class_part = "-" if decision.class_id is None else str(decision.class_id)
+        votes = ",".join(f"{c}={n}" for c, n in sorted(decision.vote_counts.items())) or "-"
+        self.lines.append(f"POLL\t{t:.3f}\t{verdict.value}\t{class_part}\t{votes}")
+        if event is not None:
+            self.lines.append(f"ERRONEOUS\t{event.time:.3f}")
+
     def _poll_marks(self, due: Callable[[float], bool]) -> None:
         while due(mark := self.k * self.config.poll_interval):
-            self.state = poll_once(self.buf, self.state, mark, self.config, self.lines)
+            self._poll(mark)
             self.k += 1
 
-    def push(self, t: float, pred) -> None:
+    def classify(self, t: float, prev_frame: np.ndarray, next_frame: np.ndarray) -> None:
+        """Predict one frame pair and record it at stream time t."""
+        rgb, flow, hog = preprocess_pair(prev_frame, next_frame, self.pre_config)
+        pred = self.model.predict(rgb, flow, hog)
         self._poll_marks(lambda mark: mark < t)
         self.buf.push(FrameRecord(timestamp=t, class_id=pred.class_id, confidence=pred.confidence))
 
     def finish(self, end: float) -> list[str]:
         """Poll the marks up to ``end``, then once more at ``end``; returns the log."""
         self._poll_marks(lambda mark: mark <= end + 1e-9)
-        self.state = poll_once(self.buf, self.state, end, self.config, self.lines)
+        self._poll(end)
         return self.lines
 
 
@@ -257,12 +245,9 @@ def run_pipeline_offline(
     """
     meta = read_clip_meta(os.path.join(clip_dir, "clip.meta"))
     sample_fps = pre_config.sample_frames_per_second
-    poller = _Poller(max(1, round(sample_fps * config.window_seconds)), config)
+    poller = _Poller(sample_fps, config, model, pre_config)
     for i, j in sample_frames(meta, sample_fps, pre_config.rng_seed):
-        rgb, flow, hog = preprocess_pair(
-            read_frame(clip_dir, i, meta), read_frame(clip_dir, j, meta), pre_config
-        )
-        poller.push(i / meta.fps, model.predict(rgb, flow, hog))
+        poller.classify(i / meta.fps, read_frame(clip_dir, i, meta), read_frame(clip_dir, j, meta))
     return poller.finish(meta.duration_s)
 
 
@@ -328,7 +313,7 @@ def run_pipeline_live(
     exception from ``frames`` propagates.
     """
     queue = BoundedQueue(queue_size)
-    poller = _Poller(max(1, round(config.fps * config.window_seconds)), config)
+    poller = _Poller(config.fps, config, model, pre_config)
     failures: list[Exception] = []
 
     def infer():
@@ -336,8 +321,7 @@ def run_pipeline_live(
         try:
             while (item := queue.get()) is not None:
                 if prev is not None:
-                    rgb, flow, hog = preprocess_pair(prev[1], item[1], pre_config)
-                    poller.push(prev[0], model.predict(rgb, flow, hog))
+                    poller.classify(prev[0], prev[1], item[1])
                 prev = item
         except Exception as exc:  # re-raised on the caller's thread after join
             failures.append(exc)

@@ -227,9 +227,14 @@ def fusion_ablation(config: SynthConfig, pre: PreprocessConfig, model: network.M
     also draws the clips and initialises every model. Returns ``(manifest,
     train_clips, test_clips, runs)``, ``runs`` keyed by stream set."""
     result = generate_synthetic(config, seed=hyper.seed, out_dir=out_dir)
+    train, test = result.manifest.train, result.manifest.test
+    if not train or not test:
+        raise ContractViolationError(
+            f"clips_per_class={config.clips_per_class} and groups={config.groups} give "
+            f"{len(train)} train and {len(test)} test clips; both sections need a clip")
     labels = dataset.read_labels(result.labels_path)
-    train_clips = dataset.load_clip_samples(out_dir, result.manifest.train, labels, pre)
-    test_clips = dataset.load_clip_samples(out_dir, result.manifest.test, labels, pre)
+    train_clips = dataset.load_clip_samples(out_dir, train, labels, pre)
+    test_clips = dataset.load_clip_samples(out_dir, test, labels, pre)
     samples = dataset.flatten_samples(train_clips)
     runs = {}
     for streams in (("rgb", "flow", "hog"), ("rgb",), ("flow",), ("hog",)):

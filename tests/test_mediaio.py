@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -58,6 +60,14 @@ class TestPpm:
             mediaio.read_ppm(path)
         assert exc.value.field == "payload"
 
+    def test_header_larger_than_file_is_truncated_not_allocated(self, tmp_path):
+        # 3e18 payload bytes: more than any host can allocate
+        path = tmp_path / "huge.ppm"
+        path.write_bytes(b"P6\n1000000000 1000000000\n255\n" + bytes(3))
+        with pytest.raises(FormatError, match="truncated") as exc:
+            mediaio.read_ppm(path)
+        assert exc.value.field == "payload"
+
     @given(
         w=st.integers(1, 6),
         h=st.integers(1, 6),
@@ -105,6 +115,16 @@ class TestFlo:
         path.write_bytes(np.float32(202021.25).tobytes() + struct.pack("<ii", 2, 2) + bytes(8))
         with pytest.raises(FormatError, match="size mismatch"):
             mediaio.read_flo(path)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_read_rejects_nonfinite_payload(self, tmp_path, value):
+        path = tmp_path / "bad.flo"
+        payload = np.array([0.5, value], dtype="<f4").tobytes()
+        path.write_bytes(np.float32(202021.25).tobytes() + struct.pack("<ii", 1, 1) + payload)
+        with pytest.raises(FormatError, match="non-finite") as exc:
+            mediaio.read_flo(path)
+        assert exc.value.field == "payload"
+        assert str(path) in str(exc.value)
 
     def test_rejects_nonfinite(self, tmp_path):
         flow = np.zeros((1, 1, 2), dtype=np.float32)

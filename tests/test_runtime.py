@@ -201,18 +201,17 @@ class TestErroneous:
 
     def test_poll_once_logs_each_poll_and_the_span_event_once(self):
         config = RuntimeConfig(threshold_confidence=0.8, stipulated_time=1.0)
-        buf = FrameBuffer(2)
-        buf.push(rec(0.0, 3, conf=0.4))
-        state, lines = ErroneousState(), []
+        poller = runtime._Poller(2, config, None, PreprocessConfig())  # a 2-slot ring
+        poller.buf.push(rec(0.0, 3, conf=0.4))
         for t in (0.5, 1.0, 1.5):
-            state = runtime.poll_once(buf, state, t, config, lines)
-        assert lines == ["POLL\t0.500\tnoconfident\t-\t-",
-                         "POLL\t1.000\terroneous\t-\t-", "ERRONEOUS\t1.000",
-                         "POLL\t1.500\terroneous\t-\t-"]
-        buf.push(rec(1.6, 3))
-        state = runtime.poll_once(buf, state, 2.0, config, lines)
-        assert lines[-1] == "POLL\t2.000\tclass\t3\t3=1"
-        assert state == ErroneousState(last_confident_time=2.0, triggered=False)
+            poller._poll(t)
+        assert poller.lines == ["POLL\t0.500\tnoconfident\t-\t-",
+                                "POLL\t1.000\terroneous\t-\t-", "ERRONEOUS\t1.000",
+                                "POLL\t1.500\terroneous\t-\t-"]
+        poller.buf.push(rec(1.6, 3))
+        poller._poll(2.0)
+        assert poller.lines[-1] == "POLL\t2.000\tclass\t3\t3=1"
+        assert poller.state == ErroneousState(last_confident_time=2.0, triggered=False)
 
 
 class _ScriptedModel:
@@ -286,6 +285,63 @@ class TestOfflinePipeline:
         a = runtime.run_pipeline_offline(clip, _ScriptedModel(), RuntimeConfig(), FAST_PRE)
         b = runtime.run_pipeline_offline(clip, _ScriptedModel(), RuntimeConfig(), FAST_PRE)
         assert a == b
+
+
+class _CyclingModel(_ScriptedModel):
+    """Predicts by call count: two confident classes, six low-confidence
+    calls, then a confident class twice, over and over."""
+
+    CYCLE = ((0, 0.9), (1, 0.9)) + ((2, 0.3),) * 6 + ((3, 0.9),) * 2
+
+    def predict(self, rgb, flow, hog):
+        self.class_id, self.confidence = self.CYCLE[self.calls % len(self.CYCLE)]
+        return super().predict(rgb, flow, hog)
+
+
+class TestEventLogPinned:
+    """Whole event logs, byte for byte: a tie, a confident class, a
+    low-confidence span and its one ERRONEOUS line. No float decides them."""
+
+    def test_offline_log(self, tmp_path):
+        clip = _make_clip(tmp_path, seconds=5, fps=8)
+        config = RuntimeConfig(threshold_confidence=0.5, stipulated_time=1.0)
+        # the sampled pairs fall at 0.625, 0.875, 1.125, 1.25, 2.0, 2.875,
+        # 3.625, 3.875, 4.375 and 4.5 s; the ring holds two records
+        assert runtime.run_pipeline_offline(clip, _CyclingModel(), config, FAST_PRE) == [
+            "POLL\t0.500\tnoconfident\t-\t-",
+            "POLL\t1.000\tclass\t1\t0=1,1=1",
+            "POLL\t1.500\tnoconfident\t-\t-",
+            "POLL\t2.000\terroneous\t-\t-",
+            "ERRONEOUS\t2.000",
+            "POLL\t2.500\terroneous\t-\t-",
+            "POLL\t3.000\terroneous\t-\t-",
+            "POLL\t3.500\terroneous\t-\t-",
+            "POLL\t4.000\terroneous\t-\t-",
+            "POLL\t4.500\tclass\t3\t3=2",
+            "POLL\t5.000\tclass\t3\t3=2",
+            "POLL\t5.000\tclass\t3\t3=2",
+        ]
+
+    def test_live_log_without_drops(self):
+        frames = [(i / 8, np.zeros((16, 16, 3), dtype=np.uint8)) for i in range(16)]
+        config = RuntimeConfig(fps=8, poll_interval=0.25, threshold_confidence=0.5,
+                               stipulated_time=0.5, window_seconds=0.25)
+        lines, dropped = runtime.run_pipeline_live(iter(frames), _CyclingModel(), config,
+                                                   FAST_PRE, queue_size=len(frames))
+        assert dropped == 0
+        assert lines == [
+            "POLL\t0.250\tclass\t1\t1=1",
+            "POLL\t0.500\tnoconfident\t-\t-",
+            "POLL\t0.750\terroneous\t-\t-",
+            "ERRONEOUS\t0.750",
+            "POLL\t1.000\tclass\t3\t3=1",
+            "POLL\t1.250\tclass\t0\t0=1,3=1",
+            "POLL\t1.500\tclass\t1\t1=1",
+            "POLL\t1.750\tnoconfident\t-\t-",
+            "POLL\t2.000\terroneous\t-\t-",
+            "ERRONEOUS\t2.000",
+            "POLL\t2.000\terroneous\t-\t-",
+        ]
 
 
 class TestBoundedQueue:

@@ -25,6 +25,20 @@ def test_fusion_ablation_prints_four_rows_and_removes_its_dataset(tmp_path):
     assert os.listdir(tmp_path) == []
 
 
+def test_fusion_ablation_with_an_empty_section_exits_2(tmp_path):
+    proc = subprocess.run(
+        [sys.executable, "scripts/fusion_ablation.py", "--clips-per-class", "1",
+         "--groups", "2", "--resolution", "32", "--target-size", "16", "--duration", "1.0"],
+        cwd=ROOT, env={**os.environ, "TMPDIR": str(tmp_path)},
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: clips_per_class=1 and groups=2 give 4 train and 0 test")
+    assert len(proc.stderr.splitlines()) == 1
+    assert os.listdir(tmp_path) == []
+
+
 @pytest.mark.parametrize("script", ["fusion_ablation.py", "flow_accuracy.py"])
 def test_script_help_runs_from_another_directory(script, tmp_path):
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}

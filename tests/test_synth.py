@@ -4,9 +4,9 @@ import os
 import numpy as np
 import pytest
 
-from rtar import dataset, mediaio, synth
+from rtar import dataset, mediaio, network, synth
 from rtar.errors import ContractViolationError
-from rtar.preprocess import FlowParams, compute_flow, sample_frames
+from rtar.preprocess import FlowParams, PreprocessConfig, compute_flow, sample_frames
 from rtar.preprocess.resize import grayscale_bt601
 
 SMALL = synth.SynthConfig(num_classes=4, clips_per_class=4, fps=4, duration_s=1.5,
@@ -93,6 +93,25 @@ class TestGenerator:
     def test_rejects_tiny_resolution(self):
         with pytest.raises(ContractViolationError):
             synth.SynthConfig(resolution=16)
+
+
+class TestFusionAblation:
+    def test_empty_test_section_is_an_error_before_training(self, tmp_path, monkeypatch):
+        def train(*args, **kwargs):
+            raise AssertionError("trained with an empty section")
+
+        monkeypatch.setattr(network, "train", train)
+        # one clip per class over two groups puts every clip in train
+        config = synth.SynthConfig(clips_per_class=1, fps=4, duration_s=1.0, resolution=32,
+                                   groups=2)
+        pre = PreprocessConfig(target_size=16, sample_frames_per_second=2,
+                               flow=FlowParams(pyramid_levels=2, iterations=8))
+        model = network.ModelConfig(num_classes=4, growth_rate=2, blocks=(1,), input_size=16,
+                                    bn_enabled=False)
+        hyper = network.TrainConfig(lr=0.05, epochs=1, batch=4, seed=0)
+        with pytest.raises(ContractViolationError,
+                           match="clips_per_class=1 and groups=2 give 4 train and 0 test"):
+            synth.fusion_ablation(config, pre, model, hyper, tmp_path)
 
 
 class TestMotionVsFlow:
