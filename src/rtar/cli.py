@@ -1,5 +1,5 @@
 """The ``rtar`` command: preprocessing, training, evaluation, offline and
-live runs, dataset tooling, and stage benchmarks.
+live runs, dataset tooling, the fusion ablation, and stage benchmarks.
 
 Settings resolve as flags > config file (``key=value`` lines) > defaults,
 and every run prints its fully resolved configuration as ``#``-prefixed
@@ -73,6 +73,10 @@ PREPROCESS_KEYS = ["target_size", "sample_fps", "pyramid_levels", "flow_scale", 
                    "iterations"]
 # the settings that shape ModelConfig besides its class count and input size
 MODEL_KEYS = ["growth", "blocks", "compression", "bottleneck", "streams", "bn"]
+# the settings that shape SynthConfig
+SYNTH_KEYS = ["classes", "clips_per_class", "fps", "duration", "resolution", "groups"]
+# the settings that shape TrainConfig besides its seed
+TRAIN_KEYS = ["epochs", "lr", "momentum", "batch"]
 
 
 def _coerce(key: str, raw: str):
@@ -162,6 +166,17 @@ class Settings:
             input_size=self.target_size, bn_enabled=self.bn, streams=streams,
         )
 
+    def synth_config(self) -> synth.SynthConfig:
+        return synth.SynthConfig(
+            num_classes=self.classes or synth.SynthConfig.num_classes,
+            clips_per_class=self.clips_per_class, fps=self.fps, duration_s=self.duration,
+            resolution=self.resolution, groups=self.groups,
+        )
+
+    def train_config(self) -> network.TrainConfig:
+        return network.TrainConfig(lr=self.lr, momentum=self.momentum, epochs=self.epochs,
+                                   batch=self.batch, seed=self.seed)
+
     def runtime_config(self, fps: int) -> runtime.RuntimeConfig:
         """``fps`` is the source clip's frame rate, at which live mode
         predicts and so sizes its ring."""
@@ -226,8 +241,7 @@ def cmd_train(args, s: Settings) -> int:
     manifest, labels = _load_sections(args.data)
     if not manifest.train:
         raise UsageError("split.txt has an empty [train] section")
-    hyper = network.TrainConfig(lr=s.lr, momentum=s.momentum, epochs=s.epochs,
-                                batch=s.batch, seed=s.seed)
+    hyper = s.train_config()
     num_classes = s.classes or (max(labels.values()) + 1)
     pre = s.preprocess_config()
     clips = ds.load_clip_samples(args.data, manifest.train, labels, pre,
@@ -307,16 +321,28 @@ def cmd_validate(args, s: Settings) -> int:
 
 
 def cmd_synth(args, s: Settings) -> int:
-    config = synth.SynthConfig(
-        num_classes=s.classes or synth.SynthConfig.num_classes, clips_per_class=s.clips_per_class,
-        fps=s.fps, duration_s=s.duration, resolution=s.resolution,
-        groups=s.groups,
-    )
-    result = synth.generate_synthetic(config, seed=s.seed, out_dir=args.out)
+    result = synth.generate_synthetic(s.synth_config(), seed=s.seed, out_dir=args.out)
     print(f"generated {len(result.clip_names)} clips in {result.out_dir}")
     print(f"labels: {result.labels_path}")
     print(f"split:  {result.split_path} "
           f"({len(result.manifest.train)} train / {len(result.manifest.test)} test)")
+    return 0
+
+
+def cmd_ablation(args, s: Settings) -> int:
+    t0 = time.monotonic()
+    config = s.synth_config()
+    manifest, train_clips, _, runs = synth.fusion_ablation(
+        config, s.preprocess_config(), s.model_config(config.num_classes), s.train_config(),
+        args.out)
+    print(f"dataset: {len(manifest.train) + len(manifest.test)} clips "
+          f"({len(manifest.train)} train / {len(manifest.test)} test) in {args.out}")
+    print(f"preprocessed {sum(len(c.pairs) for c in train_clips)} training pairs")
+    print(f"\n{'streams':<16}{'clip_acc':>9}{'frame_acc':>10}{'params':>9}{'secs':>6}")
+    for streams, run in runs.items():
+        print(f"{','.join(streams):<16}{run.report.accuracy:>9.3f}{run.report.frame_accuracy:>10.3f}"
+              f"{network.parameter_count(run.model):>9d}{run.seconds:>6.0f}")
+    print(f"\ntotal wall time {time.monotonic() - t0:.0f}s")
     return 0
 
 
@@ -397,8 +423,7 @@ COMMANDS = {
                           {"clips": REQUIRED, "out": REQUIRED}, PREPROCESS_KEYS),
     "train": Command(cmd_train, "train a model on a clip dataset",
                      {"data": REQUIRED, "out": REQUIRED, "cache": {}},
-                     PREPROCESS_KEYS + ["classes"] + MODEL_KEYS
-                     + ["epochs", "lr", "momentum", "batch"]),
+                     PREPROCESS_KEYS + ["classes"] + MODEL_KEYS + TRAIN_KEYS),
     "eval": Command(cmd_eval, "evaluate a checkpoint on a split section",
                     {"checkpoint": REQUIRED, "data": REQUIRED, "cache": {}},
                     PREPROCESS_KEYS + ["threshold", "section"]),
@@ -409,10 +434,13 @@ COMMANDS = {
     "dataset validate": Command(cmd_validate, "check a split manifest",
                                 {"manifest": REQUIRED}, ["expect_train", "expect_test"]),
     "dataset synth": Command(cmd_synth, "generate a synthetic clip set", {"out": REQUIRED},
-                             ["classes", "clips_per_class", "fps", "duration", "resolution",
-                              "groups"]),
+                             SYNTH_KEYS),
     "dataset split": Command(cmd_split, "write a group-disjoint split manifest",
                              {"clips": REQUIRED, "out": REQUIRED}, ["test_fraction"]),
+    # every stream set is trained, so ``streams`` is no flag here
+    "ablation": Command(cmd_ablation, "fused vs single-stream accuracy on a synthetic set",
+                        {"out": REQUIRED}, SYNTH_KEYS + PREPROCESS_KEYS
+                        + [k for k in MODEL_KEYS if k != "streams"] + TRAIN_KEYS),
     "bench": Command(cmd_bench, "per-stage timing table", {},
                      ["frames"] + PREPROCESS_KEYS + MODEL_KEYS),
 }
@@ -462,7 +490,7 @@ def main(argv=None) -> int:
         s = Settings(args)
         _emit(s.header(args.command), sys.stderr if args.command == "run" else sys.stdout)
         return COMMANDS[args.command].run(args, s)
-    except (UsageError, FormatError, ContractViolationError, FileNotFoundError) as e:
+    except (UsageError, FormatError, ContractViolationError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

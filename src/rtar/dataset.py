@@ -108,11 +108,7 @@ def load_split(path: str | os.PathLike) -> SplitManifest:
         section.append(line)
     if not manifest.train and not manifest.test:
         warnings.warn(f"{path}: empty split manifest", stacklevel=2)
-    overlap = sorted(set(manifest.train) & set(manifest.test))
-    if overlap:
-        raise FormatError(
-            f"clips present in both sections: {', '.join(overlap)}", field="overlap"
-        )
+    validate_split(manifest)
     return manifest
 
 

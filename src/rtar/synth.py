@@ -64,6 +64,8 @@ class SynthConfig:
             )
         if any(m not in MOTIONS for m in self.motions):
             raise ContractViolationError(f"motions must be drawn from {MOTIONS}")
+        if not 0 < self.duration_s < math.inf:
+            raise ContractViolationError(f"duration_s must be finite and > 0, got {self.duration_s}")
         if self.clips_per_class < 1 or self.groups < 2 or self.fps < 2:
             raise ContractViolationError("need clips_per_class >= 1, groups >= 2, fps >= 2")
         if self.num_classes > 12:

@@ -1,5 +1,6 @@
 import argparse
 import os
+import tempfile
 
 import numpy as np
 import pytest
@@ -92,6 +93,14 @@ class TestDatasetCommands:
         assert captured.err == f"error: test_fraction must be in (0, 1), got {float(fraction)}\n"
         assert not split_out.exists()
 
+    @pytest.mark.parametrize("duration", ["nan", "inf", "-1", "0"])
+    def test_synth_duration_not_finite_and_positive_exits_2(self, tmp_path, capsys, duration):
+        out = tmp_path / "data"
+        assert main(["dataset", "synth", "--out", str(out), "--duration", duration]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: duration_s must be finite and > 0, got {float(duration)}"]
+        assert not out.exists()
+
     def test_missing_required_flag(self, capsys):
         code = main(["dataset", "validate"])
         assert code == 2
@@ -112,13 +121,69 @@ def test_every_command_takes_exactly_its_header_keys(monkeypatch):
     monkeypatch.delenv("RTAR_THREADS", raising=False)
     settings = Settings(argparse.Namespace())
     commands = dict(_leaf_parsers(build_parser()))
-    assert sorted(commands) == ["bench", "dataset split", "dataset synth", "dataset validate",
-                                "eval", "preprocess", "run", "train"]
+    assert sorted(commands) == ["ablation", "bench", "dataset split", "dataset synth",
+                                "dataset validate", "eval", "preprocess", "run", "train"]
     for command, parser in commands.items():
         flags = {a.dest for a in parser._actions if a.dest in OPTION_DEFAULTS}
         header = [line[2:].partition("=")[0] for line in settings.header(command)]
         assert header[0] == "command" and header[1:3] == ["seed", "threads"]
         assert sorted(header[1:]) == sorted(flags), command
+
+
+@pytest.mark.parametrize("argv, reason", [
+    (["dataset", "synth", "--out", "{file}"], "File exists"),
+    (["preprocess", "--clips", "{data}", "--out", "{file}"], "File exists"),
+    (["dataset", "validate", "--manifest", "{data}"], "Is a directory"),
+], ids=["synth_out_is_a_file", "preprocess_out_is_a_file", "manifest_is_a_directory"])
+def test_os_error_exits_2_with_one_line(synth_dir, tmp_path, capsys, argv, reason):
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    assert main([a.format(file=taken, data=synth_dir) for a in argv]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and reason in err[0]
+
+
+def _readme_commands():
+    """Every ``rtar ...`` line in README's code blocks, continuations joined."""
+    with open(os.path.join(os.path.dirname(os.path.dirname(__file__)), "README.md")) as f:
+        blocks = f.read().split("```")[1::2]
+    lines = [line for block in blocks for line in block.replace("\\\n", " ").splitlines()]
+    return [line.split()[1:] for line in lines if line.strip().startswith("rtar ")]
+
+
+def test_readme_commands_parse():
+    commands = [build_parser().parse_args(argv).command for argv in _readme_commands()]
+    assert len(commands) >= 6 and "ablation" in commands
+
+
+class TestAblation:
+    def test_prints_four_rows_and_writes_only_under_out(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        assert main(["ablation", "--out", "out"] + SYNTH_ARGS + FAST_FLAGS + TINY_MODEL) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert out[0] == "# command=ablation" and "# streams=rgb,flow,hog" not in out
+        header = out.index(f"{'streams':<16}{'clip_acc':>9}{'frame_acc':>10}{'params':>9}{'secs':>6}")
+        rows = [line.split() for line in out[header + 1 : header + 5]]
+        assert [row[0] for row in rows] == ["rgb,flow,hog", "rgb", "flow", "hog"]
+        for row in rows:
+            assert len(row) == 5 and 0 <= float(row[1]) <= 1 and 0 <= float(row[2]) <= 1
+            assert int(row[3]) > 0
+        assert out[header + 5] == ""
+        assert os.listdir(tmp_path) == ["out"]
+        assert (tmp_path / "out" / "split.txt").exists()
+
+    def test_empty_section_exits_2(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        one_clip = SYNTH_ARGS[:1] + ["1"] + SYNTH_ARGS[2:]  # --clips-per-class 1
+        assert main(["ablation", "--out", "out"] + one_clip + FAST_FLAGS + TINY_MODEL) == 2
+        captured = capsys.readouterr()
+        assert all(line.startswith("# ") for line in captured.out.splitlines())
+        assert captured.err.startswith(
+            "error: clips_per_class=1 and groups=2 give 4 train and 0 test")
+        assert len(captured.err.splitlines()) == 1
+        assert os.listdir(tmp_path) == ["out"]
 
 
 class TestPreprocessCommand:
@@ -431,7 +496,8 @@ class TestConfigFile:
         cfg.write_text("blocks=4,x\n")
         train = ["train", "--data", str(tmp_path), "--out", str(tmp_path / "run"),
                  "--config", str(cfg)]
-        for argv in (TINY_BENCH + ["--blocks", "4,x"], train):
+        ablation = ["ablation", "--out", str(tmp_path / "ab"), "--blocks", "4,x"]
+        for argv in (TINY_BENCH + ["--blocks", "4,x"], train, ablation):
             assert main(argv) == 2
             captured = capsys.readouterr()
             assert captured.out == ""

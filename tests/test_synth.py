@@ -94,6 +94,14 @@ class TestGenerator:
         with pytest.raises(ContractViolationError):
             synth.SynthConfig(resolution=16)
 
+    @pytest.mark.parametrize("duration", [float("nan"), float("inf"), -1.0, 0.0])
+    def test_rejects_duration_not_finite_and_positive(self, duration):
+        with pytest.raises(ContractViolationError, match="duration_s must be finite and > 0"):
+            synth.SynthConfig(duration_s=duration)
+
+    def test_short_positive_duration_keeps_two_frames(self):
+        assert synth.SynthConfig(fps=4, duration_s=0.1).frame_count == 2
+
 
 class TestFusionAblation:
     def test_empty_test_section_is_an_error_before_training(self, tmp_path, monkeypatch):
