@@ -9,6 +9,7 @@ files map ``clipname<TAB>class_id`` with zero-based model labels.
 
 from __future__ import annotations
 
+import hashlib
 import os
 import re
 import warnings
@@ -220,6 +221,7 @@ def _write_if_changed(path: str, data: bytes) -> bool:
 
 
 CACHE_CONFIG = "cache.config"
+CACHE_SUMS = "cache.sums"
 
 
 def _config_stamp(config: PreprocessConfig) -> str:
@@ -236,30 +238,70 @@ def _cached_config(cache_dir) -> str | None:
         return None
 
 
-def _cache_one_clip(clips_dir, name, config: PreprocessConfig, out_dir):
+def _sha256(*chunks: bytes) -> str:
+    h = hashlib.sha256()
+    for chunk in chunks:
+        h.update(chunk)
+    return h.hexdigest()
+
+
+def _frames_digest(*frames) -> str:
+    return _sha256(*(part for f in frames for part in (repr(f.shape).encode("ascii"), f.tobytes())))
+
+
+def _file_digest(path: str) -> str | None:
+    try:
+        with open(path, "rb") as f:
+            return _sha256(f.read())
+    except FileNotFoundError:
+        return None
+
+
+def _read_sums(cache_dir) -> dict[str, list[str]]:
+    """The ``cache.sums`` rows keyed by flo file name: [frames, flo, pgm]
+    digests. A row without four fields is dropped; a garbled digest is
+    kept and matches nothing."""
+    try:
+        with open(os.path.join(cache_dir, CACHE_SUMS), encoding="ascii", errors="replace") as f:
+            rows = [line.rstrip("\n").split("\t") for line in f]
+    except FileNotFoundError:
+        return {}
+    return {row[0]: row[1:] for row in rows if len(row) == 4}
+
+
+def _cache_one_clip(clips_dir, name, config: PreprocessConfig, out_dir, sums):
     clip_dir = os.path.join(clips_dir, name)
     meta = mediaio.read_clip_meta(os.path.join(clip_dir, "clip.meta"))
     pairs = sample_frames(meta, config.sample_frames_per_second, config.rng_seed)
-    rows = []
+    rows, sum_rows = [], []
     written = skipped = 0
     for k, (i, j) in enumerate(pairs):
-        _, flow, hog_img = pair_maps(mediaio.read_frame(clip_dir, i, meta),
-                                     mediaio.read_frame(clip_dir, j, meta), config)
+        prev, nxt = mediaio.read_frame(clip_dir, i, meta), mediaio.read_frame(clip_dir, j, meta)
         flo_name, pgm_name = cache_names(name, k)
-        for path, data in ((flo_name, mediaio.flo_bytes(flow)),
-                           (pgm_name, mediaio.pgm_bytes(hog_img))):
-            if _write_if_changed(os.path.join(out_dir, path), data):
-                written += 1
-            else:
-                skipped += 1
+        paths = [os.path.join(out_dir, n) for n in (flo_name, pgm_name)]
+        digests = [_frames_digest(prev, nxt)]
+        recorded = sums.get(flo_name)
+        if (recorded is not None and recorded[0] == digests[0]
+                and recorded[1:] == [_file_digest(path) for path in paths]):
+            digests = recorded
+            skipped += 2
+        else:
+            _, flow, hog_img = pair_maps(prev, nxt, config)
+            for path, data in zip(paths, (mediaio.flo_bytes(flow), mediaio.pgm_bytes(hog_img))):
+                if _write_if_changed(path, data):
+                    written += 1
+                else:
+                    skipped += 1
+                digests.append(_sha256(data))
         rows.append(f"{name}\t{k}\t{flo_name}\t{pgm_name}")
+        sum_rows.append("\t".join([flo_name, *digests]))
     # remove the pairs an earlier build sampled past this config's last one
     k = len(pairs)
     while True:
         stale = [os.path.join(out_dir, n) for n in cache_names(name, k)]
         stale = [path for path in stale if os.path.exists(path)]
         if not stale:
-            return rows, written, skipped
+            return rows, sum_rows, written, skipped
         for path in stale:
             os.remove(path)
         k += 1
@@ -279,42 +321,58 @@ def precompute_cache(
     build at a higher sample rate) are removed; removals count in neither
     ``written`` nor ``skipped``. Every file is replaced atomically. An
     unreadable clip is recorded as FAILED in the index and processing
-    continues. Clips are processed on ``threads`` workers; the index is
-    written once at the end by a single writer. ``cache.config`` records
-    the preprocessing version and the config the files were computed with:
-    it is removed while files of another config may remain, written last,
-    and counted in neither ``written`` nor ``skipped``.
+    continues. Clips are processed on ``threads`` workers.
+
+    ``cache.sums`` records, per indexed pair, the sha256 of its two
+    decoded frames and of its ``.flo`` and ``.pgm`` bytes. When the
+    ``cache.config`` found at the start equals this build's, a pair whose
+    frames and files still hash to its row is read and hashed instead of
+    recomputed, and counts as two skipped files; any other pair is
+    recomputed, which repairs an edited or damaged file. Deleting
+    ``cache.sums`` forces every pair to be recomputed.
+
+    ``cache.config`` records the preprocessing version and the config the
+    files were computed with. It is removed while files of another config
+    may remain. A single writer writes ``cache.sums``, then
+    ``cache.index``, then ``cache.config``, so a build cut short leaves no
+    stamp vouching for files it did not finish; none of the three counts
+    in ``written`` or ``skipped``.
     """
     if threads < 1:
         raise ContractViolationError(f"threads must be >= 1, got {threads}")
     os.makedirs(out_dir, exist_ok=True)
     config_path = os.path.join(out_dir, CACHE_CONFIG)
     stamp = _config_stamp(config)
-    if _cached_config(out_dir) not in (None, stamp):
+    built = _cached_config(out_dir)
+    if built not in (None, stamp):
         os.remove(config_path)
-    results: dict[str, list[str]] = {}
+    sums = _read_sums(out_dir) if built == stamp else {}
+    results: dict[str, tuple[list[str], list[str]]] = {}
     failures: list[tuple[str, str]] = []
     written = skipped = 0
 
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        futures = {name: pool.submit(_cache_one_clip, clips_dir, name, config, out_dir)
+        futures = {name: pool.submit(_cache_one_clip, clips_dir, name, config, out_dir, sums)
                    for name in clip_names}
         for name, future in futures.items():
             try:
-                rows, w, s = future.result()
-                results[name] = rows
+                rows, sum_rows, w, s = future.result()
+                results[name] = rows, sum_rows
                 written += w
                 skipped += s
             except (FormatError, OSError, ContractViolationError) as e:
                 failures.append((name, str(e)))
-    _write_if_changed(config_path, stamp.encode("ascii"))
 
+    done = [results[name] for name in clip_names if name in results]
+    _write_if_changed(os.path.join(out_dir, CACHE_SUMS),
+                      "".join(row + "\n" for _, sum_rows in done for row in sum_rows).encode("ascii"))
     index_path = os.path.join(out_dir, "cache.index")
-    lines = [row for name in clip_names for row in results.get(name, [])]
+    lines = [row for rows, _ in done for row in rows]
     for name, reason in sorted(failures):
         safe = reason.replace("\t", " ").replace("\n", " ")
         lines.append(f"{name}\tFAILED\t{safe}\t-")
     _write_if_changed(index_path, "".join(line + "\n" for line in lines).encode("ascii"))
+    _write_if_changed(config_path, stamp.encode("ascii"))
     return CacheResult(index_path=index_path, written=written, skipped=skipped,
                        failures=failures)
 

@@ -1,5 +1,6 @@
 import argparse
 import os
+import re
 import tempfile
 
 import numpy as np
@@ -196,7 +197,11 @@ class TestPreprocessCommand:
         assert list(out.glob("*.flo"))
         text = capsys.readouterr().out
         assert "# command=preprocess" in text
-        assert "files written" in text
+        written = int(re.search(r"(\d+) files written, 0 unchanged", text).group(1))
+        assert written > 0
+        assert main(["preprocess", "--clips", str(synth_dir), "--out", str(out),
+                     "--seed", "3"] + FAST_FLAGS) == 0
+        assert f"0 files written, {written} unchanged" in capsys.readouterr().out
 
 
 class TestTrainEvalRun:

@@ -146,6 +146,19 @@ FAST_PRE = PreprocessConfig(target_size=16, sample_frames_per_second=3,
                             flow=FlowParams(pyramid_levels=2, iterations=12))
 
 
+def _count_pair_maps(monkeypatch) -> list:
+    """Replace dataset.pair_maps by a pass-through that records each call."""
+    calls = []
+    real_pair_maps = dataset.pair_maps
+
+    def counting(*args):
+        calls.append(args)
+        return real_pair_maps(*args)
+
+    monkeypatch.setattr(dataset, "pair_maps", counting)
+    return calls
+
+
 class TestCache:
     def test_file_counts_for_one_second_clip(self, tmp_path):
         clips = tmp_path / "clips"
@@ -162,19 +175,86 @@ class TestCache:
         assert len(index) == 3
         assert index[0].split("\t")[0] == name
 
-    def test_rerun_rewrites_nothing(self, tmp_path):
-        clips = tmp_path / "clips"
-        clips.mkdir()
-        name = "HandWash_000_A_01_G_00.avi"
-        _write_test_clip(clips, name)
-        out = tmp_path / "cache"
-        dataset.precompute_cache(clips, [name], FAST_PRE, out)
+    def test_rerun_rewrites_nothing(self, tmp_path, monkeypatch):
+        clips, name, out = self._one_clip_cache(tmp_path)
         stamps = {p.name: p.stat().st_mtime_ns for p in out.iterdir()}
+        calls = _count_pair_maps(monkeypatch)
         second = dataset.precompute_cache(clips, [name], FAST_PRE, out)
-        assert second.written == 0
-        for p in out.iterdir():
-            if p.name != "cache.index":
-                assert p.stat().st_mtime_ns == stamps[p.name]
+        assert (second.written, second.skipped, len(calls)) == (0, 6, 0)
+        assert {p.name: p.stat().st_mtime_ns for p in out.iterdir()} == stamps
+
+    def test_rerun_repairs_an_altered_cache_file(self, tmp_path, monkeypatch):
+        clips, name, out = self._one_clip_cache(tmp_path)
+        altered = out / dataset.cache_names(name, 1)[0]
+        cold = altered.read_bytes()
+        altered.write_bytes(cold[:-4] + b"\0\0\0\0")
+        calls = _count_pair_maps(monkeypatch)
+        result = dataset.precompute_cache(clips, [name], FAST_PRE, out)
+        assert (result.written, result.skipped, len(calls)) == (1, 5, 1)
+        assert altered.read_bytes() == cold
+
+    def test_rerun_recomputes_the_pairs_of_an_edited_frame(self, tmp_path, monkeypatch):
+        clips, name, out = self._one_clip_cache(tmp_path)
+        meta = mediaio.read_clip_meta(clips / name / "clip.meta")
+        pairs = sample_frames(meta, FAST_PRE.sample_frames_per_second, FAST_PRE.rng_seed)
+        edited = pairs[1][1]
+        path = clips / name / mediaio.FRAME_NAME.format(edited)
+        mediaio.write_ppm(255 - mediaio.read_ppm(path), path)
+        before = (out / "cache.sums").read_text().splitlines()
+        calls = _count_pair_maps(monkeypatch)
+        dataset.precompute_cache(clips, [name], FAST_PRE, out)
+        after = (out / "cache.sums").read_text().splitlines()
+        touched = [k for k, pair in enumerate(pairs) if edited in pair]
+        assert len(calls) == len(touched)
+        assert [k for k, (a, b) in enumerate(zip(before, after, strict=True)) if a != b] == touched
+
+    @pytest.mark.parametrize("damage", [
+        lambda sums: sums.unlink(),
+        lambda sums: sums.write_bytes(b""),
+        lambda sums: sums.write_bytes(sums.read_bytes()[:40]),
+        lambda sums: sums.write_bytes(b"".join(line.rsplit(b"\t", 1)[0] + b"\n"
+                                               for line in sums.read_bytes().splitlines())),
+        lambda sums: sums.write_bytes(sums.read_bytes().replace(b"\t", b"\t\xff\xfe")),
+    ], ids=["deleted", "emptied", "truncated", "short_rows", "non_ascii"])
+    def test_damaged_sums_recompute_every_pair(self, tmp_path, monkeypatch, damage):
+        clips, name, out = self._one_clip_cache(tmp_path)
+        cold = {p.name: p.read_bytes() for p in out.iterdir()}
+        damage(out / "cache.sums")
+        calls = _count_pair_maps(monkeypatch)
+        result = dataset.precompute_cache(clips, [name], FAST_PRE, out)
+        assert (result.written, len(calls)) == (0, 3)
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == cold
+
+    @pytest.mark.parametrize("stamp_change", ["another_config", "no_config"])
+    def test_rebuild_without_matching_stamp_recomputes_every_pair(self, tmp_path, monkeypatch,
+                                                                    stamp_change):
+        clips, name, out = self._one_clip_cache(tmp_path)
+        config = FAST_PRE
+        if stamp_change == "another_config":
+            config = dataclasses.replace(FAST_PRE, flow=dataclasses.replace(FAST_PRE.flow,
+                                                                            iterations=1))
+        else:
+            (out / "cache.config").unlink()
+        calls = _count_pair_maps(monkeypatch)
+        dataset.precompute_cache(clips, [name], config, out)
+        assert len(calls) == 3
+
+    def test_failed_index_write_leaves_no_config(self, tmp_path, monkeypatch):
+        other = dataclasses.replace(FAST_PRE, rng_seed=5)
+        clips, name, out = self._one_clip_cache(tmp_path)
+        real_write = dataset._write_if_changed
+
+        def failing_index_write(path, data):
+            if os.path.basename(path) == "cache.index":
+                raise OSError("no space left on device")
+            return real_write(path, data)
+
+        monkeypatch.setattr(dataset, "_write_if_changed", failing_index_write)
+        with pytest.raises(OSError, match="no space"):
+            dataset.precompute_cache(clips, [name], other, out)
+        assert not (out / "cache.config").exists()
+        with pytest.raises(FormatError, match="unrecorded"):
+            dataset.load_clip_samples(clips, [name], {name: 0}, other, cache_dir=out)
 
     def test_cached_flow_matches_fresh_bitwise(self, tmp_path):
         clips = tmp_path / "clips"
