@@ -373,15 +373,15 @@ def cmd_bench(args, s: Settings) -> int:
     gray = [grayscale_bt601(unit_scale(resize_bilinear(f, size, size))) for f in src]
     inputs = dict(zip(("rgb", "flow", "hog"), stream_inputs(*pair_maps(src[0], src[1], pre))))
     stream = model.config.streams[0]
-    maps = {name: rng.standard_normal(model.feature_shape).astype(np.float32)
-            for name in model.config.streams}
+    pooled = {name: rng.standard_normal(model.feature_shape[2]).astype(np.float32)
+              for name in model.config.streams}
 
     stages = {
         "resize": lambda: resize_bilinear(src[0], size, size),
         "flow": lambda: compute_flow(gray[0], gray[1], pre.flow),
         "hog": lambda: render_hog(compute_hog(gray[0])),
         "stream_forward": lambda: model.streams[stream].forward(inputs[stream]),
-        "fuse_head": lambda: model.head.forward(model.gap.forward(model.fuse(maps))),
+        "fuse_head": lambda: model.head.forward(model.fuse(pooled)),
         "pre_combined": lambda: preprocess_pair(src[0], src[1], pre),
     }
 

@@ -230,10 +230,12 @@ def _config_stamp(config: PreprocessConfig) -> str:
 
 
 def _cached_config(cache_dir) -> str | None:
-    """The stamp a cache directory was built with, None if unrecorded."""
+    """The stamp a cache directory was built with, None if unrecorded. A
+    byte that is not printable ASCII reads as its backslash escape, so a
+    garbled stamp matches no build's and still fits on one line."""
     try:
-        with open(os.path.join(cache_dir, CACHE_CONFIG), encoding="ascii") as f:
-            return f.read()
+        with open(os.path.join(cache_dir, CACHE_CONFIG), "rb") as f:
+            return f.read().decode("latin-1").encode("unicode_escape").decode("ascii")
     except FileNotFoundError:
         return None
 

@@ -5,8 +5,11 @@ input-channel count differs): an initial 3x3 convolution to 2k channels,
 dense blocks whose layers run BN-ReLU-1x1 conv (to 4k) then BN-ReLU-3x3
 conv (to k) and concatenate onto their input, a compressing 1x1
 convolution plus 2x2 average pooling between blocks, and a final BN-ReLU.
-The three feature maps fuse channel-interleaved, are globally average
-pooled, and feed one fully connected softmax head.
+Each stream's feature map is globally average pooled to a length-D
+vector, and the three vectors fuse channel-interleaved, (flow_d, hog_d,
+rgb_d) for each channel d, into one fully connected softmax head. Pooling
+acts per channel, so pooling before fusing equals pooling the fused map,
+and a fusion layout only permutes the head's input rows.
 
 Ablation models with a subset of the streams share the same machinery;
 with fewer than three streams the fusion degenerates to plain channel
@@ -171,7 +174,7 @@ class StreamNet:
 # ---------------------------------------------------------------------------
 
 def concat_fuse(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """Channel-interleaved fusion of three equal-shaped feature maps.
+    """Channel-interleaved fusion of three equal-shaped (..., D) arrays.
 
     For each source channel d, the output carries (b_d, c_d, a_d) at
     channels (3d, 3d+1, 3d+2) zero-based, i.e. the temporal stream first,
@@ -181,19 +184,18 @@ def concat_fuse(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
         raise ContractViolationError(
             f"fusion requires identical shapes, got {a.shape}, {b.shape}, {c.shape}"
         )
-    h, w, d = a.shape
-    fused = np.empty((h, w, 3 * d), dtype=a.dtype)
-    fused[:, :, 0::3] = b
-    fused[:, :, 1::3] = c
-    fused[:, :, 2::3] = a
+    fused = np.empty(a.shape[:-1] + (3 * a.shape[-1],), dtype=a.dtype)
+    fused[..., 0::3] = b
+    fused[..., 1::3] = c
+    fused[..., 2::3] = a
     return fused
 
 
 def deinterleave(fused: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Inverse of concat_fuse: returns (a, b, c)."""
-    if fused.shape[2] % 3:
-        raise ContractViolationError(f"fused channel count {fused.shape[2]} not divisible by 3")
-    return fused[:, :, 2::3], fused[:, :, 0::3], fused[:, :, 1::3]
+    if fused.shape[-1] % 3:
+        raise ContractViolationError(f"fused channel count {fused.shape[-1]} not divisible by 3")
+    return fused[..., 2::3], fused[..., 0::3], fused[..., 1::3]
 
 
 # ---------------------------------------------------------------------------
@@ -212,7 +214,7 @@ class FusionModel:
             for name in config.streams
         }
         self.feature_shape = stream_feature_shape(config)
-        self.gap = GlobalAvgPool()
+        self.pools = {name: GlobalAvgPool() for name in config.streams}
         self.head = Dense(len(config.streams) * self.feature_shape[2], config.num_classes,
                           rng=rng, dtype=dtype)
 
@@ -236,32 +238,27 @@ class FusionModel:
             inputs[name] = x
         return inputs
 
-    def fuse(self, maps: dict[str, np.ndarray]) -> np.ndarray:
+    def fuse(self, pooled: dict[str, np.ndarray]) -> np.ndarray:
+        """The head's input from each stream's pooled (D,) vector."""
         if set(self.config.streams) == set(STREAM_ORDER):
-            return concat_fuse(maps["rgb"], maps["flow"], maps["hog"])
-        return np.concatenate([maps[n] for n in self.config.streams], axis=2)
+            return concat_fuse(pooled["rgb"], pooled["flow"], pooled["hog"])
+        return np.concatenate([pooled[n] for n in self.config.streams])
 
     def _unfuse(self, dfused: np.ndarray) -> dict[str, np.ndarray]:
         if set(self.config.streams) == set(STREAM_ORDER):
-            da, db, dc = deinterleave(dfused)
-            return {"rgb": da, "flow": db, "hog": dc}
-        d = self.feature_shape[2]
-        return {name: dfused[:, :, i * d : (i + 1) * d]
-                for i, name in enumerate(self.config.streams)}
+            return dict(zip(("rgb", "flow", "hog"), deinterleave(dfused)))
+        return dict(zip(self.config.streams, np.split(dfused, len(self.config.streams))))
 
     def forward_logits(self, rgb=None, flow=None, hog=None, train: bool = False) -> np.ndarray:
         inputs = self._gather_inputs(rgb, flow, hog)
         maps = {name: self.streams[name].forward(inputs[name], train) for name in self.config.streams}
-        fused = self.fuse(maps)
-        pooled = self.gap.forward(fused, train)
-        return self.head.forward(pooled, train)
+        pooled = {name: self.pools[name].forward(maps[name], train) for name in maps}
+        return self.head.forward(self.fuse(pooled), train)
 
     def backward_from_logits(self, dlogits: np.ndarray) -> None:
-        dpooled = self.head.backward(dlogits)
-        dfused = self.gap.backward(dpooled)
-        dmaps = self._unfuse(dfused)
+        dpooled = self._unfuse(self.head.backward(dlogits))
         for name in self.config.streams:
-            self.streams[name].backward(np.ascontiguousarray(dmaps[name]))
+            self.streams[name].backward(self.pools[name].backward(dpooled[name]))
 
     def predict(self, rgb=None, flow=None, hog=None) -> Prediction:
         logits = self.forward_logits(rgb, flow, hog, train=False)

@@ -268,6 +268,26 @@ class TestTrainEvalRun:
         assert recorded in err[0] and "preprocess_version=" in err[0]
         assert not (tmp_path / "run").exists()
 
+    def test_garbled_cache_config_rebuilt_by_preprocess_refused_by_train_and_eval(
+            self, synth_dir, trained, tmp_path, capsys):
+        cache = tmp_path / "cache"
+        preprocess = ["preprocess", "--clips", str(synth_dir), "--out", str(cache),
+                      "--seed", "3"] + FAST_FLAGS
+        assert main(preprocess) == 0
+        stamp = (cache / "cache.config").read_bytes()
+        for argv in (["train", "--data", str(synth_dir), "--out", str(tmp_path / "run"),
+                      "--cache", str(cache), "--seed", "3"] + FAST_FLAGS + TINY_MODEL,
+                     ["eval", "--checkpoint", str(trained), "--data", str(synth_dir),
+                      "--cache", str(cache), "--seed", "3"] + FAST_FLAGS):
+            (cache / "cache.config").write_bytes(b"\xff\xfe")
+            capsys.readouterr()
+            assert main(argv) == 2
+            err = capsys.readouterr().err.splitlines()
+            assert len(err) == 1 and err[0].startswith("error: cache ") and "\\xff\\xfe" in err[0]
+        assert not (tmp_path / "run").exists()
+        assert main(preprocess) == 0
+        assert (cache / "cache.config").read_bytes() == stamp
+
     def test_non_ascii_labels_exit_2(self, synth_dir, tmp_path, capsys):
         data = tmp_path / "data"
         data.mkdir()

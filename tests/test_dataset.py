@@ -225,7 +225,7 @@ class TestCache:
         assert (result.written, len(calls)) == (0, 3)
         assert {p.name: p.read_bytes() for p in out.iterdir()} == cold
 
-    @pytest.mark.parametrize("stamp_change", ["another_config", "no_config"])
+    @pytest.mark.parametrize("stamp_change", ["another_config", "no_config", "garbled_config"])
     def test_rebuild_without_matching_stamp_recomputes_every_pair(self, tmp_path, monkeypatch,
                                                                     stamp_change):
         clips, name, out = self._one_clip_cache(tmp_path)
@@ -233,6 +233,8 @@ class TestCache:
         if stamp_change == "another_config":
             config = dataclasses.replace(FAST_PRE, flow=dataclasses.replace(FAST_PRE.flow,
                                                                             iterations=1))
+        elif stamp_change == "garbled_config":
+            (out / "cache.config").write_bytes(b"\xff\xfe")
         else:
             (out / "cache.config").unlink()
         calls = _count_pair_maps(monkeypatch)
@@ -348,6 +350,14 @@ class TestCache:
         (out / "cache.config").unlink()
         with pytest.raises(FormatError, match="unrecorded"):
             dataset.load_clip_samples(clips, [name], {name: 0}, FAST_PRE, cache_dir=out)
+
+    def test_load_rejects_garbled_config_in_one_line(self, tmp_path):
+        clips, name, out = self._one_clip_cache(tmp_path)
+        (out / "cache.config").write_bytes(b"\xff\xfe\npreprocess_version=")
+        with pytest.raises(FormatError) as err:
+            dataset.load_clip_samples(clips, [name], {name: 0}, FAST_PRE, cache_dir=out)
+        assert "\\xff\\xfe\\npreprocess_version=" in str(err.value)
+        assert "\n" not in str(err.value)
 
     def test_rebuild_with_another_config_records_it(self, tmp_path):
         other = dataclasses.replace(FAST_PRE, rng_seed=5)

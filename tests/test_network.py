@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 
 from rtar.errors import ContractViolationError, FormatError
 from rtar import network as net
-from rtar.nn.layers import BatchNorm
+from rtar.nn import tensorops as T
+from rtar.nn.layers import BatchNorm, softmax_cross_entropy
 
 
 def tiny_config(**kw):
@@ -51,13 +52,13 @@ class TestConcatFuse:
         ra, rb, rc = net.deinterleave(net.concat_fuse(a, b, c))
         assert np.array_equal(ra, a) and np.array_equal(rb, b) and np.array_equal(rc, c)
 
-    @given(h=st.integers(1, 4), w=st.integers(1, 4), d=st.integers(1, 5),
+    @given(lead=st.lists(st.integers(1, 4), max_size=2), d=st.integers(1, 5),
            seed=st.integers(0, 10**6))
-    def test_round_trip_property(self, h, w, d, seed):
+    def test_round_trip_property(self, lead, d, seed):
         gen = np.random.default_rng(seed)
-        a, b, c = (gen.standard_normal((h, w, d)) for _ in range(3))
+        a, b, c = (gen.standard_normal((*lead, d)) for _ in range(3))
         fused = net.concat_fuse(a, b, c)
-        assert fused.shape == (h, w, 3 * d)
+        assert fused.shape == (*lead, 3 * d)
         ra, rb, rc = net.deinterleave(fused)
         assert np.array_equal(ra, a) and np.array_equal(rb, b) and np.array_equal(rc, c)
 
@@ -194,6 +195,36 @@ class TestPredict:
         rgb, flow, _ = rand_inputs(rng, 8)
         with pytest.raises(ContractViolationError):
             model.predict(rgb, flow, None)
+
+
+class TestPoolBeforeFusion:
+    @pytest.mark.parametrize("bn", [True, False], ids=["bn", "no_bn"])
+    @pytest.mark.parametrize("streams", [net.STREAM_ORDER, ("flow", "rgb")],
+                             ids=["all", "flow_rgb"])
+    def test_equals_pooling_the_fused_map(self, rng, streams, bn):
+        # oracle: fuse the (H, W, D) maps, pool the fused map, then the head;
+        # backward spreads the pooled gradient over the fused map and splits it
+        cfg = tiny_config(growth_rate=3, blocks=(1, 2), input_size=16, bn_enabled=bn,
+                          streams=streams)
+        model, oracle = net.FusionModel(cfg, seed=4), net.FusionModel(cfg, seed=4)
+        inputs = dict(zip(("rgb", "flow", "hog"), rand_inputs(rng, 16)))
+        logits = model.forward_logits(**inputs, train=True)
+        maps = [oracle.streams[n].forward(inputs[n], train=True) for n in streams]
+        fused = net.concat_fuse(*maps) if len(streams) == 3 else np.concatenate(maps, axis=2)
+        assert np.array_equal(logits, oracle.head.forward(T.global_avg_pool(fused), train=True))
+
+        _, _, dlogits = softmax_cross_entropy(logits, 1)
+        model.backward_from_logits(dlogits)
+        h, w, _ = fused.shape
+        dfused = np.broadcast_to(oracle.head.backward(dlogits) / (h * w), fused.shape)
+        dmaps = (net.deinterleave(dfused) if len(streams) == 3
+                 else np.split(dfused, len(streams), axis=2))
+        for n, dmap in zip(streams, dmaps):
+            oracle.streams[n].backward(np.ascontiguousarray(dmap))
+        pairs = [(got.grads[k], want.grads[k]) for got, want in zip(model.layers(), oracle.layers())
+                 for k in got.grads]
+        assert all(g.dtype == np.float32 and np.array_equal(g, o) for g, o in pairs)
+        assert all(g.any() for g, _ in pairs)
 
 
 class TestParameterCount:
