@@ -382,6 +382,7 @@ def cmd_bench(args, s: Settings) -> int:
         "hog": lambda: render_hog(compute_hog(gray[0])),
         "stream_forward": lambda: model.streams[stream].forward(inputs[stream]),
         "fuse_head": lambda: model.head.forward(model.fuse(pooled)),
+        "predict": lambda: model.predict(**inputs),
         "pre_combined": lambda: preprocess_pair(src[0], src[1], pre),
     }
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 import struct
+import threading
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -35,6 +36,7 @@ from .nn.layers import (
     Layer,
     ReLU,
     SGDMomentum,
+    Workspace,
     backward,
     forward,
     softmax_cross_entropy,
@@ -87,7 +89,8 @@ def _stream_plan(config: ModelConfig, input_channels: int) -> tuple[list, tuple[
     """One stream's nodes in build order and its output (H, W, D): the only
     place that derives per-layer channel counts. A node is a layer spec,
     ``("conv", kernel, cin, cout)``, ``("bn", c)``, ``("relu",)`` or
-    ``("pool",)``, or a dense layer's list of specs."""
+    ``("pool",)``, or a dense layer, ``("dense", width, specs)``, whose
+    block ends at ``width`` channels."""
     k, size, c = config.growth_rate, config.input_size, 2 * config.growth_rate
     mid = config.bottleneck_factor * k
 
@@ -96,8 +99,10 @@ def _stream_plan(config: ModelConfig, input_channels: int) -> tuple[list, tuple[
 
     nodes: list = [("conv", 3, input_channels, c)]
     for b, n in enumerate(config.blocks):
+        width = c + n * k
         for _ in range(n):
-            nodes.append(bn_relu(c) + [("conv", 1, c, mid)] + bn_relu(mid) + [("conv", 3, mid, k)])
+            specs = bn_relu(c) + [("conv", 1, c, mid)] + bn_relu(mid) + [("conv", 3, mid, k)]
+            nodes.append(("dense", width, specs))
             c += k
         if b < len(config.blocks) - 1:
             cout = math.ceil(config.compression * c)
@@ -123,9 +128,9 @@ class Prediction:
 # ---------------------------------------------------------------------------
 
 def _build(node, rng, dtype):
-    """The layer for one plan node; a list of specs becomes a _DenseLayer."""
-    if isinstance(node, list):
-        return _DenseLayer([_build(spec, rng, dtype) for spec in node])
+    """The layer for one plan node."""
+    if node[0] == "dense":
+        return _DenseLayer([_build(spec, rng, dtype) for spec in node[2]], node[1])
     if node[0] == "conv":
         _, kernel, cin, cout = node
         return Conv2D(kernel, cin, cout, rng=rng, dtype=dtype)
@@ -136,14 +141,25 @@ def _build(node, rng, dtype):
 
 class _DenseLayer:
     """BN-ReLU-1x1 conv (bottleneck) then BN-ReLU-3x3 conv; concatenates k
-    new channels onto its input."""
+    new channels onto its input.
 
-    def __init__(self, chain: list[Layer]):
+    With a workspace, the block's map is one (H, W, width) buffer: each
+    dense layer reads its first channels and writes its k new ones after
+    them (Pleiss et al., 2017, "Memory-Efficient Implementation of
+    DenseNets"), so nothing is concatenated."""
+
+    def __init__(self, chain: list[Layer], width: int):
         self.chain = chain
         self.k = chain[-1].params["w"].shape[3]
+        self.width = width
 
-    def forward(self, x, train=False):
-        return np.concatenate([x, forward(self.chain, x, train)], axis=2)
+    def forward(self, x, train=False, ws=None):
+        if ws is None:
+            return np.concatenate([x, forward(self.chain, x, train)], axis=2)
+        c = x.shape[2]
+        block = ws.block(x, self.width)
+        block[..., c : c + self.k] = forward(self.chain, block[..., :c], ws=ws)
+        return block[..., : c + self.k]
 
     def backward(self, dy):
         return dy[:, :, : -self.k] + backward(self.chain, dy[:, :, -self.k :])
@@ -162,8 +178,10 @@ class StreamNet:
             flat.extend(node.chain if isinstance(node, _DenseLayer) else [node])
         return flat
 
-    def forward(self, x, train=False):
-        return forward(self.nodes, x, train)
+    def forward(self, x, train=False, ws: Workspace | None = None):
+        """The stream's (H, W, D) map: a new array, or in eval mode with
+        ``ws`` a view of the workspace that the next pass overwrites."""
+        return forward(self.nodes, x, train, ws)
 
     def backward(self, dy):
         return backward(self.nodes, dy)
@@ -203,7 +221,11 @@ def deinterleave(fused: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]
 # ---------------------------------------------------------------------------
 
 class FusionModel:
-    """Streams plus fused softmax head; owns all trainable state."""
+    """Streams plus fused softmax head; owns all trainable state.
+
+    Eval mode runs the streams in a workspace private to the calling
+    thread, kept across calls; training allocates its activations, which
+    backward reads."""
 
     def __init__(self, config: ModelConfig, seed: int = 0, dtype=np.float32):
         self.config = config
@@ -217,6 +239,14 @@ class FusionModel:
         self.pools = {name: GlobalAvgPool() for name in config.streams}
         self.head = Dense(len(config.streams) * self.feature_shape[2], config.num_classes,
                           rng=rng, dtype=dtype)
+        self._local = threading.local()
+
+    def _workspace(self) -> Workspace:
+        """The calling thread's workspace."""
+        ws = getattr(self._local, "ws", None)
+        if ws is None:
+            ws = self._local.ws = Workspace()
+        return ws
 
     def layers(self) -> list[Layer]:
         return [layer for name in self.config.streams
@@ -251,8 +281,12 @@ class FusionModel:
 
     def forward_logits(self, rgb=None, flow=None, hog=None, train: bool = False) -> np.ndarray:
         inputs = self._gather_inputs(rgb, flow, hog)
-        maps = {name: self.streams[name].forward(inputs[name], train) for name in self.config.streams}
-        pooled = {name: self.pools[name].forward(maps[name], train) for name in maps}
+        ws = None if train else self._workspace()
+        # The streams share the workspace, so each map is pooled into a new
+        # vector before the next stream runs.
+        pooled = {name: self.pools[name].forward(self.streams[name].forward(inputs[name], train, ws),
+                                                 train)
+                  for name in self.config.streams}
         return self.head.forward(self.fuse(pooled), train)
 
     def backward_from_logits(self, dlogits: np.ndarray) -> None:
@@ -428,7 +462,7 @@ def _state_scalar_count(config: ModelConfig) -> int:
     for name in config.streams:
         nodes, (_, _, d) = _stream_plan(config, STREAM_CHANNELS[name])
         for node in nodes:
-            for spec in node if isinstance(node, list) else [node]:
+            for spec in node[2] if node[0] == "dense" else [node]:
                 if spec[0] == "conv":
                     total += spec[1] * spec[1] * spec[2] * spec[3]
                 elif spec[0] == "bn":

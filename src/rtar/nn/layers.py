@@ -4,18 +4,79 @@ Each layer owns its parameters (``params``) and matching gradient
 accumulators (``grads``). ``forward(x, train=True)`` records whatever the
 backward rule needs; ``backward(dy)`` adds into ``grads`` and returns the
 input gradient, so mini-batch gradients accumulate across samples until
-``zero_grad``. Eval-mode forward records nothing and mutates nothing,
-which is what makes shared-model inference safe from multiple threads.
+``zero_grad``. Eval-mode forward records nothing and changes no layer
+state. Given a ``Workspace``, it writes its activations only into that
+workspace's buffers, which belong to one thread; without one it returns
+new arrays. Either way shared-model inference is safe from multiple
+threads.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Sequence
 
 import numpy as np
 
 from ..errors import ContractViolationError
 from . import tensorops as T
+
+
+class Workspace:
+    """Reused activation buffers for eval-mode forward passes; one per
+    model and thread, so it needs no lock.
+
+    Two scratch slots take turns: a layer writes into the slot its input
+    does not occupy, and BN and ReLU run in place on an input that already
+    is scratch. A dense block's running map lives in a third slot,
+    ``block``, into which each dense layer writes its new channels. A slot
+    is one flat array that grows to the largest request, so after the
+    first pass a forward pass of the same shapes allocates no activation.
+    Every view handed out is overwritten by a later layer or pass: nothing
+    that leaves the model may alias one.
+    """
+
+    def __init__(self):
+        self._slots: dict[str, np.ndarray] = {}
+
+    @property
+    def nbytes(self) -> int:
+        return sum(buf.nbytes for buf in self._slots.values())
+
+    def _take(self, slot: str, shape: tuple, dtype) -> np.ndarray:
+        """A C-contiguous ``shape`` view of the start of ``slot``."""
+        size = math.prod(shape)
+        buf = self._slots.get(slot)
+        if buf is None or buf.size < size or buf.dtype != dtype:
+            buf = self._slots[slot] = np.empty(size, dtype=dtype)
+        return buf[:size].reshape(shape)
+
+    def _slot_of(self, x: np.ndarray) -> str | None:
+        """The slot x is a view of (numpy points every view at the array
+        that owns the memory), or None."""
+        if x.base is not None:
+            for slot, buf in self._slots.items():
+                if x.base is buf:
+                    return slot
+        return None
+
+    def scratch(self, x: np.ndarray, shape: tuple) -> np.ndarray:
+        """A ``shape`` buffer of x's dtype in the scratch slot x does not occupy."""
+        return self._take("b" if self._slot_of(x) == "a" else "a", shape, x.dtype)
+
+    def elementwise_out(self, x: np.ndarray) -> np.ndarray:
+        """Where an elementwise layer writes: x itself when x is scratch,
+        which no later layer reads, else the free scratch slot."""
+        return x if self._slot_of(x) in ("a", "b") else self.scratch(x, x.shape)
+
+    def block(self, x: np.ndarray, width: int) -> np.ndarray:
+        """The (H, W, width) dense block map whose first channels are x.
+        x already lives there when the block's previous dense layer
+        returned it; otherwise, at the block's first layer, it is copied in."""
+        buf = self._take("block", x.shape[:2] + (width,), x.dtype)
+        if self._slot_of(x) != "block":
+            buf[..., : x.shape[2]] = x
+        return buf
 
 
 class Layer:
@@ -33,7 +94,9 @@ class Layer:
         a checkpoint saves them and loads into them in place."""
         return [self.params[k] for k in sorted(self.params)]
 
-    def forward(self, x: np.ndarray, train: bool = False) -> np.ndarray:
+    def forward(self, x: np.ndarray, train: bool = False,
+                ws: Workspace | None = None) -> np.ndarray:
+        """``ws``, in eval mode only, holds the output instead of a new array."""
         raise NotImplementedError
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
@@ -63,8 +126,10 @@ class Conv2D(Layer):
         self.params = {"w": w.astype(dtype)}
         self._init_grads()
 
-    def forward(self, x, train=False):
-        y = T.conv2d_gemm(x, self.params["w"])
+    def forward(self, x, train=False, ws=None):
+        w = self.params["w"]
+        scratch = None if ws is None else ws.scratch(x, (T.conv2d_scratch_size(x.shape, w.shape),))
+        y = T.conv2d_gemm(x, w, scratch)
         if train:
             self._cache = x
         return y
@@ -98,7 +163,7 @@ class BatchNorm(Layer):
         self.running_var = np.ones(channels, dtype=dtype)
         self._init_grads()
 
-    def forward(self, x, train=False):
+    def forward(self, x, train=False, ws=None):
         if train:
             y, mean, var, x_hat = T.batch_norm_train(
                 x, self.params["gamma"], self.params["beta"], self.eps
@@ -111,6 +176,7 @@ class BatchNorm(Layer):
         return T.batch_norm_eval_folded(
             x, self.params["gamma"], self.params["beta"],
             self.running_mean, self.running_var, self.eps,
+            out=None if ws is None else ws.elementwise_out(x),
         )
 
     def state(self):
@@ -130,10 +196,10 @@ class BatchNorm(Layer):
 
 
 class ReLU(Layer):
-    def forward(self, x, train=False):
+    def forward(self, x, train=False, ws=None):
         if train:
             self._cache = x > 0
-        return T.relu(x)
+        return T.relu(x, None if ws is None else ws.elementwise_out(x))
 
     def backward(self, dy):
         return dy * self._take_cache()
@@ -142,10 +208,12 @@ class ReLU(Layer):
 class AvgPool2(Layer):
     """2x2 average pooling with stride 2."""
 
-    def forward(self, x, train=False):
+    def forward(self, x, train=False, ws=None):
         if train:
             self._cache = x.shape
-        return T.avg_pool2x2(x)
+        h, w, c = x.shape
+        out = None if ws is None else ws.scratch(x, (h // 2, w // 2, c))
+        return T.avg_pool2x2(x, out)
 
     def backward(self, dy):
         h, w, c = self._take_cache()
@@ -159,7 +227,10 @@ class AvgPool2(Layer):
 
 
 class GlobalAvgPool(Layer):
-    def forward(self, x, train=False):
+    """Its (C,) output is always a new array, as is Dense's: both leave the
+    streams, so they never use a workspace."""
+
+    def forward(self, x, train=False, ws=None):
         if train:
             self._cache = x.shape
         return T.global_avg_pool(x)
@@ -178,7 +249,7 @@ class Dense(Layer):
         self.params = {"w": w.astype(dtype), "b": np.zeros(k, dtype=dtype)}
         self._init_grads()
 
-    def forward(self, x, train=False):
+    def forward(self, x, train=False, ws=None):
         if train:
             self._cache = x
         return T.fully_connected(x, self.params["w"], self.params["b"])
@@ -207,11 +278,12 @@ def softmax_cross_entropy(logits: np.ndarray, label: int) -> tuple[float, np.nda
     return loss, probs, dlogits
 
 
-def forward(layers: Sequence[Layer], x: np.ndarray, train: bool = False) -> np.ndarray:
+def forward(layers: Sequence[Layer], x: np.ndarray, train: bool = False,
+            ws: Workspace | None = None) -> np.ndarray:
     """Run x through a layer chain in order; ``train`` records each layer's
-    activations for ``backward``."""
+    activations for ``backward``, and in eval mode ``ws`` holds them."""
     for layer in layers:
-        x = layer.forward(x, train)
+        x = layer.forward(x, train, ws)
     return x
 
 

@@ -1,7 +1,10 @@
 """Functional forward passes for the fixed layer set.
 
-All functions are pure and dtype-preserving (float32 for normal use,
-float64 for gradient-check runs).
+All functions are dtype-preserving (float32 for normal use, float64 for
+gradient-check runs) and write nothing but their result. The eval-mode
+kernels can write it into a caller's buffer (``out``, or conv2d_gemm's
+``scratch``) in place of a new array; each runs the same operations in
+the same order either way, so where the result lives changes no bit.
 
 ``conv2d_gemm`` is the one conv the model runs: "same", stride 1, with a
 square 1x1 or 3x3 kernel padded by k//2. It lowers the convolution to one
@@ -46,15 +49,16 @@ def _check_conv_args(x: np.ndarray, w: np.ndarray) -> None:
         raise ContractViolationError(f"empty input {x.shape}")
 
 
-def _flat_padded(x: np.ndarray, k: int) -> tuple[np.ndarray, int, int]:
+def _flat_padded(x: np.ndarray, k: int, xp: np.ndarray | None = None) -> tuple[np.ndarray, int, int]:
     """conv2d_gemm's input layout; returns (xp, Wp, n).
 
     xp is x zero-padded by p = k//2 on both spatial axes and flattened to
-    (Hp*Wp + k-1, Cin) rows, with Wp = W + 2p. The output at the full
-    padded width has n = H*Wp rows, and tap (ky, kx) reads the contiguous
-    rows xp[ky*Wp+kx : ky*Wp+kx+n]. The k-1 trailing zero rows let the
-    last tap read past the padded image. A 1x1 conv needs neither, so xp
-    is then x itself as a view.
+    (Hp*Wp + k-1, Cin) rows, with Wp = W + 2p; it is written into the
+    given ``xp`` buffer of that shape, or into a new one. The output at the
+    full padded width has n = H*Wp rows, and tap (ky, kx) reads the
+    contiguous rows xp[ky*Wp+kx : ky*Wp+kx+n]. The k-1 trailing zero rows
+    let the last tap read past the padded image. A 1x1 conv needs neither,
+    so xp is then x itself as a view.
     """
     h, w_in, cin = x.shape
     p = k // 2
@@ -62,12 +66,53 @@ def _flat_padded(x: np.ndarray, k: int) -> tuple[np.ndarray, int, int]:
     n = h * wp
     if k == 1:
         return x.reshape(n, cin), wp, n
-    xp = np.zeros((hp * wp + k - 1, cin), dtype=x.dtype)
+    if xp is None:
+        xp = np.zeros((hp * wp + k - 1, cin), dtype=x.dtype)
+    else:
+        xp.fill(0)
     xp[: hp * wp].reshape(hp, wp, cin)[p : p + h, p : p + w_in] = x
     return xp, wp, n
 
 
-def conv2d_gemm(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+def _gemm_shapes(x_shape: tuple, w_shape: tuple) -> list[tuple[int, int]]:
+    """Shapes of conv2d_gemm's buffers: the flat padded input (see
+    ``_flat_padded``), the (n, Cout) accumulator and one tap's product. A
+    1x1 conv reads x itself and runs one product, so its padded input and
+    tap product are empty."""
+    h, w_in, cin = x_shape
+    k, cout = w_shape[0], w_shape[3]
+    p = k // 2
+    wp = w_in + 2 * p
+    n = h * wp
+    if k == 1:
+        return [(0, cin), (n, cout), (0, cout)]
+    return [((h + 2 * p) * wp + k - 1, cin), (n, cout), (n, cout)]
+
+
+def conv2d_scratch_size(x_shape: tuple, w_shape: tuple) -> int:
+    """Elements of the ``scratch`` conv2d_gemm needs for these shapes."""
+    return sum(rows * cols for rows, cols in _gemm_shapes(x_shape, w_shape))
+
+
+def _carve(scratch: np.ndarray | None, shapes: list[tuple[int, int]], dtype) -> list[np.ndarray]:
+    """Arrays of the given 2-D shapes, laid end to end in the 1-D
+    ``scratch``, or new ones when scratch is None."""
+    if scratch is None:
+        return [np.empty(s, dtype=dtype) for s in shapes]
+    need = sum(rows * cols for rows, cols in shapes)
+    if scratch.ndim != 1 or scratch.dtype != dtype or scratch.size < need:
+        raise ContractViolationError(
+            f"scratch must be 1-D {np.dtype(dtype)} with {need} elements, "
+            f"got {scratch.shape} {scratch.dtype}"
+        )
+    pieces, at = [], 0
+    for rows, cols in shapes:
+        pieces.append(scratch[at : at + rows * cols].reshape(rows, cols))
+        at += rows * cols
+    return pieces
+
+
+def conv2d_gemm(x: np.ndarray, w: np.ndarray, scratch: np.ndarray | None = None) -> np.ndarray:
     """"Same" 2-D convolution (cross-correlation), stride 1, channel-last, no bias.
 
     x: (H, W, Cin); w: (k, k, Cin, Cout) with k in {1, 3}, padded by k//2.
@@ -76,19 +121,23 @@ def conv2d_gemm(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     x is zero-padded once into one flat buffer and the output is computed
     at the full padded width (see ``_flat_padded``), so each tap's product
     reads a contiguous view of that buffer and the taps accumulate into
-    one (n, Cout) buffer; the wrapped columns are dropped on return. A 1x1
-    conv reads x itself, so nothing is copied.
+    one (n, Cout) buffer; the returned view drops the wrapped columns. A
+    1x1 conv reads x itself, so nothing is copied. The buffers are new
+    arrays, or pieces of ``scratch`` (1-D, x's dtype, at least
+    ``conv2d_scratch_size`` elements), and the result is then a view of
+    scratch. Where they live changes no bit of the result.
     """
     _check_conv_args(x, w)
     k, _, _, cout = w.shape
-    xp, wp, n = _flat_padded(x, k)
-    out = xp[:n] @ w[0, 0]
+    pad, acc, tap = _carve(scratch, _gemm_shapes(x.shape, w.shape), x.dtype)
+    xp, wp, n = _flat_padded(x, k, pad)
+    np.matmul(xp[:n], w[0, 0], out=acc)
     for ky in range(k):
         for kx in range(k):
             if ky or kx:
                 o = ky * wp + kx
-                out += xp[o : o + n] @ w[ky, kx]
-    return out.reshape(-1, wp, cout)[:, : x.shape[1]]
+                acc += np.matmul(xp[o : o + n], w[ky, kx], out=tap)
+    return acc.reshape(-1, wp, cout)[:, : x.shape[1]]
 
 
 def conv2d_backward(x: np.ndarray, w: np.ndarray, dy: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -149,36 +198,43 @@ def batch_norm_eval_folded(
     running_mean: np.ndarray,
     running_var: np.ndarray,
     eps: float,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Eval-mode batch norm as one per-channel affine map (Ioffe & Szegedy, 2015).
 
     scale = gamma / sqrt(var + eps) and shift = beta - mean * scale are
     length-C vectors, folded on every call, so nothing is cached and a
     shared model stays safe to evaluate from several threads. The tensor
-    takes one multiply into a new buffer and one add in place. The terms
+    takes one multiply into ``out`` (which may be x itself) or a new
+    buffer, and one add in place. The terms
     round in another order, so the result is float-close to, not
     bit-identical with, gamma * (x - mean) / sqrt(var + eps) + beta.
     """
     if eps <= 0:
         raise ContractViolationError(f"eps must be > 0, got {eps}")
     scale = gamma / np.sqrt(running_var + eps)
-    y = x * scale
+    y = np.multiply(x, scale, out=out)
     y += beta - running_mean * scale
     return y
 
 
-def relu(x: np.ndarray) -> np.ndarray:
-    return np.maximum(x, np.asarray(0, dtype=x.dtype))
+def relu(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    return np.maximum(x, np.asarray(0, dtype=x.dtype), out=out)
 
 
-def avg_pool2x2(x: np.ndarray) -> np.ndarray:
-    """2x2 average pooling, stride 2. Requires even spatial extents."""
+def avg_pool2x2(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """2x2 average pooling, stride 2. Requires even spatial extents. The
+    four taps are summed left to right into ``out`` or a new array, then
+    scaled by 0.25."""
     h, w, c = x.shape
     if h % 2 or w % 2:
         raise ContractViolationError(f"avg_pool2x2 needs even extents, got {h}x{w}")
     pooled = x.reshape(h // 2, 2, w // 2, 2, c)
-    quarter = np.asarray(0.25, dtype=x.dtype)
-    return (pooled[:, 0, :, 0] + pooled[:, 0, :, 1] + pooled[:, 1, :, 0] + pooled[:, 1, :, 1]) * quarter
+    y = np.add(pooled[:, 0, :, 0], pooled[:, 0, :, 1], out=out)
+    y += pooled[:, 1, :, 0]
+    y += pooled[:, 1, :, 1]
+    y *= np.asarray(0.25, dtype=x.dtype)
+    return y
 
 
 def global_avg_pool(x: np.ndarray) -> np.ndarray:

@@ -545,7 +545,7 @@ class TestBench:
                      "--blocks", "2", "--pyramid-levels", "2", "--iterations", "4"])
         assert code == 0
         out = capsys.readouterr().out
-        for stage in ("resize", "flow", "hog", "stream_forward", "fuse_head",
+        for stage in ("resize", "flow", "hog", "stream_forward", "fuse_head", "predict",
                       "pre_combined"):
             assert stage in out
 

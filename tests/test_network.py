@@ -1,6 +1,8 @@
+import dataclasses
 import hashlib
 import struct
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,7 +12,7 @@ from hypothesis import strategies as st
 from rtar.errors import ContractViolationError, FormatError
 from rtar import network as net
 from rtar.nn import tensorops as T
-from rtar.nn.layers import BatchNorm, softmax_cross_entropy
+from rtar.nn.layers import AvgPool2, BatchNorm, Conv2D, ReLU, softmax_cross_entropy
 
 
 def tiny_config(**kw):
@@ -225,6 +227,110 @@ class TestPoolBeforeFusion:
                  for k in got.grads]
         assert all(g.dtype == np.float32 and np.array_equal(g, o) for g, o in pairs)
         assert all(g.any() for g, _ in pairs)
+
+
+def _allocating_conv(x, w):
+    """conv2d_gemm as it ran before it took a scratch buffer: a new padded
+    copy, and each tap's product added into the first tap's."""
+    k, _, cin, cout = w.shape
+    p = k // 2
+    h, wd = x.shape[:2]
+    wp, n = wd + 2 * p, h * (wd + 2 * p)
+    xp = np.zeros(((h + 2 * p) * wp + k - 1, cin), dtype=x.dtype)
+    xp[: (h + 2 * p) * wp].reshape(-1, wp, cin)[p : p + h, p : p + wd] = x
+    out = xp[:n] @ w[0, 0]
+    for ky in range(k):
+        for kx in range(k):
+            if ky or kx:
+                out += xp[ky * wp + kx : ky * wp + kx + n] @ w[ky, kx]
+    return out.reshape(-1, wp, cout)[:, :wd]
+
+
+def _allocating_layer(layer, h):
+    if isinstance(layer, Conv2D):
+        return _allocating_conv(h, layer.params["w"])
+    if isinstance(layer, BatchNorm):
+        return T.batch_norm_eval_folded(h, layer.params["gamma"], layer.params["beta"],
+                                        layer.running_mean, layer.running_var, layer.eps)
+    if isinstance(layer, ReLU):
+        return T.relu(h)
+    assert isinstance(layer, AvgPool2)
+    q = h.reshape(h.shape[0] // 2, 2, h.shape[1] // 2, 2, h.shape[2])
+    return (q[:, 0, :, 0] + q[:, 0, :, 1] + q[:, 1, :, 0] + q[:, 1, :, 1]) * h.dtype.type(0.25)
+
+
+def _allocating_logits(model, inputs):
+    """Oracle: the eval forward with a new array for every layer's output and
+    each dense layer's k channels np.concatenate'd onto its input."""
+    pooled = {}
+    for name in model.config.streams:
+        h = inputs[name]
+        for node in model.streams[name].nodes:
+            if isinstance(node, net._DenseLayer):
+                new = h
+                for layer in node.chain:
+                    new = _allocating_layer(layer, new)
+                h = np.concatenate([h, new], axis=2)
+            else:
+                h = _allocating_layer(node, h)
+        pooled[name] = T.global_avg_pool(h)
+    return T.fully_connected(model.fuse(pooled), model.head.params["w"], model.head.params["b"])
+
+
+class TestEvalWorkspace:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("blocks", [(1, 2, 1), (1, 12)], ids=["odd_ceil", "block_grows"])
+    @pytest.mark.parametrize("bn", [True, False], ids=["bn", "no_bn"])
+    @pytest.mark.parametrize("streams", [net.STREAM_ORDER, ("flow", "rgb")],
+                             ids=["all", "flow_rgb"])
+    def test_equals_allocating_forward(self, rng, streams, bn, blocks, dtype):
+        # (1, 12): the second block's map outgrows the first's, so the
+        # workspace grows during the first call
+        cfg = tiny_config(growth_rate=3, blocks=blocks, compression=0.5, input_size=16,
+                          bn_enabled=bn, streams=streams)
+        model = net.FusionModel(cfg, seed=4, dtype=dtype)
+        a, b = (dict(zip(("rgb", "flow", "hog"), rand_inputs(rng, 16, dtype))) for _ in range(2))
+        for inputs in (a, a, b, a):  # first call, repeated call, after another input
+            want = _allocating_logits(model, inputs)
+            assert want.dtype == dtype
+            assert np.array_equal(model.forward_logits(**inputs), want)
+            assert np.array_equal(model.predict(**inputs).probabilities, T.softmax(want))
+
+    def test_steady_predict_allocates_almost_nothing(self, rng):
+        # the CLI defaults: 112 px, growth 12, blocks 4,4, BN; an allocating
+        # forward peaks at 11.25 MB of activations per predict
+        model = net.FusionModel(net.ModelConfig(num_classes=12), seed=0)
+        inputs = rand_inputs(rng, 112)
+        model.predict(*inputs)
+        tracemalloc.start()
+        try:
+            model.predict(*inputs)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5e6
+        assert model._workspace().nbytes <= 11.25e6
+
+    def test_results_survive_later_predicts(self, rng):
+        model = net.FusionModel(ODD_CEIL_CONFIG, seed=7)
+        a, b = rand_inputs(rng, 16), rand_inputs(rng, 16)
+        held = [model.streams["rgb"].forward(a[0]), model.forward_logits(*a),
+                model.predict(*a).probabilities]
+        kept = [h.copy() for h in held]
+        for x in (b, a, b):
+            model.predict(*x)
+            model.streams["rgb"].forward(x[0])
+        assert all(np.array_equal(h, k) for h, k in zip(held, kept))
+
+    def test_interleaved_models_match_fresh_ones(self, rng):
+        configs = [ODD_CEIL_CONFIG, dataclasses.replace(ODD_CEIL_CONFIG, input_size=32)]
+        models = [net.FusionModel(cfg, seed=8) for cfg in configs]
+        inputs = [[rand_inputs(rng, cfg.input_size) for _ in range(2)] for cfg in configs]
+        for _ in range(2):
+            for cfg, model, xs in zip(configs, models, inputs):
+                for x in xs:
+                    fresh = net.FusionModel(cfg, seed=8).predict(*x).probabilities
+                    assert np.array_equal(model.predict(*x).probabilities, fresh)
 
 
 class TestParameterCount:
