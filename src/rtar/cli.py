@@ -307,7 +307,7 @@ def cmd_run(args, s: Settings) -> int:
 
         lines, dropped = runtime.run_pipeline_live(replay(), model, config, pre)
         _emit(lines)
-        print(f"# dropped_frames={dropped}", file=sys.stderr)
+        print(f"# dropped_pairs={dropped}", file=sys.stderr)
     else:
         _emit(runtime.run_pipeline_offline(args.clip, model, config, pre))
     return 0
@@ -372,7 +372,7 @@ def cmd_bench(args, s: Settings) -> int:
     src = [rng.integers(0, 256, (2 * size, 2 * size, 3), dtype=np.uint8) for _ in range(2)]
     gray = [grayscale_bt601(unit_scale(resize_bilinear(f, size, size))) for f in src]
     inputs = dict(zip(("rgb", "flow", "hog"), stream_inputs(*pair_maps(src[0], src[1], pre))))
-    stream = model.config.streams[0]
+    stream, ws = model.config.streams[0], network.Workspace()
     pooled = {name: rng.standard_normal(model.feature_shape[2]).astype(np.float32)
               for name in model.config.streams}
 
@@ -380,7 +380,7 @@ def cmd_bench(args, s: Settings) -> int:
         "resize": lambda: resize_bilinear(src[0], size, size),
         "flow": lambda: compute_flow(gray[0], gray[1], pre.flow),
         "hog": lambda: render_hog(compute_hog(gray[0])),
-        "stream_forward": lambda: model.streams[stream].forward(inputs[stream]),
+        "stream_forward": lambda: model.streams[stream].forward(inputs[stream], ws=ws),
         "fuse_head": lambda: model.head.forward(model.fuse(pooled)),
         "predict": lambda: model.predict(**inputs),
         "pre_combined": lambda: preprocess_pair(src[0], src[1], pre),

@@ -26,14 +26,14 @@ class Workspace:
     """Reused activation buffers for eval-mode forward passes; one per
     model and thread, so it needs no lock.
 
-    Two scratch slots take turns: a layer writes into the slot its input
-    does not occupy, and BN and ReLU run in place on an input that already
-    is scratch. A dense block's running map lives in a third slot,
-    ``block``, into which each dense layer writes its new channels. A slot
-    is one flat array that grows to the largest request, so after the
-    first pass a forward pass of the same shapes allocates no activation.
-    Every view handed out is overwritten by a later layer or pass: nothing
-    that leaves the model may alias one.
+    A slot is one flat array that grows to the largest request, so after
+    the first pass a forward pass of the same shapes allocates no
+    activation. ``take`` lays a layer's buffers end to end in whichever
+    of slots ``a`` and ``b`` its input does not occupy, and BN and ReLU
+    run in place on an input that already lies there. A dense block's
+    running map lives in a third slot, ``block``, into which each dense
+    layer writes its new channels. Every view handed out is overwritten
+    by a later layer or pass: nothing that leaves the model may alias one.
     """
 
     def __init__(self):
@@ -43,13 +43,19 @@ class Workspace:
     def nbytes(self) -> int:
         return sum(buf.nbytes for buf in self._slots.values())
 
-    def _take(self, slot: str, shape: tuple, dtype) -> np.ndarray:
-        """A C-contiguous ``shape`` view of the start of ``slot``."""
-        size = math.prod(shape)
+    def _lay(self, slot: str, dtype, shapes) -> list[np.ndarray]:
+        """Views of the given shapes laid end to end from the start of
+        ``slot``, which grows to hold them."""
+        sizes = [math.prod(shape) for shape in shapes]
+        need = sum(sizes)
         buf = self._slots.get(slot)
-        if buf is None or buf.size < size or buf.dtype != dtype:
-            buf = self._slots[slot] = np.empty(size, dtype=dtype)
-        return buf[:size].reshape(shape)
+        if buf is None or buf.size < need or buf.dtype != dtype:
+            buf = self._slots[slot] = np.empty(need, dtype=dtype)
+        views, at = [], 0
+        for shape, size in zip(shapes, sizes):
+            views.append(buf[at : at + size].reshape(shape))
+            at += size
+        return views
 
     def _slot_of(self, x: np.ndarray) -> str | None:
         """The slot x is a view of (numpy points every view at the array
@@ -60,20 +66,21 @@ class Workspace:
                     return slot
         return None
 
-    def scratch(self, x: np.ndarray, shape: tuple) -> np.ndarray:
-        """A ``shape`` buffer of x's dtype in the scratch slot x does not occupy."""
-        return self._take("b" if self._slot_of(x) == "a" else "a", shape, x.dtype)
+    def take(self, x: np.ndarray, *shapes: tuple) -> list[np.ndarray]:
+        """Buffers of x's dtype and the given shapes, laid end to end in
+        whichever of slots ``a`` and ``b`` x does not occupy."""
+        return self._lay("b" if self._slot_of(x) == "a" else "a", x.dtype, shapes)
 
     def elementwise_out(self, x: np.ndarray) -> np.ndarray:
-        """Where an elementwise layer writes: x itself when x is scratch,
-        which no later layer reads, else the free scratch slot."""
-        return x if self._slot_of(x) in ("a", "b") else self.scratch(x, x.shape)
+        """Where an elementwise layer writes: x itself when x lies in slot
+        ``a`` or ``b``, which no later layer reads, else the other slot."""
+        return x if self._slot_of(x) in ("a", "b") else self.take(x, x.shape)[0]
 
     def block(self, x: np.ndarray, width: int) -> np.ndarray:
         """The (H, W, width) dense block map whose first channels are x.
         x already lives there when the block's previous dense layer
         returned it; otherwise, at the block's first layer, it is copied in."""
-        buf = self._take("block", x.shape[:2] + (width,), x.dtype)
+        buf, = self._lay("block", x.dtype, [x.shape[:2] + (width,)])
         if self._slot_of(x) != "block":
             buf[..., : x.shape[2]] = x
         return buf
@@ -128,8 +135,8 @@ class Conv2D(Layer):
 
     def forward(self, x, train=False, ws=None):
         w = self.params["w"]
-        scratch = None if ws is None else ws.scratch(x, (T.conv2d_scratch_size(x.shape, w.shape),))
-        y = T.conv2d_gemm(x, w, scratch)
+        buffers = None if ws is None else ws.take(x, *T.conv2d_buffers(x.shape, w.shape))
+        y = T.conv2d_gemm(x, w, buffers)
         if train:
             self._cache = x
         return y
@@ -212,7 +219,7 @@ class AvgPool2(Layer):
         if train:
             self._cache = x.shape
         h, w, c = x.shape
-        out = None if ws is None else ws.scratch(x, (h // 2, w // 2, c))
+        out = None if ws is None else ws.take(x, (h // 2, w // 2, c))[0]
         return T.avg_pool2x2(x, out)
 
     def backward(self, dy):

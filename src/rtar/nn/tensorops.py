@@ -2,9 +2,10 @@
 
 All functions are dtype-preserving (float32 for normal use, float64 for
 gradient-check runs) and write nothing but their result. The eval-mode
-kernels can write it into a caller's buffer (``out``, or conv2d_gemm's
-``scratch``) in place of a new array; each runs the same operations in
-the same order either way, so where the result lives changes no bit.
+kernels can write into the caller's buffers (``out``, or conv2d_gemm's
+``buffers``, shaped by ``conv2d_buffers``) in place of new arrays; each
+runs the same operations in the same order either way, so where the
+result lives changes no bit.
 
 ``conv2d_gemm`` is the one conv the model runs: "same", stride 1, with a
 square 1x1 or 3x3 kernel padded by k//2. It lowers the convolution to one
@@ -74,11 +75,11 @@ def _flat_padded(x: np.ndarray, k: int, xp: np.ndarray | None = None) -> tuple[n
     return xp, wp, n
 
 
-def _gemm_shapes(x_shape: tuple, w_shape: tuple) -> list[tuple[int, int]]:
-    """Shapes of conv2d_gemm's buffers: the flat padded input (see
-    ``_flat_padded``), the (n, Cout) accumulator and one tap's product. A
-    1x1 conv reads x itself and runs one product, so its padded input and
-    tap product are empty."""
+def conv2d_buffers(x_shape: tuple, w_shape: tuple) -> list[tuple[int, int]]:
+    """Shapes of conv2d_gemm's three ``buffers``: the flat padded input
+    (see ``_flat_padded``), the (n, Cout) accumulator and one tap's
+    product. A 1x1 conv reads x itself and runs one product, so its padded
+    input and tap product are empty."""
     h, w_in, cin = x_shape
     k, cout = w_shape[0], w_shape[3]
     p = k // 2
@@ -89,30 +90,7 @@ def _gemm_shapes(x_shape: tuple, w_shape: tuple) -> list[tuple[int, int]]:
     return [((h + 2 * p) * wp + k - 1, cin), (n, cout), (n, cout)]
 
 
-def conv2d_scratch_size(x_shape: tuple, w_shape: tuple) -> int:
-    """Elements of the ``scratch`` conv2d_gemm needs for these shapes."""
-    return sum(rows * cols for rows, cols in _gemm_shapes(x_shape, w_shape))
-
-
-def _carve(scratch: np.ndarray | None, shapes: list[tuple[int, int]], dtype) -> list[np.ndarray]:
-    """Arrays of the given 2-D shapes, laid end to end in the 1-D
-    ``scratch``, or new ones when scratch is None."""
-    if scratch is None:
-        return [np.empty(s, dtype=dtype) for s in shapes]
-    need = sum(rows * cols for rows, cols in shapes)
-    if scratch.ndim != 1 or scratch.dtype != dtype or scratch.size < need:
-        raise ContractViolationError(
-            f"scratch must be 1-D {np.dtype(dtype)} with {need} elements, "
-            f"got {scratch.shape} {scratch.dtype}"
-        )
-    pieces, at = [], 0
-    for rows, cols in shapes:
-        pieces.append(scratch[at : at + rows * cols].reshape(rows, cols))
-        at += rows * cols
-    return pieces
-
-
-def conv2d_gemm(x: np.ndarray, w: np.ndarray, scratch: np.ndarray | None = None) -> np.ndarray:
+def conv2d_gemm(x: np.ndarray, w: np.ndarray, buffers: list[np.ndarray] | None = None) -> np.ndarray:
     """"Same" 2-D convolution (cross-correlation), stride 1, channel-last, no bias.
 
     x: (H, W, Cin); w: (k, k, Cin, Cout) with k in {1, 3}, padded by k//2.
@@ -122,14 +100,24 @@ def conv2d_gemm(x: np.ndarray, w: np.ndarray, scratch: np.ndarray | None = None)
     at the full padded width (see ``_flat_padded``), so each tap's product
     reads a contiguous view of that buffer and the taps accumulate into
     one (n, Cout) buffer; the returned view drops the wrapped columns. A
-    1x1 conv reads x itself, so nothing is copied. The buffers are new
-    arrays, or pieces of ``scratch`` (1-D, x's dtype, at least
-    ``conv2d_scratch_size`` elements), and the result is then a view of
-    scratch. Where they live changes no bit of the result.
+    1x1 conv reads x itself, so nothing is copied. The three buffers are
+    new arrays, or the caller's ``buffers`` (C-contiguous, x's dtype, the
+    shapes ``conv2d_buffers`` gives), and the result is a view of the
+    accumulator. Where they live changes no bit of the result.
     """
     _check_conv_args(x, w)
     k, _, _, cout = w.shape
-    pad, acc, tap = _carve(scratch, _gemm_shapes(x.shape, w.shape), x.dtype)
+    shapes = conv2d_buffers(x.shape, w.shape)
+    if buffers is None:
+        buffers = [np.empty(s, dtype=x.dtype) for s in shapes]
+    elif [b.shape for b in buffers] != shapes or not all(
+        b.dtype == x.dtype and b.flags.c_contiguous for b in buffers
+    ):
+        raise ContractViolationError(
+            f"conv2d_gemm buffers must be C-contiguous {x.dtype} arrays of shapes {shapes}, "
+            f"got {[(b.shape, str(b.dtype)) for b in buffers]}"
+        )
+    pad, acc, tap = buffers
     xp, wp, n = _flat_padded(x, k, pad)
     np.matmul(xp[:n], w[0, 0], out=acc)
     for ky in range(k):

@@ -13,10 +13,10 @@ own timestamps: a poll at every multiple of ``poll_interval``, each
 seeing the records stamped at or before it, then a final poll at the
 stream's end. Offline clip runs stamp sampled pairs from frame indices
 and end at the clip duration, so their event logs are pure functions of
-the inputs. Live mode feeds frames through a bounded drop-oldest queue
-into one inference worker, stamps each pair with its first frame's
-timestamp and ends at ``last_ts + 1/fps``; its log is deterministic
-only while nothing is dropped.
+the inputs. Live mode feeds each frame and the next, as one pair,
+through a bounded drop-oldest queue into one inference worker, stamps
+each pair with its first frame's timestamp and ends at ``last_ts +
+1/fps``; its log is deterministic only while no pair is dropped.
 """
 
 from __future__ import annotations
@@ -294,20 +294,24 @@ class BoundedQueue:
             self._cond.notify_all()
 
 
+LIVE_QUEUE_SIZE = 8  # frame pairs the live queue holds before it drops the oldest
+
+
 def run_pipeline_live(
     frames: Iterator[tuple[float, np.ndarray]],
     model,
     config: RuntimeConfig = RuntimeConfig(),
     pre_config: PreprocessConfig = PreprocessConfig(),
-    queue_size: int = 8,
+    queue_size: int = LIVE_QUEUE_SIZE,
 ) -> tuple[list[str], int]:
-    """Stream pipeline: frames -> bounded queue -> inference worker -> poller.
+    """Stream pipeline: frame pairs -> bounded queue -> inference worker -> poller.
 
     ``frames`` yields (timestamp, HxWx3 uint8) and is read on the caller's
-    thread; one worker thread infers each consecutive pair it takes off
-    the queue. If inference lags, the oldest queued frames are dropped;
-    the drop count is returned alongside the event lines. Polls follow
-    the frame timestamps, and the final poll falls at ``last_ts + 1/fps``.
+    thread, which queues each frame and the next as one pair for one
+    worker thread to infer. If inference lags, the oldest queued pairs
+    are dropped, so every inferred pair holds two adjacent frames; the
+    drop count is returned alongside the event lines. Polls follow the
+    frame timestamps, and the final poll falls at ``last_ts + 1/fps``.
     An inference exception closes the queue, which stops the reading of
     frames, and is re-raised here once the worker has been joined; an
     exception from ``frames`` propagates.
@@ -317,22 +321,21 @@ def run_pipeline_live(
     failures: list[Exception] = []
 
     def infer():
-        prev = None
         try:
-            while (item := queue.get()) is not None:
-                if prev is not None:
-                    poller.classify(prev[0], prev[1], item[1])
-                prev = item
+            while (pair := queue.get()) is not None:
+                poller.classify(*pair)
         except Exception as exc:  # re-raised on the caller's thread after join
             failures.append(exc)
             queue.close()
 
     worker = threading.Thread(target=infer, daemon=True)
     worker.start()
-    end = 0.0
+    end, prev = 0.0, None
     try:
         for ts, frame in frames:
-            queue.put((ts, frame))  # refused once a failed worker has closed the queue
+            if prev is not None:
+                queue.put((*prev, frame))  # refused once a failed worker has closed the queue
+            prev = ts, frame
             end = ts + 1 / config.fps
     finally:
         queue.close()

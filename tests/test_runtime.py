@@ -403,6 +403,36 @@ class TestLivePipeline:
                          "POLL\t1.000\tclass\t1\t1=7"]
         assert run() == (lines, 0)
 
+    def test_queue_drops_whole_pairs_so_every_pair_is_adjacent(self, monkeypatch):
+        # frame i is filled with i; the first predict waits until the source
+        # has put all 20 frames, so the 4-slot queue must drop
+        n = 20
+        predicting, all_sent = threading.Event(), threading.Event()
+        seen = []
+
+        def record_pair(prev_frame, next_frame, pre_config):
+            seen.append((int(prev_frame[0, 0, 0]), int(next_frame[0, 0, 0])))
+            return None, None, None
+
+        class WaitingModel(_ScriptedModel):
+            def predict(self, rgb, flow, hog):
+                predicting.set()
+                assert all_sent.wait(10)
+                return super().predict(rgb, flow, hog)
+
+        def frames():
+            for i in range(n):
+                if i == 2:
+                    assert predicting.wait(10)
+                yield i / 30, np.full((16, 16, 3), i, dtype=np.uint8)
+            all_sent.set()
+
+        monkeypatch.setattr(runtime, "preprocess_pair", record_pair)
+        lines, dropped = runtime.run_pipeline_live(frames(), WaitingModel(), RuntimeConfig(fps=30),
+                                                   FAST_PRE, queue_size=4)
+        assert seen == [(0, 1), (15, 16), (16, 17), (17, 18), (18, 19)]
+        assert len(seen) + dropped == n - 1
+
     def test_inference_failure_is_reraised_and_stops_ingest(self):
         sent = []
 

@@ -113,6 +113,33 @@ class TestConv2dGemm:
         x = rng.random((5, 4, 3), dtype=np.float32)
         assert np.shares_memory(T._flat_padded(x, 1)[0], x)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_caller_buffers_equal_new_ones(self, rng, k, dtype):
+        x = rng.standard_normal((5, 7, 3)).astype(dtype)
+        wt = rng.standard_normal((k, k, 3, 4)).astype(dtype)
+        # stale contents: every element the conv reads must be written first
+        buffers = [np.full(s, np.nan, dtype=dtype) for s in T.conv2d_buffers(x.shape, wt.shape)]
+        for xi in (x, x[::-1].copy()):  # then buffers that hold the last call's values
+            got = T.conv2d_gemm(xi, wt, buffers)
+            assert np.array_equal(got, T.conv2d_gemm(xi, wt))
+            assert got.base is buffers[1]
+
+    @pytest.mark.parametrize("spoil", ["shape", "dtype", "strides", "count"])
+    def test_rejects_wrong_buffers(self, rng, spoil):
+        x = rng.random((5, 7, 3), dtype=np.float32)
+        wt = rng.random((3, 3, 3, 4), dtype=np.float32)
+        pad, acc, tap = (np.empty(s, dtype=np.float32) for s in T.conv2d_buffers(x.shape, wt.shape))
+        spoiled = {
+            "shape": [pad, acc[1:], tap],
+            "dtype": [pad, acc.astype(np.float64), tap],
+            # a padded input the pad write would silently copy instead of fill
+            "strides": [np.repeat(pad, 2, axis=1)[:, ::2], acc, tap],
+            "count": [pad, acc],
+        }[spoil]
+        with pytest.raises(ContractViolationError):
+            T.conv2d_gemm(x, wt, spoiled)
+
     def test_conv2d_layer_runs_gemm_in_both_modes(self, rng):
         layer = Conv2D(3, 2, 4, rng=rng)
         x = rng.random((6, 5, 2), dtype=np.float32)
