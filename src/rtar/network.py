@@ -143,10 +143,11 @@ class _DenseLayer:
     """BN-ReLU-1x1 conv (bottleneck) then BN-ReLU-3x3 conv; concatenates k
     new channels onto its input.
 
-    With a workspace, the block's map is one (H, W, width) buffer: each
-    dense layer reads its first channels and writes its k new ones after
-    them (Pleiss et al., 2017, "Memory-Efficient Implementation of
-    DenseNets"), so nothing is concatenated."""
+    Maps are (C, H, W). With a workspace, the block's map is one (width,
+    H, W) buffer: each dense layer reads its first channels, one
+    contiguous prefix, and writes its k new ones after them (Pleiss et
+    al., 2017, "Memory-Efficient Implementation of DenseNets"), so
+    nothing is concatenated or copied."""
 
     def __init__(self, chain: list[Layer], width: int):
         self.chain = chain
@@ -155,14 +156,14 @@ class _DenseLayer:
 
     def forward(self, x, train=False, ws=None):
         if ws is None:
-            return np.concatenate([x, forward(self.chain, x, train)], axis=2)
-        c = x.shape[2]
+            return np.concatenate([x, forward(self.chain, x, train)])
+        c = x.shape[0]
         block = ws.block(x, self.width)
-        block[..., c : c + self.k] = forward(self.chain, block[..., :c], ws=ws)
-        return block[..., : c + self.k]
+        block[c : c + self.k] = forward(self.chain, block[:c], ws=ws)
+        return block[: c + self.k]
 
     def backward(self, dy):
-        return dy[:, :, : -self.k] + backward(self.chain, dy[:, :, -self.k :])
+        return dy[: -self.k] + backward(self.chain, dy[-self.k :])
 
 
 class StreamNet:
@@ -179,12 +180,21 @@ class StreamNet:
         return flat
 
     def forward(self, x, train=False, ws: Workspace | None = None):
-        """The stream's (H, W, D) map: a new array, or in eval mode with
-        ``ws`` a view of the workspace that the next pass overwrites."""
-        return forward(self.nodes, x, train, ws)
+        """The stream's (H, W, D) map for its (H, W, Cin) input: a new
+        array, or in eval mode with ``ws`` a view of the workspace that the
+        next pass overwrites. The layers run on (C, H, W) maps, so this is
+        the one transpose each way: the first conv pads a transposed view
+        of x, and the last map is copied out channel-last, which keeps
+        pooling's summation order."""
+        y = forward(self.nodes, x.transpose(2, 0, 1), train, ws).transpose(1, 2, 0)
+        if ws is None:
+            return np.ascontiguousarray(y)
+        out, = ws.take(y, y.shape)
+        out[...] = y
+        return out
 
     def backward(self, dy):
-        return backward(self.nodes, dy)
+        return backward(self.nodes, dy.transpose(2, 0, 1)).transpose(1, 2, 0)
 
 
 # ---------------------------------------------------------------------------

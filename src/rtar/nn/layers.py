@@ -23,8 +23,8 @@ from . import tensorops as T
 
 
 class Workspace:
-    """Reused activation buffers for eval-mode forward passes; one per
-    model and thread, so it needs no lock.
+    """Reused activation buffers for eval-mode forward passes of (C, H, W)
+    maps; one per model and thread, so it needs no lock.
 
     A slot is one flat array that grows to the largest request, so after
     the first pass a forward pass of the same shapes allocates no
@@ -32,7 +32,8 @@ class Workspace:
     of slots ``a`` and ``b`` its input does not occupy, and BN and ReLU
     run in place on an input that already lies there. A dense block's
     running map lives in a third slot, ``block``, into which each dense
-    layer writes its new channels. Every view handed out is overwritten
+    layer writes its new channels; channels lead, so the map's first c
+    channels are one contiguous prefix. Every view handed out is overwritten
     by a later layer or pass: nothing that leaves the model may alias one.
     """
 
@@ -77,12 +78,12 @@ class Workspace:
         return x if self._slot_of(x) in ("a", "b") else self.take(x, x.shape)[0]
 
     def block(self, x: np.ndarray, width: int) -> np.ndarray:
-        """The (H, W, width) dense block map whose first channels are x.
+        """The (width, H, W) dense block map whose first channels are x.
         x already lives there when the block's previous dense layer
         returned it; otherwise, at the block's first layer, it is copied in."""
-        buf, = self._lay("block", x.dtype, [x.shape[:2] + (width,)])
+        buf, = self._lay("block", x.dtype, [(width,) + x.shape[1:]])
         if self._slot_of(x) != "block":
-            buf[..., : x.shape[2]] = x
+            buf[: x.shape[0]] = x
         return buf
 
 
@@ -121,8 +122,8 @@ class Layer:
 
 
 class Conv2D(Layer):
-    """"Same" channel-last convolution at stride 1, weights (k, k, Cin, Cout)
-    with k in {1, 3}, no bias."""
+    """"Same" convolution of a (Cin, H, W) map at stride 1, weights (k, k,
+    Cin, Cout) with k in {1, 3}, no bias."""
 
     def __init__(self, k, cin, cout, *, rng: np.random.Generator, dtype=np.float32):
         super().__init__()
@@ -149,7 +150,8 @@ class Conv2D(Layer):
 
 
 class BatchNorm(Layer):
-    """Per-channel batch normalization over the spatial axes of one sample.
+    """Per-channel batch normalization over the spatial axes of one (C, H,
+    W) sample.
 
     Train mode normalizes with the sample's own spatial statistics and
     folds them into the running estimates (``running = m*running +
@@ -180,9 +182,9 @@ class BatchNorm(Layer):
             self.running_var = (m * self.running_var + (1 - m) * var).astype(x.dtype)
             self._cache = (x_hat, var)
             return y
+        stats = (self.params["gamma"], self.params["beta"], self.running_mean, self.running_var)
         return T.batch_norm_eval_folded(
-            x, self.params["gamma"], self.params["beta"],
-            self.running_mean, self.running_var, self.eps,
+            x, *(v[:, None, None] for v in stats), self.eps,
             out=None if ws is None else ws.elementwise_out(x),
         )
 
@@ -192,13 +194,13 @@ class BatchNorm(Layer):
     def backward(self, dy):
         x_hat, var = self._take_cache()
         gamma = self.params["gamma"]
-        n = x_hat.shape[0] * x_hat.shape[1]
-        sum_dy = dy.sum(axis=(0, 1))
-        sum_dy_xhat = (dy * x_hat).sum(axis=(0, 1))
-        self.grads["gamma"] += sum_dy_xhat
-        self.grads["beta"] += sum_dy
+        n = x_hat.shape[1] * x_hat.shape[2]
+        sum_dy = dy.sum(axis=(1, 2), keepdims=True)
+        sum_dy_xhat = (dy * x_hat).sum(axis=(1, 2), keepdims=True)
+        self.grads["gamma"] += sum_dy_xhat.ravel()
+        self.grads["beta"] += sum_dy.ravel()
         inv_std = 1.0 / np.sqrt(var + self.eps)
-        dx = (gamma * inv_std / n) * (n * dy - sum_dy - x_hat * sum_dy_xhat)
+        dx = (gamma * inv_std / n)[:, None, None] * (n * dy - sum_dy - x_hat * sum_dy_xhat)
         return dx.astype(dy.dtype)
 
 
@@ -213,29 +215,29 @@ class ReLU(Layer):
 
 
 class AvgPool2(Layer):
-    """2x2 average pooling with stride 2."""
+    """2x2 average pooling of a (C, H, W) map with stride 2."""
 
     def forward(self, x, train=False, ws=None):
         if train:
             self._cache = x.shape
-        h, w, c = x.shape
-        out = None if ws is None else ws.take(x, (h // 2, w // 2, c))[0]
+        c, h, w = x.shape
+        out = None if ws is None else ws.take(x, (c, h // 2, w // 2))[0]
         return T.avg_pool2x2(x, out)
 
     def backward(self, dy):
-        h, w, c = self._take_cache()
-        dx = np.empty((h, w, c), dtype=dy.dtype)
+        dx = np.empty(self._take_cache(), dtype=dy.dtype)
         spread = dy * np.asarray(0.25, dtype=dy.dtype)
-        dx[0::2, 0::2] = spread
-        dx[0::2, 1::2] = spread
-        dx[1::2, 0::2] = spread
-        dx[1::2, 1::2] = spread
+        dx[:, 0::2, 0::2] = spread
+        dx[:, 0::2, 1::2] = spread
+        dx[:, 1::2, 0::2] = spread
+        dx[:, 1::2, 1::2] = spread
         return dx
 
 
 class GlobalAvgPool(Layer):
-    """Its (C,) output is always a new array, as is Dense's: both leave the
-    streams, so they never use a workspace."""
+    """Pools a stream's channel-last (H, W, C) output. Its (C,) output is
+    always a new array, as is Dense's: both leave the streams, so they
+    never use a workspace."""
 
     def forward(self, x, train=False, ws=None):
         if train:

@@ -1,23 +1,26 @@
 """Functional forward passes for the fixed layer set.
 
-All functions are dtype-preserving (float32 for normal use, float64 for
-gradient-check runs) and write nothing but their result. The eval-mode
-kernels can write into the caller's buffers (``out``, or conv2d_gemm's
-``buffers``, shaped by ``conv2d_buffers``) in place of new arrays; each
-runs the same operations in the same order either way, so where the
-result lives changes no bit.
+Feature maps are channel-major, (C, H, W), so one channel's map is one
+contiguous run. All functions are dtype-preserving (float32 for normal
+use, float64 for gradient-check runs) and write nothing but their
+result. The eval-mode kernels can write into the caller's buffers
+(``out``, or conv2d_gemm's ``buffers``, shaped by ``conv2d_buffers``) in
+place of new arrays; each runs the same operations in the same order
+either way, so where the result lives changes no bit.
 
 ``conv2d_gemm`` is the one conv the model runs: "same", stride 1, with a
-square 1x1 or 3x3 kernel padded by k//2. It lowers the convolution to one
-BLAS matrix product per kernel tap (Chellapilla et al., 2006). The input
-is zero-padded once into one flat (Hp*Wp + k-1, Cin) buffer and the
-output is computed at the full padded width Wp, so tap (ky, kx) reads the
-contiguous rows starting at ky*Wp + kx: every product reads a view, no
-patch or im2col matrix is copied, and the k-1 columns that wrap into the
-next row are dropped on return. A 1x1 conv reads x itself.
-``conv2d_backward`` runs the same tap views. BLAS reorders the
-floating-point sums, so the output is float32-close to, not
-bit-identical with, a naive loop.
+square 1x1 or 3x3 kernel padded by k//2. A 1x1 conv is one BLAS product,
+(Cout, Cin) @ (Cin, H*W). A 3x3 conv runs in the kn2row form (Vasudevan,
+Anderson & Gregg, 2017): x is zero-padded once into one flat (Cin,
+Hp*Wp + k-1) buffer, one product with the (k*k*Cout, Cin) tap-stacked
+weights gives every tap's contribution at every padded position, and
+the output, at the full padded width Wp, adds each tap's rows shifted by
+ky*Wp + kx, taps in order. A map whose product would exceed
+``_BAND_FLOATS`` values runs in bands of output rows, one product each.
+``conv2d_backward`` runs two products on one stack of the upstream
+gradient shifted by every tap. BLAS reorders the floating-point sums,
+so the output is float32-close to, not bit-identical with, a naive
+loop.
 
 Eval-mode batch norm, ``batch_norm_eval_folded``, is one per-channel
 scale and shift, float-close to the term-by-term formula.
@@ -31,20 +34,23 @@ import numpy as np
 
 from ..errors import ContractViolationError
 
+# Most values one band's kn2row product holds (1 MB at float32).
+_BAND_FLOATS = 1 << 18
+
 
 def _check_conv_args(x: np.ndarray, w: np.ndarray) -> None:
-    """Check the conv argument contract: (H, W, Cin) input, non-empty, and a
+    """Check the conv argument contract: (Cin, H, W) input, non-empty, and a
     (k, k, Cin, Cout) kernel with k in {1, 3}."""
     if x.ndim != 3 or w.ndim != 4:
         raise ContractViolationError(
-            f"conv2d expects (H,W,Cin) and (k,k,Cin,Cout), got {x.shape} and {w.shape}"
+            f"conv2d expects (Cin,H,W) and (k,k,Cin,Cout), got {x.shape} and {w.shape}"
         )
     kh, kw, cin, _ = w.shape
     if kh != kw or kh not in (1, 3):
         raise ContractViolationError(f"kernel must be 1x1 or 3x3, got {kh}x{kw}")
-    if x.shape[2] != cin:
+    if x.shape[0] != cin:
         raise ContractViolationError(
-            f"input has {x.shape[2]} channels but weights expect {cin}"
+            f"input has {x.shape[0]} channels but weights expect {cin}"
         )
     if x.size == 0:
         raise ContractViolationError(f"empty input {x.shape}")
@@ -54,59 +60,71 @@ def _flat_padded(x: np.ndarray, k: int, xp: np.ndarray | None = None) -> tuple[n
     """conv2d_gemm's input layout; returns (xp, Wp, n).
 
     xp is x zero-padded by p = k//2 on both spatial axes and flattened to
-    (Hp*Wp + k-1, Cin) rows, with Wp = W + 2p; it is written into the
-    given ``xp`` buffer of that shape, or into a new one. The output at the
-    full padded width has n = H*Wp rows, and tap (ky, kx) reads the
-    contiguous rows xp[ky*Wp+kx : ky*Wp+kx+n]. The k-1 trailing zero rows
-    let the last tap read past the padded image. A 1x1 conv needs neither,
-    so xp is then x itself as a view.
+    (Cin, Hp*Wp + k-1), with Wp = W + 2p; it is written into the given
+    ``xp`` buffer of that shape, or into a new one. The output at the
+    full padded width has n = H*Wp columns, and tap (ky, kx) pairs output
+    column q with input column q + ky*Wp + kx. The k-1 trailing zero
+    columns let the last tap read past the padded image. A 1x1 conv needs
+    neither, so xp is then x itself, reshaped to (Cin, H*W).
     """
-    h, w_in, cin = x.shape
+    cin, h, w_in = x.shape
     p = k // 2
     hp, wp = h + 2 * p, w_in + 2 * p
     n = h * wp
     if k == 1:
-        return x.reshape(n, cin), wp, n
+        return x.reshape(cin, n), wp, n
     if xp is None:
-        xp = np.zeros((hp * wp + k - 1, cin), dtype=x.dtype)
+        xp = np.zeros((cin, hp * wp + k - 1), dtype=x.dtype)
     else:
         xp.fill(0)
-    xp[: hp * wp].reshape(hp, wp, cin)[p : p + h, p : p + w_in] = x
+    xp[:, : hp * wp].reshape(cin, hp, wp)[:, p : p + h, p : p + w_in] = x
     return xp, wp, n
 
 
-def conv2d_buffers(x_shape: tuple, w_shape: tuple) -> list[tuple[int, int]]:
-    """Shapes of conv2d_gemm's three ``buffers``: the flat padded input
-    (see ``_flat_padded``), the (n, Cout) accumulator and one tap's
-    product. A 1x1 conv reads x itself and runs one product, so its padded
-    input and tap product are empty."""
-    h, w_in, cin = x_shape
+def conv2d_buffers(x_shape: tuple, w_shape: tuple) -> list[tuple[int, ...]]:
+    """Shapes of conv2d_gemm's ``buffers``. A 1x1 conv has one, its (Cout,
+    H*W) output. A 3x3 conv has three: the flat padded input (see
+    ``_flat_padded``), one band's product (flat room for (k*k*Cout,
+    rows*Wp + halo), see ``_bands``) and the (Cout, H, W) output."""
+    cin, h, w_in = x_shape
     k, cout = w_shape[0], w_shape[3]
-    p = k // 2
-    wp = w_in + 2 * p
-    n = h * wp
     if k == 1:
-        return [(0, cin), (n, cout), (0, cout)]
-    return [((h + 2 * p) * wp + k - 1, cin), (n, cout), (n, cout)]
+        return [(cout, h * w_in)]
+    wp, halo, rows = _bands(h, w_in, k, cout)
+    return [(cin, (h + k - 1) * wp + k - 1), (k * k * cout * (rows * wp + halo),),
+            (cout, h, w_in)]
+
+
+def _bands(h: int, w_in: int, k: int, cout: int) -> tuple[int, int, int]:
+    """(Wp, halo, rows): the padded width, the taps' reach past a band, and
+    the output rows per band. The H rows split evenly into the fewest bands
+    whose product holds at most ``_BAND_FLOATS`` values."""
+    wp = w_in + k - 1
+    halo = (k - 1) * wp + k - 1
+    most = max(1, (_BAND_FLOATS // (k * k * cout) - halo) // wp)
+    bands = -(-h // most)
+    return wp, halo, -(-h // bands)
 
 
 def conv2d_gemm(x: np.ndarray, w: np.ndarray, buffers: list[np.ndarray] | None = None) -> np.ndarray:
-    """"Same" 2-D convolution (cross-correlation), stride 1, channel-last, no bias.
+    """"Same" 2-D convolution (cross-correlation), stride 1, channel-major, no bias.
 
-    x: (H, W, Cin); w: (k, k, Cin, Cout) with k in {1, 3}, padded by k//2.
-    Output (H, W, Cout).
+    x: (Cin, H, W); w: (k, k, Cin, Cout) with k in {1, 3}, padded by k//2.
+    Output (Cout, H, W).
 
-    x is zero-padded once into one flat buffer and the output is computed
-    at the full padded width (see ``_flat_padded``), so each tap's product
-    reads a contiguous view of that buffer and the taps accumulate into
-    one (n, Cout) buffer; the returned view drops the wrapped columns. A
-    1x1 conv reads x itself, so nothing is copied. The three buffers are
-    new arrays, or the caller's ``buffers`` (C-contiguous, x's dtype, the
-    shapes ``conv2d_buffers`` gives), and the result is a view of the
-    accumulator. Where they live changes no bit of the result.
+    A 1x1 conv is one product, w[0, 0].T @ x. A 3x3 conv pads x once (see
+    ``_flat_padded``) and runs one product per band of output rows into a
+    contiguous (k*k*Cout, B) block, in which tap t's rows start t*Cout*B
+    values in. Shifted by its ky*Wp + kx, tap t's run of the flat block
+    lines up with tap 0's across all Cout rows, so each tap is one
+    contiguous add, in tap order, into tap 0's rows; the band's output
+    rows are copied out without the wrapped columns. The buffers are new
+    arrays, or the caller's ``buffers`` (C-contiguous, x's dtype, the
+    shapes ``conv2d_buffers`` gives), and the result is the last one.
+    Where they live changes no bit of the result.
     """
     _check_conv_args(x, w)
-    k, _, _, cout = w.shape
+    k, _, cin, cout = w.shape
     shapes = conv2d_buffers(x.shape, w.shape)
     if buffers is None:
         buffers = [np.empty(s, dtype=x.dtype) for s in shapes]
@@ -117,55 +135,64 @@ def conv2d_gemm(x: np.ndarray, w: np.ndarray, buffers: list[np.ndarray] | None =
             f"conv2d_gemm buffers must be C-contiguous {x.dtype} arrays of shapes {shapes}, "
             f"got {[(b.shape, str(b.dtype)) for b in buffers]}"
         )
-    pad, acc, tap = buffers
-    xp, wp, n = _flat_padded(x, k, pad)
-    np.matmul(xp[:n], w[0, 0], out=acc)
-    for ky in range(k):
-        for kx in range(k):
-            if ky or kx:
-                o = ky * wp + kx
-                acc += np.matmul(xp[o : o + n], w[ky, kx], out=tap)
-    return acc.reshape(-1, wp, cout)[:, : x.shape[1]]
+    h, w_in = x.shape[1:]
+    if k == 1:
+        out, = buffers
+        return np.matmul(w[0, 0].T, x.reshape(cin, h * w_in), out=out).reshape(cout, h, w_in)
+    pad, prod, out = buffers
+    xp = _flat_padded(x, k, pad)[0]
+    # the (ky, kx, Cout) rows of one product, built on each call so a shared
+    # model holds no derived state
+    w9 = w.transpose(0, 1, 3, 2).reshape(k * k * cout, cin)
+    wp, halo, rows = _bands(h, w_in, k, cout)
+    for r0 in range(0, h, rows):
+        r1 = min(h, r0 + rows)
+        n = (r1 - r0) * wp
+        b = n + halo
+        y = np.matmul(w9, xp[:, r0 * wp : r0 * wp + b], out=prod[: k * k * cout * b].reshape(-1, b))
+        acc = prod[: (cout - 1) * b + n]
+        for t in range(1, k * k):
+            o = t * cout * b + t // k * wp + t % k
+            acc += prod[o : o + acc.size]
+        out[:, r0:r1] = y[:cout, :n].reshape(cout, r1 - r0, wp)[:, :, :w_in]
+    return out
 
 
 def conv2d_backward(x: np.ndarray, w: np.ndarray, dy: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Gradients of conv2d_gemm: returns (dx, dw) for upstream dy (H, W, Cout).
+    """Gradients of conv2d_gemm: returns (dx, dw) for upstream dy (Cout, H, W).
 
-    Uses conv2d_gemm's layout. dy is zero-filled into the padded-width
-    output rows, so the wrapped columns add nothing; then
-    dw[ky, kx] = xp[o:o+n].T @ dyf, dxp[o:o+n] += dyf @ w[ky, kx].T, and dx
-    is the interior of dxp.
+    Uses conv2d_gemm's layout. dy, zero at the wrapped columns, is copied
+    at each tap's shift into one (k*k*Cout, Hp*Wp + k-1) stack D; then
+    dw = xp @ D.T and dxp = W @ D, with W the (Cin, k*k*Cout) tap-stacked
+    weights, and dx is the interior of dxp.
     """
     _check_conv_args(x, w)
     k, _, cin, cout = w.shape
-    h, w_in = x.shape[:2]
-    if dy.shape != (h, w_in, cout) or dy.dtype != x.dtype:
+    _, h, w_in = x.shape
+    if dy.shape != (cout, h, w_in) or dy.dtype != x.dtype:
         raise ContractViolationError(
-            f"conv2d_backward expects dy of shape {(h, w_in, cout)} and dtype {x.dtype}, "
+            f"conv2d_backward expects dy of shape {(cout, h, w_in)} and dtype {x.dtype}, "
             f"got {dy.shape} {dy.dtype}"
         )
     xp, wp, n = _flat_padded(x, k)
-    dyf = np.zeros((n, cout), dtype=dy.dtype)
-    dyf.reshape(-1, wp, cout)[:, :w_in] = dy
-    dxp = np.empty_like(xp)
-    np.matmul(dyf, w[0, 0].T, out=dxp[:n])
-    dxp[n:] = 0
-    dw = np.empty_like(w)
-    for ky in range(k):
-        for kx in range(k):
-            o = ky * wp + kx
-            np.matmul(xp[o : o + n].T, dyf, out=dw[ky, kx])
-            if ky or kx:
-                dxp[o : o + n] += dyf @ w[ky, kx].T
+    dyf = np.zeros((cout, h, wp), dtype=dy.dtype)
+    dyf[:, :, :w_in] = dy
+    d = np.zeros((k * k, cout, xp.shape[1]), dtype=dy.dtype)
+    for t in range(k * k):
+        o = t // k * wp + t % k
+        d[t, :, o : o + n] = dyf.reshape(cout, n)
+    d = d.reshape(k * k * cout, -1)
+    dw = (xp @ d.T).reshape(cin, k, k, cout).transpose(1, 2, 0, 3)
+    dxp = w.transpose(2, 0, 1, 3).reshape(cin, k * k * cout) @ d
     p = k // 2
-    dx = dxp[: (h + 2 * p) * wp].reshape(-1, wp, cin)
-    return dx[p : p + h, p : p + w_in], dw
+    dx = dxp[:, : (h + 2 * p) * wp].reshape(cin, -1, wp)
+    return dx[:, p : p + h, p : p + w_in], dw
 
 
 def batch_norm_train(
     x: np.ndarray, gamma: np.ndarray, beta: np.ndarray, eps: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Per-channel normalization over the spatial axes of one sample.
+    """Per-channel normalization over the spatial axes of one (C, H, W) sample.
 
     Returns (y, mean, var, x_hat); mean/var feed the running statistics,
     x_hat is cached for the backward pass. Variance is the population
@@ -173,10 +200,10 @@ def batch_norm_train(
     """
     if eps <= 0:
         raise ContractViolationError(f"eps must be > 0, got {eps}")
-    mean = x.mean(axis=(0, 1))
-    var = x.var(axis=(0, 1))
+    mean = x.mean(axis=(1, 2), keepdims=True)
+    var = x.var(axis=(1, 2), keepdims=True)
     x_hat = (x - mean) / np.sqrt(var + eps)
-    return gamma * x_hat + beta, mean, var, x_hat
+    return gamma[:, None, None] * x_hat + beta[:, None, None], mean.ravel(), var.ravel(), x_hat
 
 
 def batch_norm_eval_folded(
@@ -190,8 +217,9 @@ def batch_norm_eval_folded(
 ) -> np.ndarray:
     """Eval-mode batch norm as one per-channel affine map (Ioffe & Szegedy, 2015).
 
-    scale = gamma / sqrt(var + eps) and shift = beta - mean * scale are
-    length-C vectors, folded on every call, so nothing is cached and a
+    gamma, beta and the running statistics broadcast against x: (C, 1, 1)
+    views for a (C, H, W) map. scale = gamma / sqrt(var + eps) and shift =
+    beta - mean * scale are folded on every call, so nothing is cached and a
     shared model stays safe to evaluate from several threads. The tensor
     takes one multiply into ``out`` (which may be x itself) or a new
     buffer, and one add in place. The terms
@@ -211,22 +239,23 @@ def relu(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
 
 
 def avg_pool2x2(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """2x2 average pooling, stride 2. Requires even spatial extents. The
-    four taps are summed left to right into ``out`` or a new array, then
-    scaled by 0.25."""
-    h, w, c = x.shape
+    """2x2 average pooling of a (C, H, W) map, stride 2. Requires even
+    spatial extents. The four taps are summed left to right into ``out``
+    or a new array, then scaled by 0.25."""
+    c, h, w = x.shape
     if h % 2 or w % 2:
         raise ContractViolationError(f"avg_pool2x2 needs even extents, got {h}x{w}")
-    pooled = x.reshape(h // 2, 2, w // 2, 2, c)
-    y = np.add(pooled[:, 0, :, 0], pooled[:, 0, :, 1], out=out)
-    y += pooled[:, 1, :, 0]
-    y += pooled[:, 1, :, 1]
+    pooled = x.reshape(c, h // 2, 2, w // 2, 2)
+    y = np.add(pooled[:, :, 0, :, 0], pooled[:, :, 0, :, 1], out=out)
+    y += pooled[:, :, 1, :, 0]
+    y += pooled[:, :, 1, :, 1]
     y *= np.asarray(0.25, dtype=x.dtype)
     return y
 
 
 def global_avg_pool(x: np.ndarray) -> np.ndarray:
-    """Mean over H and W; (H, W, C) -> (C,)."""
+    """Mean over H and W; (H, W, C) -> (C,). It reads a stream's output,
+    which is channel-last (see ``network.StreamNet.forward``)."""
     return x.mean(axis=(0, 1), dtype=x.dtype)
 
 

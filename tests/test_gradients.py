@@ -72,17 +72,17 @@ def gen():
 class TestLayerGradients:
     def test_conv_gradients(self, gen):
         layer = L.Conv2D(3, 2, 3, rng=gen, dtype=np.float64)
-        check_layer(layer, gen.standard_normal((5, 6, 2)))
+        check_layer(layer, gen.standard_normal((2, 5, 6)))
 
     def test_conv_1x1_gradients(self, gen):
         layer = L.Conv2D(1, 3, 4, rng=gen, dtype=np.float64)
-        check_layer(layer, gen.standard_normal((4, 4, 3)))
+        check_layer(layer, gen.standard_normal((3, 4, 5)))
 
     def test_batchnorm_gradients(self, gen):
         layer = L.BatchNorm(3, dtype=np.float64)
         layer.params["gamma"][:] = gen.random(3) + 0.5
         layer.params["beta"][:] = gen.standard_normal(3)
-        check_layer(layer, gen.standard_normal((4, 5, 3)), tol=1e-5)
+        check_layer(layer, gen.standard_normal((3, 4, 5)), tol=1e-5)
 
     def test_relu_gradients(self, gen):
         layer = L.ReLU()
@@ -91,7 +91,7 @@ class TestLayerGradients:
         check_layer(layer, x)
 
     def test_avgpool_gradients(self, gen):
-        check_layer(L.AvgPool2(), gen.standard_normal((6, 4, 3)))
+        check_layer(L.AvgPool2(), gen.standard_normal((3, 6, 4)))
 
     def test_globalpool_gradients(self, gen):
         layer = L.GlobalAvgPool()
@@ -155,25 +155,30 @@ class TestBackwardChain:
             layer.backward(np.zeros((4, 4, 1), dtype=np.float32))
 
     def test_chain_matches_finite_difference(self, gen):
-        layers = [
+        # the (C, H, W) layers, then the channel-last (H, W, C) map pooled, as
+        # in a stream followed by its pool and the head
+        maps = [
             L.Conv2D(3, 1, 2, rng=gen, dtype=np.float64),
             L.ReLU(),
             L.AvgPool2(),
-            L.GlobalAvgPool(),
-            L.Dense(2, 3, rng=gen, dtype=np.float64),
         ]
-        x = gen.standard_normal((4, 4, 1))
+        head = [L.GlobalAvgPool(), L.Dense(2, 3, rng=gen, dtype=np.float64)]
+        layers = maps + head
+        x = gen.standard_normal((1, 4, 4))
 
         def run(train=False):
             h = x
-            for layer in layers:
+            for layer in maps:
+                h = layer.forward(h, train=train)
+            h = h.transpose(1, 2, 0)
+            for layer in head:
                 h = layer.forward(h, train=train)
             return h
 
         r = gen.standard_normal(3)
-        assert np.array_equal(L.forward(layers, x), run())
+        assert np.array_equal(L.forward(head, L.forward(maps, x).transpose(1, 2, 0)), run())
         run(train=True)
-        dx = L.backward(layers, r.copy())
+        dx = L.backward(maps, L.backward(head, r.copy()).transpose(2, 0, 1))
 
         def obj():
             return float((run() * r).sum())

@@ -74,12 +74,12 @@ class TestStreamShapes:
         cfg = tiny_config(growth_rate=3, blocks=(4,))
         stream = net.StreamNet(cfg, 3, rng=np.random.default_rng(0), dtype=np.float32)
         assert len(stream.nodes) == 6  # initial conv, 4 dense layers, final ReLU
-        x = np.random.default_rng(1).random((8, 8, 3)).astype(np.float32)
-        h = stream.nodes[0].forward(x)
-        assert h.shape[2] == 6
+        x = np.random.default_rng(1).random((3, 8, 8)).astype(np.float32)
+        h = stream.nodes[0].forward(x)  # the layers run on (C, H, W) maps
+        assert h.shape[0] == 6
         for n, layer in enumerate(stream.nodes[1:-1], start=1):
             h = layer.forward(h)
-            assert h.shape[2] == 6 + n * 3
+            assert h.shape[0] == 6 + n * 3
 
     def test_toy_config_output_shape(self):
         cfg = net.ModelConfig(num_classes=12, growth_rate=12, blocks=(4, 4),
@@ -230,20 +230,24 @@ class TestPoolBeforeFusion:
 
 
 def _allocating_conv(x, w):
-    """conv2d_gemm as it ran before it took a scratch buffer: a new padded
-    copy, and each tap's product added into the first tap's."""
+    """conv2d_gemm written out with new arrays, on a channel-last map: x
+    zero-padded into a flat (Cin, Hp*Wp + k-1) copy, one product with the
+    (k*k*Cout, Cin) tap-stacked weights, and each tap's rows, shifted by
+    ky*Wp + kx, added into tap 0's, taps in order. The test's maps are
+    small enough for one band."""
     k, _, cin, cout = w.shape
     p = k // 2
     h, wd = x.shape[:2]
     wp, n = wd + 2 * p, h * (wd + 2 * p)
-    xp = np.zeros(((h + 2 * p) * wp + k - 1, cin), dtype=x.dtype)
-    xp[: (h + 2 * p) * wp].reshape(-1, wp, cin)[p : p + h, p : p + wd] = x
-    out = xp[:n] @ w[0, 0]
+    xp = np.zeros((cin, (h + 2 * p) * wp + k - 1), dtype=x.dtype)
+    xp[:, : (h + 2 * p) * wp].reshape(cin, -1, wp)[:, p : p + h, p : p + wd] = x.transpose(2, 0, 1)
+    taps = (w.transpose(0, 1, 3, 2).reshape(k * k * cout, cin) @ xp).reshape(k * k, cout, -1)
+    out = taps[0, :, :n].copy()
     for ky in range(k):
         for kx in range(k):
             if ky or kx:
-                out += xp[ky * wp + kx : ky * wp + kx + n] @ w[ky, kx]
-    return out.reshape(-1, wp, cout)[:, :wd]
+                out += taps[ky * k + kx, :, ky * wp + kx : ky * wp + kx + n]
+    return np.ascontiguousarray(out.reshape(cout, h, wp)[:, :, :wd].transpose(1, 2, 0))
 
 
 def _allocating_layer(layer, h):
@@ -321,6 +325,22 @@ class TestEvalWorkspace:
             model.predict(*x)
             model.streams["rgb"].forward(x[0])
         assert all(np.array_equal(h, k) for h, k in zip(held, kept))
+
+    @pytest.mark.parametrize("bn", [True, False], ids=["bn", "no_bn"])
+    def test_dense_layers_read_the_block_prefix_in_place(self, rng, monkeypatch, bn):
+        # each dense layer's chain reads the block's first channels as one
+        # contiguous view of the block slot, not a copy
+        model = net.FusionModel(dataclasses.replace(ODD_CEIL_CONFIG, bn_enabled=bn), seed=9)
+        seen = []
+        for stream in model.streams.values():
+            for node in stream.nodes:
+                if isinstance(node, net._DenseLayer):
+                    def spy(x, train=False, ws=None, _forward=node.chain[0].forward):
+                        seen.append(x.flags.c_contiguous and x.base is ws._slots["block"])
+                        return _forward(x, train, ws)
+                    monkeypatch.setattr(node.chain[0], "forward", spy)
+        model.predict(*rand_inputs(rng, 16))
+        assert seen == [True] * 3 * sum(ODD_CEIL_CONFIG.blocks)
 
     def test_interleaved_models_match_fresh_ones(self, rng):
         configs = [ODD_CEIL_CONFIG, dataclasses.replace(ODD_CEIL_CONFIG, input_size=32)]

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from rtar.errors import ContractViolationError
@@ -9,7 +9,10 @@ from rtar.nn.layers import BatchNorm, Conv2D
 
 
 def conv2d_naive(x, w, stride, padding):
-    """Six-nested-loop oracle; inner accumulation order is (ky, kx, ci)."""
+    """Six-nested-loop oracle on a (Cin, H, W) map; inner accumulation order
+    is (ky, kx, ci). It loops over the channel-last transpose and returns
+    (Cout, Ho, Wo)."""
+    x = x.transpose(1, 2, 0)
     kh, kw, cin, cout = w.shape
     h, w_in = x.shape[:2]
     ho = (h + 2 * padding - kh) // stride + 1
@@ -25,12 +28,13 @@ def conv2d_naive(x, w, stride, padding):
                         for ci in range(cin):
                             acc = acc + xp[i * stride + ky, j * stride + kx, ci] * w[ky, kx, ci, co]
                 out[i, j, co] = acc
-    return out
+    return out.transpose(2, 0, 1)
 
 
 def conv2d_backward_oracle(x, w, dy, stride, padding):
-    """float64 (dx, dw) of conv2d_naive, one output position and tap at a time."""
-    x, w, dy = (a.astype(np.float64) for a in (x, w, dy))
+    """float64 (dx, dw) of conv2d_naive, one output position and tap at a
+    time, on the channel-last transposes of the (C, H, W) x and dy."""
+    x, w, dy = (a.astype(np.float64) for a in (x.transpose(1, 2, 0), w, dy.transpose(1, 2, 0)))
     kh, kw = w.shape[:2]
     h, w_in = x.shape[:2]
     ho, wo = dy.shape[:2]
@@ -44,7 +48,7 @@ def conv2d_backward_oracle(x, w, dy, stride, padding):
                     r, c = i * stride + ky, j * stride + kx
                     dw[ky, kx] += np.outer(xp[r, c], dy[i, j])
                     dxp[r, c] += w[ky, kx] @ dy[i, j]
-    return dxp[padding : padding + h, padding : padding + w_in], dw
+    return dxp[padding : padding + h, padding : padding + w_in].transpose(2, 0, 1), dw
 
 
 class TestConv2d:
@@ -54,31 +58,31 @@ class TestConv2d:
         assert T.conv2d_gemm(x, w).tolist() == [[[10.0]]]
 
     def test_delta_kernel_identity(self, rng):
-        x = rng.random((6, 7, 2), dtype=np.float32)
+        x = rng.random((2, 6, 7), dtype=np.float32)
         w = np.zeros((3, 3, 2, 2), dtype=np.float32)
         w[1, 1, 0, 0] = 1.0
         w[1, 1, 1, 1] = 1.0
         assert np.array_equal(T.conv2d_gemm(x, w), x)
 
     def test_channel_mismatch(self, rng):
-        x = rng.random((4, 4, 3), dtype=np.float32)
+        x = rng.random((3, 4, 4), dtype=np.float32)
         w = rng.random((3, 3, 2, 1), dtype=np.float32)
         with pytest.raises(ContractViolationError):
             T.conv2d_gemm(x, w)
 
     def test_rejects_unsupported_kernel(self, rng):
-        x = rng.random((6, 6, 1), dtype=np.float32)
+        x = rng.random((1, 6, 6), dtype=np.float32)
         w = rng.random((5, 5, 1, 1), dtype=np.float32)
         with pytest.raises(ContractViolationError):
             T.conv2d_gemm(x, w)
 
 
 CONV_CONTRACT_CASES = [
-    ((4, 4), (3, 3, 1, 1)),  # x is not (H, W, Cin)
-    ((6, 6, 1), (5, 5, 1, 1)),  # unsupported kernel
-    ((4, 4, 1), (1, 3, 1, 1)),  # non-square kernel
-    ((4, 4, 3), (3, 3, 2, 1)),  # channel mismatch
-    ((0, 4, 1), (3, 3, 1, 1)),  # empty input
+    ((4, 4), (3, 3, 1, 1)),  # x is not (Cin, H, W)
+    ((1, 6, 6), (5, 5, 1, 1)),  # unsupported kernel
+    ((1, 4, 4), (1, 3, 1, 1)),  # non-square kernel
+    ((3, 4, 4), (3, 3, 2, 1)),  # channel mismatch
+    ((1, 0, 4), (3, 3, 1, 1)),  # empty input
 ]
 
 
@@ -89,13 +93,15 @@ class TestConv2dGemm:
         cin=st.integers(1, 4), cout=st.integers(1, 3),
         k=st.sampled_from([1, 3]), seed=st.integers(0, 2**32 - 1),
     )
+    @example(h=5, w=7, cin=3, cout=2, k=1, seed=0)
+    @example(h=5, w=7, cin=3, cout=2, k=3, seed=0)
     def test_close_to_oracle_property(self, dtype, h, w, cin, cout, k, seed):
         gen = np.random.default_rng(seed)
-        x = gen.standard_normal((h, w, cin)).astype(dtype)
+        x = gen.standard_normal((cin, h, w)).astype(dtype)
         wt = gen.standard_normal((k, k, cin, cout)).astype(dtype)
         got = T.conv2d_gemm(x, wt)
         want = conv2d_naive(x, wt, 1, k // 2)
-        assert got.dtype == want.dtype and got.shape == want.shape == (h, w, cout)
+        assert got.dtype == want.dtype and got.shape == want.shape == (cout, h, w)
         # Both sums carry at most n*eps*sum|x*w| rounding error over n = k*k*cin terms.
         magnitude = conv2d_naive(np.abs(x), np.abs(wt), 1, k // 2)
         tol = 2 * k * k * cin * np.finfo(dtype).eps * magnitude
@@ -110,39 +116,50 @@ class TestConv2dGemm:
             T.conv2d_gemm(x, wt)
 
     def test_unpadded_1x1_reads_its_input_in_place(self, rng):
-        x = rng.random((5, 4, 3), dtype=np.float32)
+        x = rng.random((3, 5, 4), dtype=np.float32)
         assert np.shares_memory(T._flat_padded(x, 1)[0], x)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("k", [1, 3])
     def test_caller_buffers_equal_new_ones(self, rng, k, dtype):
-        x = rng.standard_normal((5, 7, 3)).astype(dtype)
+        x = rng.standard_normal((3, 5, 7)).astype(dtype)
         wt = rng.standard_normal((k, k, 3, 4)).astype(dtype)
         # stale contents: every element the conv reads must be written first
         buffers = [np.full(s, np.nan, dtype=dtype) for s in T.conv2d_buffers(x.shape, wt.shape)]
-        for xi in (x, x[::-1].copy()):  # then buffers that hold the last call's values
+        for xi in (x, x[:, ::-1].copy()):  # then buffers that hold the last call's values
             got = T.conv2d_gemm(xi, wt, buffers)
             assert np.array_equal(got, T.conv2d_gemm(xi, wt))
-            assert got.base is buffers[1]
+            assert np.shares_memory(got, buffers[-1])
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_bands_equal_one_product(self, rng, monkeypatch, dtype):
+        # 13 rows in bands of at most 4, so the last band is shorter; few
+        # input channels keep every BLAS dot product a plain running sum
+        x = rng.standard_normal((3, 13, 9)).astype(dtype)
+        wt = rng.standard_normal((3, 3, 3, 2)).astype(dtype)
+        whole = T.conv2d_gemm(x, wt)
+        monkeypatch.setattr(T, "_BAND_FLOATS", 18 * (4 * 11 + 24))
+        assert T.conv2d_buffers(x.shape, wt.shape)[1] == (18 * (4 * 11 + 24),)
+        assert np.array_equal(T.conv2d_gemm(x, wt), whole)
 
     @pytest.mark.parametrize("spoil", ["shape", "dtype", "strides", "count"])
     def test_rejects_wrong_buffers(self, rng, spoil):
-        x = rng.random((5, 7, 3), dtype=np.float32)
+        x = rng.random((3, 5, 7), dtype=np.float32)
         wt = rng.random((3, 3, 3, 4), dtype=np.float32)
-        pad, acc, tap = (np.empty(s, dtype=np.float32) for s in T.conv2d_buffers(x.shape, wt.shape))
+        pad, prod, out = (np.zeros(s, dtype=np.float32) for s in T.conv2d_buffers(x.shape, wt.shape))
         spoiled = {
-            "shape": [pad, acc[1:], tap],
-            "dtype": [pad, acc.astype(np.float64), tap],
+            "shape": [pad, prod[1:], out],
+            "dtype": [pad, prod.astype(np.float64), out],
             # a padded input the pad write would silently copy instead of fill
-            "strides": [np.repeat(pad, 2, axis=1)[:, ::2], acc, tap],
-            "count": [pad, acc],
+            "strides": [np.repeat(pad, 2, axis=1)[:, ::2], prod, out],
+            "count": [pad, prod],
         }[spoil]
         with pytest.raises(ContractViolationError):
             T.conv2d_gemm(x, wt, spoiled)
 
     def test_conv2d_layer_runs_gemm_in_both_modes(self, rng):
         layer = Conv2D(3, 2, 4, rng=rng)
-        x = rng.random((6, 5, 2), dtype=np.float32)
+        x = rng.random((2, 6, 5), dtype=np.float32)
         want = T.conv2d_gemm(x, layer.params["w"])
         assert np.array_equal(layer.forward(x, train=False), want)
         assert np.array_equal(layer.forward(x, train=True), want)
@@ -155,11 +172,13 @@ class TestConv2dBackward:
         cin=st.integers(1, 4), cout=st.integers(1, 3),
         k=st.sampled_from([1, 3]), seed=st.integers(0, 2**32 - 1),
     )
+    @example(h=5, w=7, cin=3, cout=2, k=1, seed=0)
+    @example(h=5, w=7, cin=3, cout=2, k=3, seed=0)
     def test_close_to_oracle_property(self, dtype, h, w, cin, cout, k, seed):
         gen = np.random.default_rng(seed)
-        x = gen.standard_normal((h, w, cin)).astype(dtype)
+        x = gen.standard_normal((cin, h, w)).astype(dtype)
         wt = gen.standard_normal((k, k, cin, cout)).astype(dtype)
-        dy = gen.standard_normal((h, w, cout)).astype(dtype)
+        dy = gen.standard_normal((cout, h, w)).astype(dtype)
         dx, dw = T.conv2d_backward(x, wt, dy)
         want_dx, want_dw = conv2d_backward_oracle(x, wt, dy, 1, k // 2)
         assert dx.dtype == dw.dtype == dtype
@@ -182,13 +201,13 @@ class TestConv2dBackward:
         assert str(backward_err.value) == str(forward_err.value)
 
     @pytest.mark.parametrize("dy_shape,dtype", [
-        ((5, 1, 2), np.float32),  # would broadcast across the output columns
-        ((5, 4, 1), np.float32),  # would broadcast across the output channels
-        ((4, 4, 2), np.float32),  # one output row short
-        ((5, 4, 2), np.float64),  # dtype differs from x
+        ((2, 5, 1), np.float32),  # would broadcast across the output columns
+        ((1, 5, 4), np.float32),  # would broadcast across the output channels
+        ((2, 4, 4), np.float32),  # one output row short
+        ((2, 5, 4), np.float64),  # dtype differs from x
     ])
     def test_rejects_mismatched_dy(self, rng, dy_shape, dtype):
-        x = rng.random((5, 4, 3), dtype=np.float32)
+        x = rng.random((3, 5, 4), dtype=np.float32)
         wt = rng.random((3, 3, 3, 2), dtype=np.float32)
         with pytest.raises(ContractViolationError, match="expects dy of shape"):
             T.conv2d_backward(x, wt, np.zeros(dy_shape, dtype=dtype))
@@ -196,26 +215,27 @@ class TestConv2dBackward:
 
 class TestBatchNorm:
     def test_constant_channel_is_zero(self):
-        x = np.full((4, 4, 2), 7.0, dtype=np.float32)
+        x = np.full((2, 4, 4), 7.0, dtype=np.float32)
         y, _, _, _ = T.batch_norm_train(x, np.ones(2, np.float32), np.zeros(2, np.float32), 1e-5)
         assert np.allclose(y, 0.0)
 
     def test_gamma_zero_gives_beta(self, rng):
-        x = rng.random((3, 5, 2), dtype=np.float32)
+        x = rng.random((2, 3, 5), dtype=np.float32)
         beta = np.array([1.5, -2.0], dtype=np.float32)
         y, _, _, _ = T.batch_norm_train(x, np.zeros(2, np.float32), beta, 1e-5)
-        assert np.allclose(y, np.broadcast_to(beta, y.shape))
+        assert np.allclose(y, np.broadcast_to(beta[:, None, None], y.shape))
 
     def test_two_point_channel(self):
         # values {1, 3}: mean 2, population variance 1 -> normalized {-1, +1}
-        x = np.array([[[1.0], [3.0]]], dtype=np.float64)
+        x = np.array([[[1.0, 3.0]]], dtype=np.float64)
         y, _, _, _ = T.batch_norm_train(x, np.ones(1), np.zeros(1), 1e-12)
         assert np.allclose(y.ravel(), [-1.0, 1.0], atol=1e-5)
 
     def test_eval_deterministic_bitwise(self, rng):
-        x = rng.random((4, 4, 3), dtype=np.float32)
-        args = (x, np.ones(3, np.float32), np.zeros(3, np.float32),
-                rng.random(3).astype(np.float32), rng.random(3).astype(np.float32) + 0.5, 1e-5)
+        x = rng.random((3, 4, 4), dtype=np.float32)
+        stats = (np.ones(3, np.float32), np.zeros(3, np.float32),
+                 rng.random(3).astype(np.float32), rng.random(3).astype(np.float32) + 0.5)
+        args = (x, *(v[:, None, None] for v in stats), 1e-5)
         a = T.batch_norm_eval_folded(*args)
         b = T.batch_norm_eval_folded(*args)
         assert np.array_equal(a, b)
@@ -228,15 +248,18 @@ class TestBatchNorm:
     )
     def test_folded_eval_close_to_oracle_property(self, dtype, h, w, c, min_log_var, eps, seed):
         gen = np.random.default_rng(seed)
-        x = (gen.standard_normal((h, w, c)) * 10.0 ** gen.uniform(-2, 2)).astype(dtype)
+        x = (gen.standard_normal((c, h, w)) * 10.0 ** gen.uniform(-2, 2)).astype(dtype)
         gamma = gen.uniform(-2, 2, c).astype(dtype)
         beta = gen.normal(0, 1, c).astype(dtype)
         mean = (gen.normal(0, 1, c) * 10.0 ** gen.uniform(-2, 2)).astype(dtype)
         var = 10.0 ** gen.uniform(min_log_var, 2, c)
         var[gen.random(c) < 0.25] = 0.0
         var = var.astype(dtype)
-        got = T.batch_norm_eval_folded(x, gamma, beta, mean, var, eps)
-        want = gamma * (x - mean) / np.sqrt(var + eps) + beta
+        got = T.batch_norm_eval_folded(x, *(v[:, None, None] for v in (gamma, beta, mean, var)),
+                                       eps)
+        # the formula on the channel-last transpose, where (C,) vectors broadcast
+        xt = x.transpose(1, 2, 0)
+        want = (gamma * (xt - mean) / np.sqrt(var + eps) + beta).transpose(2, 0, 1)
         assert got.dtype == want.dtype == dtype and got.shape == want.shape
         # Both share r = sqrt(var + eps), so with S = gamma / r the formula
         # rounds (x - m), * gamma, / r and + beta, and the fold rounds
@@ -245,13 +268,13 @@ class TestBatchNorm:
         # first order by 4 * eps/2 * (|x S| + |m S| + |beta|): at most 4 eps
         # times that magnitude apart, plus one eps for second-order terms.
         scale = np.abs(gamma.astype(np.float64)) / np.sqrt(var.astype(np.float64) + eps)
-        magnitude = (np.abs(x) + np.abs(mean)) * scale + np.abs(beta)
+        magnitude = ((np.abs(xt) + np.abs(mean)) * scale + np.abs(beta)).transpose(2, 0, 1)
         assert np.all(np.abs(got - want) <= 5 * np.finfo(dtype).eps * magnitude)
 
     @pytest.mark.parametrize("eps", [0.0, -1e-5])
     def test_folded_eval_rejects_eps_like_oracle(self, eps):
         # The formula has no check; eval must refuse eps as train does.
-        x, ones = np.ones((2, 3, 2), np.float32), np.ones(2, np.float32)
+        x, ones = np.ones((2, 2, 3), np.float32), np.ones(2, np.float32)
         with pytest.raises(ContractViolationError) as train_err:
             T.batch_norm_train(x, ones, ones, eps)
         with pytest.raises(ContractViolationError) as eval_err:
@@ -264,9 +287,9 @@ class TestBatchNorm:
         layer.running_var[...] = rng.uniform(0.1, 2, 3)
         layer.params["gamma"][...] = rng.uniform(0.5, 1.5, 3)
         layer.params["beta"][...] = rng.normal(0, 1, 3)
-        x = rng.standard_normal((4, 5, 3)).astype(np.float32)
-        want = T.batch_norm_eval_folded(x, layer.params["gamma"], layer.params["beta"],
-                                        layer.running_mean, layer.running_var, layer.eps)
+        x = rng.standard_normal((3, 4, 5)).astype(np.float32)
+        stats = (layer.params["gamma"], layer.params["beta"], layer.running_mean, layer.running_var)
+        want = T.batch_norm_eval_folded(x, *(v[:, None, None] for v in stats), layer.eps)
         assert np.array_equal(layer.forward(x, train=False), want)
 
 
@@ -319,14 +342,14 @@ class TestSoftmax:
 
 class TestPooling:
     def test_avg_pool(self):
-        x = np.arange(16, dtype=np.float32).reshape(4, 4, 1)
+        x = np.arange(16, dtype=np.float32).reshape(1, 4, 4)
         y = T.avg_pool2x2(x)
-        assert y.shape == (2, 2, 1)
+        assert y.shape == (1, 2, 2)
         assert y[0, 0, 0] == pytest.approx((0 + 1 + 4 + 5) / 4)
 
     def test_avg_pool_odd_rejected(self):
         with pytest.raises(ContractViolationError):
-            T.avg_pool2x2(np.zeros((3, 4, 1), dtype=np.float32))
+            T.avg_pool2x2(np.zeros((1, 3, 4), dtype=np.float32))
 
     def test_global_pool(self, rng):
         x = rng.random((5, 7, 3)).astype(np.float64)
