@@ -372,7 +372,7 @@ def cmd_bench(args, s: Settings) -> int:
     src = [rng.integers(0, 256, (2 * size, 2 * size, 3), dtype=np.uint8) for _ in range(2)]
     gray = [grayscale_bt601(unit_scale(resize_bilinear(f, size, size))) for f in src]
     inputs = dict(zip(("rgb", "flow", "hog"), stream_inputs(*pair_maps(src[0], src[1], pre))))
-    stream, ws = model.config.streams[0], network.Workspace()
+    ws = network.Workspace()
     pooled = {name: rng.standard_normal(model.feature_shape[2]).astype(np.float32)
               for name in model.config.streams}
 
@@ -380,7 +380,8 @@ def cmd_bench(args, s: Settings) -> int:
         "resize": lambda: resize_bilinear(src[0], size, size),
         "flow": lambda: compute_flow(gray[0], gray[1], pre.flow),
         "hog": lambda: render_hog(compute_hog(gray[0])),
-        "stream_forward": lambda: model.streams[stream].forward(inputs[stream], ws=ws),
+        **{f"stream_forward_{name}": lambda name=name: model.streams[name].forward(
+            inputs[name], ws=ws) for name in model.config.streams},
         "fuse_head": lambda: model.head.forward(model.fuse(pooled)),
         "predict": lambda: model.predict(**inputs),
         "pre_combined": lambda: preprocess_pair(src[0], src[1], pre),
@@ -396,9 +397,9 @@ def cmd_bench(args, s: Settings) -> int:
             times.append((time.perf_counter() - t0) * 1000)
         results[name] = (float(np.mean(times)), float(np.percentile(times, 95)))
 
-    print(f"{'stage':<16}{'mean_ms':>10}{'p95_ms':>10}   ({n} samples each)")
+    print(f"{'stage':<20}{'mean_ms':>10}{'p95_ms':>10}   ({n} samples each)")
     for name, (mean, p95) in results.items():
-        print(f"{name:<16}{mean:>10.2f}{p95:>10.2f}")
+        print(f"{name:<20}{mean:>10.2f}{p95:>10.2f}")
     combined = results["pre_combined"][0]
     if combined > 140.0:
         print(f"warning: preprocessing mean {combined:.1f} ms exceeds the 140 ms "

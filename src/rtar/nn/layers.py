@@ -134,10 +134,27 @@ class Conv2D(Layer):
         self.params = {"w": w.astype(dtype)}
         self._init_grads()
 
-    def forward(self, x, train=False, ws=None):
+    def forward(self, x, train=False, ws=None, *, bn=None, relu=False, out=None):
+        """Eval mode can fuse its neighbours: ``bn``, the BatchNorm that
+        follows, is folded in on every call (its scale into the weights'
+        output channels, its shift added to the result); ``relu``
+        convolves max(x, 0), written as x is padded (3x3 only); ``out``,
+        with ``ws``, is where the (Cout, H, W) result goes."""
+        if train and (bn is not None or relu or out is not None):
+            raise ContractViolationError("Conv2D fuses its neighbours in eval mode only")
+        if out is not None and ws is None:
+            raise ContractViolationError("Conv2D writes into out only with a workspace")
         w = self.params["w"]
-        buffers = None if ws is None else ws.take(x, *T.conv2d_buffers(x.shape, w.shape))
-        y = T.conv2d_gemm(x, w, buffers)
+        if bn is not None:
+            scale, shift = bn.folded()
+            w = w * scale
+        buffers = None
+        if ws is not None:
+            shapes = T.conv2d_buffers(x.shape, w.shape)
+            buffers = ws.take(x, *shapes) if out is None else ws.take(x, *shapes[:-1]) + [out]
+        y = T.conv2d_gemm(x, w, buffers, relu)
+        if bn is not None:
+            y += shift[:, None, None]
         if train:
             self._cache = x
         return y
@@ -187,6 +204,11 @@ class BatchNorm(Layer):
             x, *(v[:, None, None] for v in stats), self.eps,
             out=None if ws is None else ws.elementwise_out(x),
         )
+
+    def folded(self) -> tuple[np.ndarray, np.ndarray]:
+        """Eval mode's per-channel (scale, shift), as (C,) vectors."""
+        return T.batch_norm_fold(self.params["gamma"], self.params["beta"], self.running_mean,
+                                 self.running_var, self.eps)
 
     def state(self):
         return super().state() + [self.running_mean, self.running_var]

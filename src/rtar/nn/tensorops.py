@@ -10,20 +10,26 @@ either way, so where the result lives changes no bit.
 
 ``conv2d_gemm`` is the one conv the model runs: "same", stride 1, with a
 square 1x1 or 3x3 kernel padded by k//2. A 1x1 conv is one BLAS product,
-(Cout, Cin) @ (Cin, H*W). A 3x3 conv runs in the kn2row form (Vasudevan,
-Anderson & Gregg, 2017): x is zero-padded once into one flat (Cin,
-Hp*Wp + k-1) buffer, one product with the (k*k*Cout, Cin) tap-stacked
-weights gives every tap's contribution at every padded position, and
-the output, at the full padded width Wp, adds each tap's rows shifted by
-ky*Wp + kx, taps in order. A map whose product would exceed
-``_BAND_FLOATS`` values runs in bands of output rows, one product each.
-``conv2d_backward`` runs two products on one stack of the upstream
+(Cout, Cin) @ (Cin, H*W). A 3x3 conv zero-pads x once into one flat (Cin,
+Hp*Wp + k-1) buffer and takes one of two forms (Vasudevan, Anderson &
+Gregg, 2017), picked from the shapes alone. Where Cin > Cout (a dense
+layer's 3x3) it runs kn2row: one product with the (k*k*Cout, Cin)
+tap-stacked weights gives every tap's contribution at every padded
+position, and the output, at the full padded width Wp, adds each tap's
+rows shifted by ky*Wp + kx, taps in order. Where Cin <= Cout (a stream's
+first conv) it runs im2col: the k*k tap-shifted windows of the padded
+input are stacked as one (k*k*Cin, H*W) matrix, and one (Cout, k*k*Cin)
+product over it writes the output. Either form expands one matrix k*k
+times, by its smaller channel count; a map whose expanded matrix would
+exceed ``_BAND_FLOATS`` values runs in bands of output rows, one product
+each. ``conv2d_backward`` runs two products on one stack of the upstream
 gradient shifted by every tap. BLAS reorders the floating-point sums,
 so the output is float32-close to, not bit-identical with, a naive
 loop.
 
 Eval-mode batch norm, ``batch_norm_eval_folded``, is one per-channel
-scale and shift, float-close to the term-by-term formula.
+scale and shift (``batch_norm_fold``), float-close to the term-by-term
+formula.
 
 The naive references these kernels are tested against live in the tests.
 """
@@ -34,7 +40,8 @@ import numpy as np
 
 from ..errors import ContractViolationError
 
-# Most values one band's kn2row product holds (1 MB at float32).
+# Most values one band's expanded matrix holds (1 MB at float32): the
+# kn2row product or the im2col stack.
 _BAND_FLOATS = 1 << 18
 
 
@@ -56,16 +63,19 @@ def _check_conv_args(x: np.ndarray, w: np.ndarray) -> None:
         raise ContractViolationError(f"empty input {x.shape}")
 
 
-def _flat_padded(x: np.ndarray, k: int, xp: np.ndarray | None = None) -> tuple[np.ndarray, int, int]:
+def _flat_padded(x: np.ndarray, k: int, xp: np.ndarray | None = None,
+                 relu: bool = False) -> tuple[np.ndarray, int, int]:
     """conv2d_gemm's input layout; returns (xp, Wp, n).
 
     xp is x zero-padded by p = k//2 on both spatial axes and flattened to
     (Cin, Hp*Wp + k-1), with Wp = W + 2p; it is written into the given
-    ``xp`` buffer of that shape, or into a new one. The output at the
-    full padded width has n = H*Wp columns, and tap (ky, kx) pairs output
+    ``xp`` buffer of that shape, whose border and tail alone are zeroed
+    (the interior is overwritten whole), or into a new zeroed one.
+    ``relu`` writes max(x, 0) in place of x. The output at the full
+    padded width has n = H*Wp columns, and tap (ky, kx) pairs output
     column q with input column q + ky*Wp + kx. The k-1 trailing zero
-    columns let the last tap read past the padded image. A 1x1 conv needs
-    neither, so xp is then x itself, reshaped to (Cin, H*W).
+    columns let the last tap read past the padded image. A 1x1 conv
+    needs neither, so xp is then x itself, reshaped to (Cin, H*W).
     """
     cin, h, w_in = x.shape
     p = k // 2
@@ -76,52 +86,69 @@ def _flat_padded(x: np.ndarray, k: int, xp: np.ndarray | None = None) -> tuple[n
     if xp is None:
         xp = np.zeros((cin, hp * wp + k - 1), dtype=x.dtype)
     else:
-        xp.fill(0)
-    xp[:, : hp * wp].reshape(cin, hp, wp)[:, p : p + h, p : p + w_in] = x
+        xp[:, : p * wp + p] = 0  # the top rows, then the first row's left pad
+        xp[:, (p + h) * wp - p :] = 0  # the last row's right pad, the bottom rows, the tail
+        # each row's right pad and the next row's left pad are one flat run of 2p
+        s = p * wp + p + w_in
+        xp[:, s : s + (h - 1) * wp].reshape(cin, h - 1, wp)[:, :, : 2 * p] = 0
+    inner = xp[:, : hp * wp].reshape(cin, hp, wp)[:, p : p + h, p : p + w_in]
+    if relu:
+        np.maximum(x, np.asarray(0, dtype=x.dtype), out=inner)
+    else:
+        inner[...] = x
     return xp, wp, n
 
 
 def conv2d_buffers(x_shape: tuple, w_shape: tuple) -> list[tuple[int, ...]]:
     """Shapes of conv2d_gemm's ``buffers``. A 1x1 conv has one, its (Cout,
     H*W) output. A 3x3 conv has three: the flat padded input (see
-    ``_flat_padded``), one band's product (flat room for (k*k*Cout,
-    rows*Wp + halo), see ``_bands``) and the (Cout, H, W) output."""
+    ``_flat_padded``), one band's work area (flat room for the expanded
+    matrix, k*k*min(Cin, Cout) rows of rows*Wp + halo, see ``_bands``)
+    and the (Cout, H, W) output."""
     cin, h, w_in = x_shape
     k, cout = w_shape[0], w_shape[3]
     if k == 1:
         return [(cout, h * w_in)]
-    wp, halo, rows = _bands(h, w_in, k, cout)
-    return [(cin, (h + k - 1) * wp + k - 1), (k * k * cout * (rows * wp + halo),),
+    wp, halo, rows = _bands(h, w_in, k, min(cin, cout))
+    return [(cin, (h + k - 1) * wp + k - 1), (k * k * min(cin, cout) * (rows * wp + halo),),
             (cout, h, w_in)]
 
 
-def _bands(h: int, w_in: int, k: int, cout: int) -> tuple[int, int, int]:
+def _bands(h: int, w_in: int, k: int, c: int) -> tuple[int, int, int]:
     """(Wp, halo, rows): the padded width, the taps' reach past a band, and
-    the output rows per band. The H rows split evenly into the fewest bands
-    whose product holds at most ``_BAND_FLOATS`` values."""
+    the output rows per band, for a form that expands c channels k*k
+    times. The H rows split evenly into the fewest bands whose expanded
+    matrix, k*k*c rows of rows*Wp + halo, holds at most ``_BAND_FLOATS``
+    values."""
     wp = w_in + k - 1
     halo = (k - 1) * wp + k - 1
-    most = max(1, (_BAND_FLOATS // (k * k * cout) - halo) // wp)
+    most = max(1, (_BAND_FLOATS // (k * k * c) - halo) // wp)
     bands = -(-h // most)
     return wp, halo, -(-h // bands)
 
 
-def conv2d_gemm(x: np.ndarray, w: np.ndarray, buffers: list[np.ndarray] | None = None) -> np.ndarray:
+def conv2d_gemm(x: np.ndarray, w: np.ndarray, buffers: list[np.ndarray] | None = None,
+                relu: bool = False) -> np.ndarray:
     """"Same" 2-D convolution (cross-correlation), stride 1, channel-major, no bias.
 
     x: (Cin, H, W); w: (k, k, Cin, Cout) with k in {1, 3}, padded by k//2.
-    Output (Cout, H, W).
+    Output (Cout, H, W). ``relu`` (3x3 only) convolves max(x, 0), written
+    as x is padded.
 
     A 1x1 conv is one product, w[0, 0].T @ x. A 3x3 conv pads x once (see
-    ``_flat_padded``) and runs one product per band of output rows into a
-    contiguous (k*k*Cout, B) block, in which tap t's rows start t*Cout*B
-    values in. Shifted by its ky*Wp + kx, tap t's run of the flat block
-    lines up with tap 0's across all Cout rows, so each tap is one
-    contiguous add, in tap order, into tap 0's rows; the band's output
-    rows are copied out without the wrapped columns. The buffers are new
-    arrays, or the caller's ``buffers`` (C-contiguous, x's dtype, the
-    shapes ``conv2d_buffers`` gives), and the result is the last one.
-    Where they live changes no bit of the result.
+    ``_flat_padded``) and runs one product per band of output rows. Where
+    Cin > Cout (kn2row) the product goes into a contiguous (k*k*Cout, B)
+    block, in which tap t's rows start t*Cout*B values in. Shifted by its
+    ky*Wp + kx, tap t's run of the flat block lines up with tap 0's across
+    all Cout rows, so each tap is one contiguous add, in tap order, into
+    tap 0's rows; the band's output rows are copied out without the
+    wrapped columns. Where Cin <= Cout (im2col) the band's k*k
+    tap-shifted windows of the padded input are copied into one (k*k*Cin,
+    rows*W) stack, tap-major, and one product with the (Cout, k*k*Cin)
+    weights writes the band's output rows. The buffers are new arrays, or
+    the caller's ``buffers`` (C-contiguous, x's dtype, the shapes
+    ``conv2d_buffers`` gives), and the result is the last one. Where they
+    live changes no bit of the result.
     """
     _check_conv_args(x, w)
     k, _, cin, cout = w.shape
@@ -137,24 +164,39 @@ def conv2d_gemm(x: np.ndarray, w: np.ndarray, buffers: list[np.ndarray] | None =
         )
     h, w_in = x.shape[1:]
     if k == 1:
+        if relu:
+            raise ContractViolationError("relu is applied in a 3x3 conv's pad step; a 1x1 has none")
         out, = buffers
         return np.matmul(w[0, 0].T, x.reshape(cin, h * w_in), out=out).reshape(cout, h, w_in)
-    pad, prod, out = buffers
-    xp = _flat_padded(x, k, pad)[0]
-    # the (ky, kx, Cout) rows of one product, built on each call so a shared
-    # model holds no derived state
-    w9 = w.transpose(0, 1, 3, 2).reshape(k * k * cout, cin)
-    wp, halo, rows = _bands(h, w_in, k, cout)
+    pad, work, out = buffers
+    xp = _flat_padded(x, k, pad, relu)[0]
+    wp, halo, rows = _bands(h, w_in, k, min(cin, cout))
+    if cin <= cout:
+        grid = xp[:, : (h + k - 1) * wp].reshape(cin, -1, wp)
+        wk = w.reshape(k * k * cin, cout).T
+    else:
+        # the (ky, kx, Cout) rows of one product, built on each call so a
+        # shared model holds no derived state
+        wk = w.transpose(0, 1, 3, 2).reshape(k * k * cout, cin)
     for r0 in range(0, h, rows):
         r1 = min(h, r0 + rows)
-        n = (r1 - r0) * wp
-        b = n + halo
-        y = np.matmul(w9, xp[:, r0 * wp : r0 * wp + b], out=prod[: k * k * cout * b].reshape(-1, b))
-        acc = prod[: (cout - 1) * b + n]
-        for t in range(1, k * k):
-            o = t * cout * b + t // k * wp + t % k
-            acc += prod[o : o + acc.size]
-        out[:, r0:r1] = y[:cout, :n].reshape(cout, r1 - r0, wp)[:, :, :w_in]
+        if cin <= cout:
+            n = (r1 - r0) * w_in
+            stack = work[: k * k * cin * n].reshape(k, k, cin, r1 - r0, w_in)
+            for ky in range(k):
+                for kx in range(k):
+                    stack[ky, kx] = grid[:, r0 + ky : r1 + ky, kx : kx + w_in]
+            np.matmul(wk, stack.reshape(-1, n), out=out.reshape(cout, -1)[:, r0 * w_in : r1 * w_in])
+        else:
+            n = (r1 - r0) * wp
+            b = n + halo
+            y = np.matmul(wk, xp[:, r0 * wp : r0 * wp + b],
+                          out=work[: k * k * cout * b].reshape(-1, b))
+            acc = work[: (cout - 1) * b + n]
+            for t in range(1, k * k):
+                o = t * cout * b + t // k * wp + t % k
+                acc += work[o : o + acc.size]
+            out[:, r0:r1] = y[:cout, :n].reshape(cout, r1 - r0, wp)[:, :, :w_in]
     return out
 
 
@@ -206,6 +248,19 @@ def batch_norm_train(
     return gamma[:, None, None] * x_hat + beta[:, None, None], mean.ravel(), var.ravel(), x_hat
 
 
+def batch_norm_fold(
+    gamma: np.ndarray, beta: np.ndarray, running_mean: np.ndarray, running_var: np.ndarray,
+    eps: float,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Eval-mode batch norm's per-channel (scale, shift): scale = gamma /
+    sqrt(var + eps) and shift = beta - mean * scale, in the arguments'
+    common shape."""
+    if eps <= 0:
+        raise ContractViolationError(f"eps must be > 0, got {eps}")
+    scale = gamma / np.sqrt(running_var + eps)
+    return scale, beta - running_mean * scale
+
+
 def batch_norm_eval_folded(
     x: np.ndarray,
     gamma: np.ndarray,
@@ -218,19 +273,17 @@ def batch_norm_eval_folded(
     """Eval-mode batch norm as one per-channel affine map (Ioffe & Szegedy, 2015).
 
     gamma, beta and the running statistics broadcast against x: (C, 1, 1)
-    views for a (C, H, W) map. scale = gamma / sqrt(var + eps) and shift =
-    beta - mean * scale are folded on every call, so nothing is cached and a
-    shared model stays safe to evaluate from several threads. The tensor
-    takes one multiply into ``out`` (which may be x itself) or a new
-    buffer, and one add in place. The terms
-    round in another order, so the result is float-close to, not
-    bit-identical with, gamma * (x - mean) / sqrt(var + eps) + beta.
+    views for a (C, H, W) map. The scale and shift (``batch_norm_fold``)
+    are folded on every call, so nothing is cached and a shared model
+    stays safe to evaluate from several threads. The tensor takes one
+    multiply into ``out`` (which may be x itself) or a new buffer, and
+    one add in place. The terms round in another order, so the result is
+    float-close to, not bit-identical with, gamma * (x - mean) / sqrt(var
+    + eps) + beta.
     """
-    if eps <= 0:
-        raise ContractViolationError(f"eps must be > 0, got {eps}")
-    scale = gamma / np.sqrt(running_var + eps)
+    scale, shift = batch_norm_fold(gamma, beta, running_mean, running_var, eps)
     y = np.multiply(x, scale, out=out)
-    y += beta - running_mean * scale
+    y += shift
     return y
 
 

@@ -544,10 +544,11 @@ class TestBench:
         code = main(["bench", "--frames", "2", "--target-size", "32", "--growth", "2",
                      "--blocks", "2", "--pyramid-levels", "2", "--iterations", "4"])
         assert code == 0
-        out = capsys.readouterr().out
-        for stage in ("resize", "flow", "hog", "stream_forward", "fuse_head", "predict",
-                      "pre_combined"):
-            assert stage in out
+        lines = capsys.readouterr().out.splitlines()
+        table = lines[next(i for i, line in enumerate(lines) if line.startswith("stage")) + 1 :]
+        assert [line.split()[0] for line in table] == [
+            "resize", "flow", "hog", "stream_forward_rgb", "stream_forward_flow",
+            "stream_forward_hog", "fuse_head", "predict", "pre_combined"]
 
     @pytest.mark.parametrize("streams", ["rgb", "flow,hog"])
     def test_stream_subsets(self, streams, capsys):
@@ -555,6 +556,8 @@ class TestBench:
         out = capsys.readouterr().out
         assert f"# streams={streams}" in out.splitlines()
         assert "fuse_head" in out
+        assert [line.split()[0] for line in out.splitlines() if line.startswith("stream_")] == [
+            f"stream_forward_{name}" for name in streams.split(",")]
 
     def test_zero_frames_exits_2(self, capsys):
         assert main(["bench", "--frames", "0"]) == 2

@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 from rtar.errors import ContractViolationError, FormatError
 from rtar import network as net
 from rtar.nn import tensorops as T
-from rtar.nn.layers import AvgPool2, BatchNorm, Conv2D, ReLU, softmax_cross_entropy
+from rtar.nn.layers import AvgPool2, BatchNorm, Conv2D, ReLU, Workspace, softmax_cross_entropy
+from tests.test_tensorops import conv2d_naive
 
 
 def tiny_config(**kw):
@@ -229,18 +230,29 @@ class TestPoolBeforeFusion:
         assert all(g.any() for g, _ in pairs)
 
 
-def _allocating_conv(x, w):
-    """conv2d_gemm written out with new arrays, on a channel-last map: x
-    zero-padded into a flat (Cin, Hp*Wp + k-1) copy, one product with the
-    (k*k*Cout, Cin) tap-stacked weights, and each tap's rows, shifted by
-    ky*Wp + kx, added into tap 0's, taps in order. The test's maps are
-    small enough for one band."""
+def _allocating_conv(x, w, relu=False):
+    """conv2d_gemm written out with new arrays, on a channel-last map; the
+    test's maps are small enough for one band. x, or max(x, 0) with
+    ``relu``, is zero-padded. Where Cin <= Cout (im2col) the k*k
+    tap-shifted windows of the padded map are stacked tap-major into one
+    (k*k*Cin, H*W) matrix, and one product with the (Cout, k*k*Cin)
+    weights gives the output. Otherwise (kn2row) the padded map is
+    flattened into a (Cin, Hp*Wp + k-1) copy, one product with the
+    (k*k*Cout, Cin) tap-stacked weights gives every tap's rows, and each
+    tap's rows, shifted by ky*Wp + kx, are added into tap 0's, taps in
+    order."""
     k, _, cin, cout = w.shape
     p = k // 2
     h, wd = x.shape[:2]
+    xt = np.maximum(x, x.dtype.type(0)) if relu else x
+    grid = np.pad(xt.transpose(2, 0, 1), ((0, 0), (p, p), (p, p)))
+    if cin <= cout:
+        stack = np.stack([grid[:, ky : ky + h, kx : kx + wd] for ky in range(k) for kx in range(k)])
+        out = w.reshape(k * k * cin, cout).T @ stack.reshape(k * k * cin, h * wd)
+        return np.ascontiguousarray(out.reshape(cout, h, wd).transpose(1, 2, 0))
     wp, n = wd + 2 * p, h * (wd + 2 * p)
     xp = np.zeros((cin, (h + 2 * p) * wp + k - 1), dtype=x.dtype)
-    xp[:, : (h + 2 * p) * wp].reshape(cin, -1, wp)[:, p : p + h, p : p + wd] = x.transpose(2, 0, 1)
+    xp[:, : (h + 2 * p) * wp] = grid.reshape(cin, -1)
     taps = (w.transpose(0, 1, 3, 2).reshape(k * k * cout, cin) @ xp).reshape(k * k, cout, -1)
     out = taps[0, :, :n].copy()
     for ky in range(k):
@@ -248,6 +260,23 @@ def _allocating_conv(x, w):
             if ky or kx:
                 out += taps[ky * k + kx, :, ky * wp + kx : ky * wp + kx + n]
     return np.ascontiguousarray(out.reshape(cout, h, wp)[:, :, :wd].transpose(1, 2, 0))
+
+
+def _allocating_dense(chain, h):
+    """A dense layer's new channels, its eval arithmetic written out with
+    new arrays: the layers before the 1x1 conv one by one; the mid BN's
+    scale folded into the 1x1's weights and its shift added after; then
+    the 3x3 conv of max(y, 0)."""
+    i = next(i for i, layer in enumerate(chain) if isinstance(layer, Conv2D))
+    for layer in chain[:i]:
+        h = _allocating_layer(layer, h)
+    w, bn = chain[i].params["w"], chain[i + 1]
+    if isinstance(bn, BatchNorm):
+        scale = bn.params["gamma"] / np.sqrt(bn.running_var + bn.eps)
+        h = _allocating_conv(h, w * scale) + (bn.params["beta"] - bn.running_mean * scale)
+    else:
+        h = _allocating_conv(h, w)
+    return _allocating_conv(h, chain[-1].params["w"], relu=True)
 
 
 def _allocating_layer(layer, h):
@@ -271,10 +300,7 @@ def _allocating_logits(model, inputs):
         h = inputs[name]
         for node in model.streams[name].nodes:
             if isinstance(node, net._DenseLayer):
-                new = h
-                for layer in node.chain:
-                    new = _allocating_layer(layer, new)
-                h = np.concatenate([h, new], axis=2)
+                h = np.concatenate([h, _allocating_dense(node.chain, h)], axis=2)
             else:
                 h = _allocating_layer(node, h)
         pooled[name] = T.global_avg_pool(h)
@@ -294,6 +320,13 @@ class TestEvalWorkspace:
                           bn_enabled=bn, streams=streams)
         model = net.FusionModel(cfg, seed=4, dtype=dtype)
         a, b = (dict(zip(("rgb", "flow", "hog"), rand_inputs(rng, 16, dtype))) for _ in range(2))
+        # statistics away from their init, so that each folded BN shift is not zero
+        for layer in model.layers():
+            if isinstance(layer, BatchNorm):
+                c = layer.running_var.size
+                layer.running_mean[...] = rng.normal(0, 1, c)
+                layer.running_var[...] = rng.uniform(0.5, 2, c)
+                layer.params["beta"][...] = rng.normal(0, 1, c)
         for inputs in (a, a, b, a):  # first call, repeated call, after another input
             want = _allocating_logits(model, inputs)
             assert want.dtype == dtype
@@ -351,6 +384,55 @@ class TestEvalWorkspace:
                 for x in xs:
                     fresh = net.FusionModel(cfg, seed=8).predict(*x).probabilities
                     assert np.array_equal(model.predict(*x).probabilities, fresh)
+
+
+class TestFusedDenseLayer:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("bn", [True, False], ids=["bn", "no_bn"])
+    @given(h=st.integers(1, 6), w=st.integers(1, 6), c=st.integers(1, 6),
+           growth=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
+    def test_eval_close_to_term_by_term_chain(self, bn, dtype, h, w, c, growth, seed):
+        gen = np.random.default_rng(seed)
+        mid = 4 * growth
+        specs = (([("bn", c)] if bn else []) + [("relu",), ("conv", 1, c, mid)]
+                 + ([("bn", mid)] if bn else []) + [("relu",), ("conv", 3, mid, growth)])
+        layer = net._build(("dense", c + growth, specs), gen, dtype)
+        for b in (node for node in layer.chain if isinstance(node, BatchNorm)):
+            n = b.running_var.size
+            b.params["gamma"][...] = gen.uniform(-2, 2, n)
+            b.params["beta"][...] = gen.normal(0, 1, n)
+            b.running_mean[...] = gen.normal(0, 1, n)
+            b.running_var[...] = 10.0 ** gen.uniform(-3, 1, n)
+        x = gen.standard_normal((c, h, w)).astype(dtype)
+        got = layer.forward(x)
+        assert np.array_equal(layer.forward(x, ws=Workspace()), got)
+        assert got.dtype == dtype and np.array_equal(got[:c], x)
+        # the chain term by term, and the same chain on magnitudes: |x|, BN
+        # as (|x| + |mean|) * |gamma| / sqrt(var + eps) + |beta|, |w|
+        want, magnitude = x, np.abs(x).astype(np.float64)
+        for node in layer.chain:
+            if isinstance(node, BatchNorm):
+                stats = (node.params["gamma"], node.params["beta"], node.running_mean,
+                         node.running_var)
+                g, b, m, v = (s[:, None, None] for s in stats)
+                want = g * (want - m) / np.sqrt(v + node.eps) + b
+                scale = np.abs(g.astype(np.float64)) / np.sqrt(v.astype(np.float64) + node.eps)
+                magnitude = (magnitude + np.abs(m)) * scale + np.abs(b)
+            elif isinstance(node, ReLU):
+                want = np.maximum(want, dtype(0))
+            else:
+                wt = node.params["w"]
+                want = conv2d_naive(want, wt, 1, wt.shape[0] // 2)
+                magnitude = conv2d_naive(magnitude, np.abs(wt).astype(np.float64), 1,
+                                         wt.shape[0] // 2)
+        # Each layer's error bound, carried to the output by the magnitude
+        # chain (ReLU is 1-Lipschitz): 5 eps per BN (the BN property), 2 n
+        # eps per conv over its n terms (the conv property), one eps for
+        # the mid BN's scale rounded into the 1x1's weights, and one for
+        # second-order terms.
+        eps = np.finfo(dtype).eps
+        tol = ((10 if bn else 0) + 2 * c + 2 * 9 * mid + 2) * eps * magnitude
+        assert np.all(np.abs(got[c:] - want) <= tol)
 
 
 class TestParameterCount:

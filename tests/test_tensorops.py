@@ -95,6 +95,8 @@ class TestConv2dGemm:
     )
     @example(h=5, w=7, cin=3, cout=2, k=1, seed=0)
     @example(h=5, w=7, cin=3, cout=2, k=3, seed=0)
+    @example(h=5, w=7, cin=1, cout=3, k=3, seed=0)  # im2col
+    @example(h=5, w=7, cin=4, cout=1, k=3, seed=0)  # kn2row
     def test_close_to_oracle_property(self, dtype, h, w, cin, cout, k, seed):
         gen = np.random.default_rng(seed)
         x = gen.standard_normal((cin, h, w)).astype(dtype)
@@ -122,25 +124,37 @@ class TestConv2dGemm:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("k", [1, 3])
     def test_caller_buffers_equal_new_ones(self, rng, k, dtype):
-        x = rng.standard_normal((3, 5, 7)).astype(dtype)
-        wt = rng.standard_normal((k, k, 3, 4)).astype(dtype)
-        # stale contents: every element the conv reads must be written first
-        buffers = [np.full(s, np.nan, dtype=dtype) for s in T.conv2d_buffers(x.shape, wt.shape)]
-        for xi in (x, x[:, ::-1].copy()):  # then buffers that hold the last call's values
-            got = T.conv2d_gemm(xi, wt, buffers)
-            assert np.array_equal(got, T.conv2d_gemm(xi, wt))
-            assert np.shares_memory(got, buffers[-1])
+        for cin, cout in ((3, 4), (4, 3)):  # im2col, then kn2row
+            x = rng.standard_normal((cin, 5, 7)).astype(dtype)
+            wt = rng.standard_normal((k, k, cin, cout)).astype(dtype)
+            # stale contents: every element the conv reads must be written first
+            buffers = [np.full(s, np.nan, dtype=dtype) for s in T.conv2d_buffers(x.shape, wt.shape)]
+            for xi in (x, x[:, ::-1].copy()):  # then buffers that hold the last call's values
+                got = T.conv2d_gemm(xi, wt, buffers)
+                assert np.array_equal(got, T.conv2d_gemm(xi, wt))
+                assert np.shares_memory(got, buffers[-1])
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_bands_equal_one_product(self, rng, monkeypatch, dtype):
         # 13 rows in bands of at most 4, so the last band is shorter; few
-        # input channels keep every BLAS dot product a plain running sum
-        x = rng.standard_normal((3, 13, 9)).astype(dtype)
-        wt = rng.standard_normal((3, 3, 3, 2)).astype(dtype)
-        whole = T.conv2d_gemm(x, wt)
+        # input channels keep every BLAS dot product a plain running sum.
+        # Both forms expand min(Cin, Cout) = 2 channels nine times.
+        cases = [(rng.standard_normal((cin, 13, 9)).astype(dtype),
+                  rng.standard_normal((3, 3, cin, cout)).astype(dtype))
+                 for cin, cout in ((2, 3), (3, 2))]  # im2col, then kn2row
+        wholes = [T.conv2d_gemm(x, wt) for x, wt in cases]
         monkeypatch.setattr(T, "_BAND_FLOATS", 18 * (4 * 11 + 24))
-        assert T.conv2d_buffers(x.shape, wt.shape)[1] == (18 * (4 * 11 + 24),)
-        assert np.array_equal(T.conv2d_gemm(x, wt), whole)
+        for (x, wt), whole in zip(cases, wholes):
+            assert T.conv2d_buffers(x.shape, wt.shape)[1] == (18 * (4 * 11 + 24),)
+            assert np.array_equal(T.conv2d_gemm(x, wt), whole)
+
+    @pytest.mark.parametrize("cin,cout", [(2, 3), (3, 2)], ids=["im2col", "kn2row"])
+    def test_relu_pads_max_of_input_and_zero(self, rng, cin, cout):
+        x = rng.standard_normal((cin, 5, 7)).astype(np.float32)
+        wt = rng.standard_normal((3, 3, cin, cout)).astype(np.float32)
+        assert np.array_equal(T.conv2d_gemm(x, wt, relu=True), T.conv2d_gemm(T.relu(x), wt))
+        with pytest.raises(ContractViolationError, match="pad step"):
+            T.conv2d_gemm(x, wt[1:2, 1:2], relu=True)
 
     @pytest.mark.parametrize("spoil", ["shape", "dtype", "strides", "count"])
     def test_rejects_wrong_buffers(self, rng, spoil):
@@ -163,6 +177,18 @@ class TestConv2dGemm:
         want = T.conv2d_gemm(x, layer.params["w"])
         assert np.array_equal(layer.forward(x, train=False), want)
         assert np.array_equal(layer.forward(x, train=True), want)
+
+    @pytest.mark.parametrize("fuse", [{"bn": BatchNorm(4)}, {"relu": True},
+                                      {"out": np.empty((4, 6, 5), np.float32)}],
+                             ids=["bn", "relu", "out"])
+    def test_conv2d_layer_fuses_only_in_eval(self, rng, fuse):
+        layer = Conv2D(3, 2, 4, rng=rng)
+        x = rng.random((2, 6, 5), dtype=np.float32)
+        with pytest.raises(ContractViolationError, match="eval mode only"):
+            layer.forward(x, train=True, **fuse)
+        if "out" in fuse:  # the other two also run without a workspace
+            with pytest.raises(ContractViolationError, match="only with a workspace"):
+                layer.forward(x, **fuse)
 
 
 class TestConv2dBackward:
