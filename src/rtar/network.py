@@ -143,14 +143,16 @@ class _DenseLayer:
     """BN-ReLU-1x1 conv (bottleneck) then BN-ReLU-3x3 conv; concatenates k
     new channels onto its input.
 
-    Maps are (C, H, W). Training walks the chain layer by layer. Eval
-    fuses the second half: the mid BN is folded into the 1x1 conv and the
-    mid ReLU into the 3x3 conv's pad step (see ``Conv2D.forward``). With a
-    workspace, the block's map is one (width, H, W) buffer: each dense
+    Maps are (C, H, W). Training walks the chain layer by layer and
+    concatenates. Eval fuses the second half: the mid BN is folded into
+    the 1x1 conv and the mid ReLU into the 3x3 conv's pad step (see
+    ``Conv2D.forward``). Eval always runs in a workspace, the caller's or,
+    given none, a fresh one, so what it returns aliases no other
+    workspace. The block's map is one (width, H, W) buffer: each dense
     layer reads its first channels, one contiguous prefix, and its 3x3
     conv writes the k new ones after them (Pleiss et al., 2017,
-    "Memory-Efficient Implementation of DenseNets"), so nothing is
-    concatenated or copied."""
+    "Memory-Efficient Implementation of DenseNets"), so in the caller's
+    workspace nothing is concatenated or copied."""
 
     def __init__(self, chain: list[Layer], width: int):
         self.chain = chain
@@ -164,12 +166,12 @@ class _DenseLayer:
     def forward(self, x, train=False, ws=None):
         if train:
             return np.concatenate([x, forward(self.chain, x, train)])
-        c = x.shape[0]
-        block = None if ws is None else ws.block(x, self.width)
-        h = forward(self.pre, x if ws is None else block[:c], ws=ws)
-        h = self.conv1x1.forward(h, ws=ws, bn=self.bn_mid)
         if ws is None:
-            return np.concatenate([x, self.conv3x3.forward(h, relu=True)])
+            ws = Workspace()
+        c = x.shape[0]
+        block = ws.block(x, self.width)
+        h = forward(self.pre, block[:c], ws=ws)
+        h = self.conv1x1.forward(h, ws=ws, bn=self.bn_mid)
         self.conv3x3.forward(h, ws=ws, relu=True, out=block[c : c + self.k])
         return block[: c + self.k]
 

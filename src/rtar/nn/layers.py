@@ -5,10 +5,10 @@ accumulators (``grads``). ``forward(x, train=True)`` records whatever the
 backward rule needs; ``backward(dy)`` adds into ``grads`` and returns the
 input gradient, so mini-batch gradients accumulate across samples until
 ``zero_grad``. Eval-mode forward records nothing and changes no layer
-state. Given a ``Workspace``, it writes its activations only into that
-workspace's buffers, which belong to one thread; without one it returns
-new arrays. Either way shared-model inference is safe from multiple
-threads.
+state. It runs one sequence of operations, given a ``Workspace`` or not:
+with one it writes its activations only into that workspace's buffers,
+which belong to one thread; without one its output is a new array. So
+shared-model inference is safe from multiple threads.
 """
 
 from __future__ import annotations
@@ -35,6 +35,8 @@ class Workspace:
     layer writes its new channels; channels lead, so the map's first c
     channels are one contiguous prefix. Every view handed out is overwritten
     by a later layer or pass: nothing that leaves the model may alias one.
+    An eval call given no workspace runs the same operations: a layer
+    writes a new array, and a dense layer takes a fresh ``Workspace``.
     """
 
     def __init__(self):
@@ -104,7 +106,8 @@ class Layer:
 
     def forward(self, x: np.ndarray, train: bool = False,
                 ws: Workspace | None = None) -> np.ndarray:
-        """``ws``, in eval mode only, holds the output instead of a new array."""
+        """``ws``, in eval mode only, holds the output; without one the
+        same operations write a new array."""
         raise NotImplementedError
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
@@ -172,8 +175,11 @@ class BatchNorm(Layer):
 
     Train mode normalizes with the sample's own spatial statistics and
     folds them into the running estimates (``running = m*running +
-    (1-m)*batch``); eval mode applies the running estimates, folded into
-    one scale and shift per channel on each call, and is bit-deterministic.
+    (1-m)*batch``). Eval mode applies the scale and shift that ``folded()``
+    derives from the running estimates on each call, caching nothing: one
+    multiply, into the workspace or a new array, then one add in place. It
+    is bit-deterministic and float-close to gamma * (x - mean) / sqrt(var
+    + eps) + beta, whose terms round in another order.
     """
 
     momentum = 0.9
@@ -199,11 +205,10 @@ class BatchNorm(Layer):
             self.running_var = (m * self.running_var + (1 - m) * var).astype(x.dtype)
             self._cache = (x_hat, var)
             return y
-        stats = (self.params["gamma"], self.params["beta"], self.running_mean, self.running_var)
-        return T.batch_norm_eval_folded(
-            x, *(v[:, None, None] for v in stats), self.eps,
-            out=None if ws is None else ws.elementwise_out(x),
-        )
+        scale, shift = self.folded()
+        y = np.multiply(x, scale[:, None, None], out=None if ws is None else ws.elementwise_out(x))
+        y += shift[:, None, None]
+        return y
 
     def folded(self) -> tuple[np.ndarray, np.ndarray]:
         """Eval mode's per-channel (scale, shift), as (C,) vectors."""

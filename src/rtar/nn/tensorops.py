@@ -27,9 +27,9 @@ gradient shifted by every tap. BLAS reorders the floating-point sums,
 so the output is float32-close to, not bit-identical with, a naive
 loop.
 
-Eval-mode batch norm, ``batch_norm_eval_folded``, is one per-channel
-scale and shift (``batch_norm_fold``), float-close to the term-by-term
-formula.
+Eval-mode batch norm has no kernel here: ``layers.BatchNorm`` applies
+the per-channel scale and shift of ``batch_norm_fold``, and
+``layers.Conv2D`` can fold them into its weights instead.
 
 The naive references these kernels are tested against live in the tests.
 """
@@ -145,16 +145,19 @@ def conv2d_gemm(x: np.ndarray, w: np.ndarray, buffers: list[np.ndarray] | None =
     wrapped columns. Where Cin <= Cout (im2col) the band's k*k
     tap-shifted windows of the padded input are copied into one (k*k*Cin,
     rows*W) stack, tap-major, and one product with the (Cout, k*k*Cin)
-    weights writes the band's output rows. The buffers are new arrays, or
-    the caller's ``buffers`` (C-contiguous, x's dtype, the shapes
-    ``conv2d_buffers`` gives), and the result is the last one. Where they
-    live changes no bit of the result.
+    weights writes the band's output rows. The buffers are new arrays (the
+    padded input zeroed whole), or the caller's ``buffers`` (C-contiguous,
+    x's dtype, the shapes ``conv2d_buffers`` gives), and the result is the
+    last one. Where they live changes no bit of the result.
     """
     _check_conv_args(x, w)
     k, _, cin, cout = w.shape
     shapes = conv2d_buffers(x.shape, w.shape)
     if buffers is None:
-        buffers = [np.empty(s, dtype=x.dtype) for s in shapes]
+        # a 3x3's padded input, its first buffer, is left to _flat_padded,
+        # which allocates it zeroed rather than zeroing its border
+        buffers = [None if i == 0 and k > 1 else np.empty(s, dtype=x.dtype)
+                   for i, s in enumerate(shapes)]
     elif [b.shape for b in buffers] != shapes or not all(
         b.dtype == x.dtype and b.flags.c_contiguous for b in buffers
     ):
@@ -259,32 +262,6 @@ def batch_norm_fold(
         raise ContractViolationError(f"eps must be > 0, got {eps}")
     scale = gamma / np.sqrt(running_var + eps)
     return scale, beta - running_mean * scale
-
-
-def batch_norm_eval_folded(
-    x: np.ndarray,
-    gamma: np.ndarray,
-    beta: np.ndarray,
-    running_mean: np.ndarray,
-    running_var: np.ndarray,
-    eps: float,
-    out: np.ndarray | None = None,
-) -> np.ndarray:
-    """Eval-mode batch norm as one per-channel affine map (Ioffe & Szegedy, 2015).
-
-    gamma, beta and the running statistics broadcast against x: (C, 1, 1)
-    views for a (C, H, W) map. The scale and shift (``batch_norm_fold``)
-    are folded on every call, so nothing is cached and a shared model
-    stays safe to evaluate from several threads. The tensor takes one
-    multiply into ``out`` (which may be x itself) or a new buffer, and
-    one add in place. The terms round in another order, so the result is
-    float-close to, not bit-identical with, gamma * (x - mean) / sqrt(var
-    + eps) + beta.
-    """
-    scale, shift = batch_norm_fold(gamma, beta, running_mean, running_var, eps)
-    y = np.multiply(x, scale, out=out)
-    y += shift
-    return y
 
 
 def relu(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:

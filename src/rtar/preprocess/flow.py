@@ -127,10 +127,8 @@ def _build_pyramid(img: np.ndarray, levels: int, scale: float) -> list[np.ndarra
 
 def _warp(img: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
     h, w = img.shape
-    grid_y, grid_x = np.meshgrid(
-        np.arange(h, dtype=img.dtype), np.arange(w, dtype=img.dtype), indexing="ij"
-    )
-    return bilinear_sample(img, grid_y + v, grid_x + u)
+    return bilinear_sample(img, np.arange(h, dtype=img.dtype)[:, None] + v,
+                           np.arange(w, dtype=img.dtype) + u)
 
 
 def compute_flow(prev: np.ndarray, next: np.ndarray, params: FlowParams = FlowParams()) -> np.ndarray:

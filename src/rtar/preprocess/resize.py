@@ -60,8 +60,7 @@ def resize_bilinear(image: np.ndarray, w: int, h: int) -> np.ndarray:
     sx = src_w / w
     ys = (np.arange(h, dtype=np.float64) + 0.5) * sy - 0.5
     xs = (np.arange(w, dtype=np.float64) + 0.5) * sx - 0.5
-    grid_y, grid_x = np.meshgrid(ys, xs, indexing="ij")
-    out = bilinear_sample(img, grid_y, grid_x)
+    out = bilinear_sample(img, ys[:, None], xs[None, :])
     if was_uint8:
         return np.clip(np.rint(out), 0, 255).astype(np.uint8)
     return out.astype(image.dtype)

@@ -283,8 +283,8 @@ def _allocating_layer(layer, h):
     if isinstance(layer, Conv2D):
         return _allocating_conv(h, layer.params["w"])
     if isinstance(layer, BatchNorm):
-        return T.batch_norm_eval_folded(h, layer.params["gamma"], layer.params["beta"],
-                                        layer.running_mean, layer.running_var, layer.eps)
+        scale = layer.params["gamma"] / np.sqrt(layer.running_var + layer.eps)
+        return h * scale + (layer.params["beta"] - layer.running_mean * scale)
     if isinstance(layer, ReLU):
         return T.relu(h)
     assert isinstance(layer, AvgPool2)

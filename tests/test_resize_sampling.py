@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from rtar.errors import ContractViolationError
 from rtar.mediaio import ClipMeta
-from rtar.preprocess import resize_bilinear, sample_frames
+from rtar.preprocess import bilinear_sample, resize_bilinear, sample_frames
 
 
 def resize_oracle(img, w, h):
@@ -61,6 +61,30 @@ class TestResize:
     def test_rejects_zero_extent(self):
         with pytest.raises(ContractViolationError):
             resize_bilinear(np.zeros((2, 2)), 0, 2)
+
+    @pytest.mark.parametrize("src, dst", [((120, 160), (112, 112)), ((28, 28), (56, 56)),
+                                          ((64, 48), (16, 40)), ((5, 7), (9, 3)),
+                                          ((1, 6), (4, 1))])
+    @pytest.mark.parametrize("kind", ["uint8_rgb", "float32_gray"])
+    def test_equals_sampling_the_full_grid(self, rng, src, dst, kind):
+        # resize samples on broadcast row and column vectors; the materialized
+        # (h, w) coordinate grids must give the same bytes
+        if kind == "uint8_rgb":
+            img = rng.integers(0, 256, size=src + (3,), dtype=np.uint8)
+        else:
+            img = rng.random(src, dtype=np.float32)
+        h, w = dst
+        ys = (np.arange(h, dtype=np.float64) + 0.5) * (src[0] / h) - 0.5
+        xs = (np.arange(w, dtype=np.float64) + 0.5) * (src[1] / w) - 0.5
+        grid_y, grid_x = np.meshgrid(ys, xs, indexing="ij")
+        if img.dtype == np.uint8:
+            want = bilinear_sample(img.astype(np.float64), grid_y, grid_x)
+            want = np.clip(np.rint(want), 0, 255).astype(np.uint8)
+        else:
+            want = bilinear_sample(img, grid_y, grid_x)
+        got = resize_bilinear(img, w, h)
+        assert got.dtype == img.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
 
 
 class TestSampleFrames:

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from rtar.errors import ContractViolationError
 from rtar.nn import tensorops as T
-from rtar.nn.layers import BatchNorm, Conv2D
+from rtar.nn.layers import BatchNorm, Conv2D, Workspace
 
 
 def conv2d_naive(x, w, stride, padding):
@@ -259,11 +259,11 @@ class TestBatchNorm:
 
     def test_eval_deterministic_bitwise(self, rng):
         x = rng.random((3, 4, 4), dtype=np.float32)
-        stats = (np.ones(3, np.float32), np.zeros(3, np.float32),
-                 rng.random(3).astype(np.float32), rng.random(3).astype(np.float32) + 0.5)
-        args = (x, *(v[:, None, None] for v in stats), 1e-5)
-        a = T.batch_norm_eval_folded(*args)
-        b = T.batch_norm_eval_folded(*args)
+        layer = BatchNorm(3)
+        layer.running_mean[...] = rng.random(3)
+        layer.running_var[...] = rng.random(3) + 0.5
+        a = layer.forward(x, train=False)
+        b = layer.forward(x, train=False)
         assert np.array_equal(a, b)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -281,8 +281,11 @@ class TestBatchNorm:
         var = 10.0 ** gen.uniform(min_log_var, 2, c)
         var[gen.random(c) < 0.25] = 0.0
         var = var.astype(dtype)
-        got = T.batch_norm_eval_folded(x, *(v[:, None, None] for v in (gamma, beta, mean, var)),
-                                       eps)
+        layer = BatchNorm(c, dtype=dtype)
+        layer.params["gamma"][...], layer.params["beta"][...] = gamma, beta
+        layer.running_mean[...], layer.running_var[...] = mean, var
+        layer.eps = eps
+        got = layer.forward(x, train=False)
         # the formula on the channel-last transpose, where (C,) vectors broadcast
         xt = x.transpose(1, 2, 0)
         want = (gamma * (xt - mean) / np.sqrt(var + eps) + beta).transpose(2, 0, 1)
@@ -301,10 +304,12 @@ class TestBatchNorm:
     def test_folded_eval_rejects_eps_like_oracle(self, eps):
         # The formula has no check; eval must refuse eps as train does.
         x, ones = np.ones((2, 2, 3), np.float32), np.ones(2, np.float32)
+        layer = BatchNorm(2)
+        layer.eps = eps
         with pytest.raises(ContractViolationError) as train_err:
             T.batch_norm_train(x, ones, ones, eps)
         with pytest.raises(ContractViolationError) as eval_err:
-            T.batch_norm_eval_folded(x, ones, ones, ones, ones, eps)
+            layer.forward(x, train=False)
         assert str(eval_err.value) == str(train_err.value)
 
     def test_batchnorm_layer_eval_runs_folded(self, rng):
@@ -314,9 +319,11 @@ class TestBatchNorm:
         layer.params["gamma"][...] = rng.uniform(0.5, 1.5, 3)
         layer.params["beta"][...] = rng.normal(0, 1, 3)
         x = rng.standard_normal((3, 4, 5)).astype(np.float32)
-        stats = (layer.params["gamma"], layer.params["beta"], layer.running_mean, layer.running_var)
-        want = T.batch_norm_eval_folded(x, *(v[:, None, None] for v in stats), layer.eps)
+        scale, shift = T.batch_norm_fold(layer.params["gamma"], layer.params["beta"],
+                                         layer.running_mean, layer.running_var, layer.eps)
+        want = x * scale[:, None, None] + shift[:, None, None]
         assert np.array_equal(layer.forward(x, train=False), want)
+        assert np.array_equal(layer.forward(x, train=False, ws=Workspace()), want)
 
 
 class TestFullyConnected:
