@@ -194,15 +194,14 @@ class StreamNet:
 
     def forward(self, x, train=False, ws: Workspace | None = None):
         """The stream's (H, W, D) map for its (H, W, Cin) input: a new
-        array, or in eval mode with ``ws`` a view of the workspace that the
-        next pass overwrites. The layers run on (C, H, W) maps, so this is
-        the one transpose each way: the first conv pads a transposed view
-        of x, and the last map is copied out channel-last, which keeps
-        pooling's summation order."""
-        y = forward(self.nodes, x.transpose(2, 0, 1), train, ws).transpose(1, 2, 0)
-        if ws is None:
-            return np.ascontiguousarray(y)
-        out, = ws.take(y, y.shape)
+        array, or in eval mode with ``ws`` a view of it that the next pass
+        overwrites (without, the stream runs in one fresh workspace). The
+        layers run on (C, H, W) maps, so this is the one transpose each way:
+        the first conv pads a transposed view of x, and the last map is
+        copied out channel-last, which keeps pooling's summation order."""
+        run = ws if ws is not None or train else Workspace()
+        y = forward(self.nodes, x.transpose(2, 0, 1), train, run).transpose(1, 2, 0)
+        out = np.empty(y.shape, y.dtype) if ws is None else ws.take(y, y.shape)[0]
         out[...] = y
         return out
 

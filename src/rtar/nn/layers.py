@@ -35,8 +35,8 @@ class Workspace:
     layer writes its new channels; channels lead, so the map's first c
     channels are one contiguous prefix. Every view handed out is overwritten
     by a later layer or pass: nothing that leaves the model may alias one.
-    An eval call given no workspace runs the same operations: a layer
-    writes a new array, and a dense layer takes a fresh ``Workspace``.
+    An eval call given no workspace runs the same operations: a layer writes
+    a new array; a dense layer, or a whole stream, takes a fresh ``Workspace``.
     """
 
     def __init__(self):

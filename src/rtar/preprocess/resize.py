@@ -1,4 +1,13 @@
-"""Bilinear resampling with half-pixel centers and border clamping."""
+"""Bilinear resampling with half-pixel centers and border clamping.
+
+Each output element is top = v00 + (v01 - v00)*fx, bot = v10 + (v11 - v10)*fx,
+top + (bot - top)*fy over its four corners, in that order and dtype, so both
+samplers equal a 2-D fancy-indexed gather (the tests' oracle) byte for byte.
+``resize_bilinear`` is separable: it lerps each source row that a row tap
+reads across its column pairs once, then pairs of those rows, each pass one
+1-D ``np.take`` (channels ride the column axis; uint8 widens to float64 after
+the gather, which is exact). ``bilinear_sample`` gathers by one flat index.
+"""
 
 from __future__ import annotations
 
@@ -15,6 +24,23 @@ def grayscale_bt601(rgb: np.ndarray) -> np.ndarray:
     return rgb @ _LUMA.astype(rgb.dtype)
 
 
+def _lerp(a: np.ndarray, b: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """a + (b - a)*f in f's dtype, written into b, a new array."""
+    b = b.astype(f.dtype, copy=False)
+    b -= a
+    b *= f
+    b += a
+    return b
+
+
+def _taps(coords: np.ndarray, n: int, dtype) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Clamped taps (i0, i1, f) on an axis of n; f in dtype, or float64 for ints."""
+    coords = np.clip(coords, 0.0, n - 1.0)
+    i0 = np.floor(coords).astype(np.intp)
+    f = (coords - i0).astype(dtype if np.dtype(dtype).kind == "f" else np.float64)
+    return i0, np.minimum(i0 + 1, n - 1), f
+
+
 def bilinear_sample(img: np.ndarray, ys: np.ndarray, xs: np.ndarray) -> np.ndarray:
     """Sample img at real-valued (ys, xs) positions, clamping to borders.
 
@@ -22,24 +48,14 @@ def bilinear_sample(img: np.ndarray, ys: np.ndarray, xs: np.ndarray) -> np.ndarr
     the result has that shape (plus the channel axis when present).
     """
     h, w = img.shape[:2]
-    ys = np.clip(ys, 0.0, h - 1.0)
-    xs = np.clip(xs, 0.0, w - 1.0)
-    y0 = np.floor(ys).astype(np.intp)
-    x0 = np.floor(xs).astype(np.intp)
-    y1 = np.minimum(y0 + 1, h - 1)
-    x1 = np.minimum(x0 + 1, w - 1)
-    fy = (ys - y0).astype(img.dtype if img.dtype.kind == "f" else np.float64)
-    fx = (xs - x0).astype(fy.dtype)
+    y0, y1, fy = _taps(ys, h, img.dtype)
+    x0, x1, fx = _taps(xs, w, img.dtype)
     if img.ndim == 3:
-        fy = fy[..., None]
-        fx = fx[..., None]
-    v00 = img[y0, x0]
-    v01 = img[y0, x1]
-    v10 = img[y1, x0]
-    v11 = img[y1, x1]
-    top = v00 + (v01 - v00) * fx
-    bot = v10 + (v11 - v10) * fx
-    return top + (bot - top) * fy
+        fy, fx = fy[..., None], fx[..., None]
+    flat = img.reshape((h * w,) + img.shape[2:])
+    i = y0 * w + x0
+    dx, dy = x1 - x0, (y1 - y0) * w
+    return _lerp(_lerp(flat[i], flat[i + dx], fx), _lerp(flat[i + dy], flat[i + dy + dx], fx), fy)
 
 
 def resize_bilinear(image: np.ndarray, w: int, h: int) -> np.ndarray:
@@ -54,13 +70,15 @@ def resize_bilinear(image: np.ndarray, w: int, h: int) -> np.ndarray:
     src_h, src_w = image.shape[:2]
     if (src_h, src_w) == (h, w):
         return image.copy()
-    was_uint8 = image.dtype == np.uint8
-    img = image.astype(np.float64) if was_uint8 else image
-    sy = src_h / h
-    sx = src_w / w
-    ys = (np.arange(h, dtype=np.float64) + 0.5) * sy - 0.5
-    xs = (np.arange(w, dtype=np.float64) + 0.5) * sx - 0.5
-    out = bilinear_sample(img, ys[:, None], xs[None, :])
-    if was_uint8:
-        return np.clip(np.rint(out), 0, 255).astype(np.uint8)
-    return out.astype(image.dtype)
+    y0, y1, fy = _taps((np.arange(h) + 0.5) * (src_h / h) - 0.5, src_h, image.dtype)
+    x0, x1, fx = _taps((np.arange(w) + 0.5) * (src_w / w) - 0.5, src_w, image.dtype)
+    c = image[0, 0].size  # channels per pixel
+    x0, x1 = ((x[:, None] * c + np.arange(c)).ravel() for x in (x0, x1))
+    rows, at = np.unique(np.concatenate([y0, y1]), return_inverse=True)
+    src = np.take(image.reshape(src_h, src_w * c), rows, axis=0)
+    cols = _lerp(np.take(src, x0, axis=1), np.take(src, x1, axis=1), np.repeat(fx, c))
+    out = _lerp(np.take(cols, at[:h], axis=0), np.take(cols, at[h:], axis=0), fy[:, None])
+    out = out.reshape((h, w) + image.shape[2:])
+    if image.dtype == np.uint8:
+        return np.clip(np.rint(out, out=out), 0, 255, out=out).astype(np.uint8)
+    return out.astype(image.dtype, copy=False)

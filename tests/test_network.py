@@ -295,16 +295,28 @@ def _allocating_layer(layer, h):
 def _allocating_logits(model, inputs):
     """Oracle: the eval forward with a new array for every layer's output and
     each dense layer's k channels np.concatenate'd onto its input."""
-    pooled = {}
-    for name in model.config.streams:
-        h = inputs[name]
-        for node in model.streams[name].nodes:
-            if isinstance(node, net._DenseLayer):
-                h = np.concatenate([h, _allocating_dense(node.chain, h)], axis=2)
-            else:
-                h = _allocating_layer(node, h)
-        pooled[name] = T.global_avg_pool(h)
+    pooled = {name: T.global_avg_pool(_allocating_stream(model.streams[name], inputs[name]))
+              for name in model.config.streams}
     return T.fully_connected(model.fuse(pooled), model.head.params["w"], model.head.params["b"])
+
+
+def _allocating_stream(stream, h):
+    for node in stream.nodes:
+        if isinstance(node, net._DenseLayer):
+            h = np.concatenate([h, _allocating_dense(node.chain, h)], axis=2)
+        else:
+            h = _allocating_layer(node, h)
+    return h
+
+
+def _draw_bn_statistics(model, rng):
+    """Statistics away from their init, so that each folded BN shift is not zero."""
+    for layer in model.layers():
+        if isinstance(layer, BatchNorm):
+            c = layer.running_var.size
+            layer.running_mean[...] = rng.normal(0, 1, c)
+            layer.running_var[...] = rng.uniform(0.5, 2, c)
+            layer.params["beta"][...] = rng.normal(0, 1, c)
 
 
 class TestEvalWorkspace:
@@ -320,13 +332,7 @@ class TestEvalWorkspace:
                           bn_enabled=bn, streams=streams)
         model = net.FusionModel(cfg, seed=4, dtype=dtype)
         a, b = (dict(zip(("rgb", "flow", "hog"), rand_inputs(rng, 16, dtype))) for _ in range(2))
-        # statistics away from their init, so that each folded BN shift is not zero
-        for layer in model.layers():
-            if isinstance(layer, BatchNorm):
-                c = layer.running_var.size
-                layer.running_mean[...] = rng.normal(0, 1, c)
-                layer.running_var[...] = rng.uniform(0.5, 2, c)
-                layer.params["beta"][...] = rng.normal(0, 1, c)
+        _draw_bn_statistics(model, rng)
         for inputs in (a, a, b, a):  # first call, repeated call, after another input
             want = _allocating_logits(model, inputs)
             assert want.dtype == dtype
@@ -347,6 +353,26 @@ class TestEvalWorkspace:
             tracemalloc.stop()
         assert peak <= 1.5e6
         assert model._workspace().nbytes <= 11.25e6
+
+    def test_direct_stream_forward_takes_one_workspace(self, rng, monkeypatch):
+        # an eval StreamNet.forward given no workspace runs the whole stream
+        # in one fresh one and returns a new array, with the oracle's bytes
+        model = net.FusionModel(ODD_CEIL_CONFIG, seed=5)
+        _draw_bn_statistics(model, rng)
+        made = []
+
+        class CountedWorkspace(Workspace):
+            def __init__(self):
+                made.append(self)
+                super().__init__()
+
+        monkeypatch.setattr(net, "Workspace", CountedWorkspace)
+        x = rand_inputs(rng, 16)[0]
+        got = model.streams["rgb"].forward(x)
+        assert len(made) == 1
+        assert got.base is None and got.flags.c_contiguous
+        want = _allocating_stream(model.streams["rgb"], x)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
     def test_results_survive_later_predicts(self, rng):
         model = net.FusionModel(ODD_CEIL_CONFIG, seed=7)

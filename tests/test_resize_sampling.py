@@ -8,6 +8,49 @@ from rtar.mediaio import ClipMeta
 from rtar.preprocess import bilinear_sample, resize_bilinear, sample_frames
 
 
+def bilinear_sample_oracle(img, ys, xs):
+    """The 2-D fancy-indexed sampler: each corner gathered as img[y, x] on
+    the broadcast index arrays, then the lerps in the module's order."""
+    h, w = img.shape[:2]
+    ys = np.clip(ys, 0.0, h - 1.0)
+    xs = np.clip(xs, 0.0, w - 1.0)
+    y0 = np.floor(ys).astype(np.intp)
+    x0 = np.floor(xs).astype(np.intp)
+    y1 = np.minimum(y0 + 1, h - 1)
+    x1 = np.minimum(x0 + 1, w - 1)
+    fy = (ys - y0).astype(img.dtype if img.dtype.kind == "f" else np.float64)
+    fx = (xs - x0).astype(fy.dtype)
+    if img.ndim == 3:
+        fy = fy[..., None]
+        fx = fx[..., None]
+    v00 = img[y0, x0]
+    v01 = img[y0, x1]
+    v10 = img[y1, x0]
+    v11 = img[y1, x1]
+    top = v00 + (v01 - v00) * fx
+    bot = v10 + (v11 - v10) * fx
+    return top + (bot - top) * fy
+
+
+def resize_on_the_full_grid(img, w, h):
+    """resize_bilinear's result from the oracle sampled on the materialized
+    (h, w) coordinate grids; uint8 is sampled in float64 and rounded."""
+    src_h, src_w = img.shape[:2]
+    ys = (np.arange(h, dtype=np.float64) + 0.5) * (src_h / h) - 0.5
+    xs = (np.arange(w, dtype=np.float64) + 0.5) * (src_w / w) - 0.5
+    grid_y, grid_x = np.meshgrid(ys, xs, indexing="ij")
+    if img.dtype == np.uint8:
+        out = bilinear_sample_oracle(img.astype(np.float64), grid_y, grid_x)
+        return np.clip(np.rint(out), 0, 255).astype(np.uint8)
+    return bilinear_sample_oracle(img, grid_y, grid_x)
+
+
+def random_image(gen, shape, kind):
+    if kind == "uint8_rgb":
+        return gen.integers(0, 256, size=shape + (3,), dtype=np.uint8)
+    return gen.random(shape, dtype=np.float32 if kind == "float32_gray" else np.float64)
+
+
 def resize_oracle(img, w, h):
     """Scalar reference bilinear with half-pixel centers and border clamp."""
     src_h, src_w = img.shape[:2]
@@ -62,28 +105,50 @@ class TestResize:
         with pytest.raises(ContractViolationError):
             resize_bilinear(np.zeros((2, 2)), 0, 2)
 
+    # the last four: the 224 px RGB frame to 112, the flow pyramid's
+    # 112 -> 56 and 56 -> 112, and a 1x1 source
     @pytest.mark.parametrize("src, dst", [((120, 160), (112, 112)), ((28, 28), (56, 56)),
                                           ((64, 48), (16, 40)), ((5, 7), (9, 3)),
-                                          ((1, 6), (4, 1))])
+                                          ((1, 6), (4, 1)), ((224, 224), (112, 112)),
+                                          ((112, 112), (56, 56)), ((56, 56), (112, 112)),
+                                          ((1, 1), (3, 5))])
     @pytest.mark.parametrize("kind", ["uint8_rgb", "float32_gray"])
     def test_equals_sampling_the_full_grid(self, rng, src, dst, kind):
-        # resize samples on broadcast row and column vectors; the materialized
-        # (h, w) coordinate grids must give the same bytes
-        if kind == "uint8_rgb":
-            img = rng.integers(0, 256, size=src + (3,), dtype=np.uint8)
-        else:
-            img = rng.random(src, dtype=np.float32)
+        # resize gathers separable row and column taps; sampling the
+        # materialized (h, w) coordinate grids must give the same bytes
+        img = random_image(rng, src, kind)
         h, w = dst
-        ys = (np.arange(h, dtype=np.float64) + 0.5) * (src[0] / h) - 0.5
-        xs = (np.arange(w, dtype=np.float64) + 0.5) * (src[1] / w) - 0.5
-        grid_y, grid_x = np.meshgrid(ys, xs, indexing="ij")
-        if img.dtype == np.uint8:
-            want = bilinear_sample(img.astype(np.float64), grid_y, grid_x)
-            want = np.clip(np.rint(want), 0, 255).astype(np.uint8)
-        else:
-            want = bilinear_sample(img, grid_y, grid_x)
+        want = resize_on_the_full_grid(img, w, h)
         got = resize_bilinear(img, w, h)
         assert got.dtype == img.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+    @given(sh=st.integers(1, 40), sw=st.integers(1, 40), h=st.integers(1, 40),
+           w=st.integers(1, 40),
+           kind=st.sampled_from(["uint8_rgb", "float32_gray", "float64_gray"]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_equals_sampling_the_full_grid_property(self, sh, sw, h, w, kind, seed):
+        img = random_image(np.random.default_rng(seed), (sh, sw), kind)
+        got = resize_bilinear(img, w, h)
+        want = resize_on_the_full_grid(img, w, h)
+        assert got.dtype == img.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
+class TestBilinearSample:
+    @given(h=st.integers(1, 9), w=st.integers(1, 9), channels=st.sampled_from([None, 1, 3]),
+           dtype=st.sampled_from([np.float32, np.float64]), seed=st.integers(0, 2**32 - 1))
+    def test_equals_two_index_gather_property(self, h, w, channels, dtype, seed):
+        # coordinates reach 3 px past every border, so each side clamps;
+        # ys is a column and xs a full grid, so they broadcast
+        gen = np.random.default_rng(seed)
+        img = gen.random((h, w) if channels is None else (h, w, channels)).astype(dtype)
+        ys = gen.uniform(-3, h + 2, (6, 1)).astype(dtype)
+        xs = gen.uniform(-3, w + 2, (6, 5)).astype(dtype)
+        xs[0, :] = np.round(xs[0, :])  # whole-pixel positions, where f is 0
+        got = bilinear_sample(img, ys, xs)
+        want = bilinear_sample_oracle(img, ys, xs)
+        assert got.dtype == want.dtype and got.shape == want.shape
         assert got.tobytes() == want.tobytes()
 
 
