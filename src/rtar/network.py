@@ -146,13 +146,12 @@ class _DenseLayer:
     Maps are (C, H, W). Training walks the chain layer by layer and
     concatenates. Eval fuses the second half: the mid BN is folded into
     the 1x1 conv and the mid ReLU into the 3x3 conv's pad step (see
-    ``Conv2D.forward``). Eval always runs in a workspace, the caller's or,
-    given none, a fresh one, so what it returns aliases no other
-    workspace. The block's map is one (width, H, W) buffer: each dense
-    layer reads its first channels, one contiguous prefix, and its 3x3
-    conv writes the k new ones after them (Pleiss et al., 2017,
-    "Memory-Efficient Implementation of DenseNets"), so in the caller's
-    workspace nothing is concatenated or copied."""
+    ``Conv2D.forward``). Eval runs in the caller's workspace, which
+    ``StreamNet.forward`` supplies, and returns a view of it. The block's
+    map is one (width, H, W) buffer: each dense layer reads its first
+    channels, one contiguous prefix, and its 3x3 conv writes the k new
+    ones after them (Pleiss et al., 2017, "Memory-Efficient
+    Implementation of DenseNets"), so nothing is concatenated or copied."""
 
     def __init__(self, chain: list[Layer], width: int):
         self.chain = chain
@@ -167,7 +166,7 @@ class _DenseLayer:
         if train:
             return np.concatenate([x, forward(self.chain, x, train)])
         if ws is None:
-            ws = Workspace()
+            raise ContractViolationError("a dense layer runs eval mode in a workspace")
         c = x.shape[0]
         block = ws.block(x, self.width)
         h = forward(self.pre, block[:c], ws=ws)

@@ -36,7 +36,7 @@ class Workspace:
     channels are one contiguous prefix. Every view handed out is overwritten
     by a later layer or pass: nothing that leaves the model may alias one.
     An eval call given no workspace runs the same operations: a layer writes
-    a new array; a dense layer, or a whole stream, takes a fresh ``Workspace``.
+    a new array, and a whole stream takes one fresh ``Workspace``.
     """
 
     def __init__(self):

@@ -3,10 +3,10 @@
 Each output element is top = v00 + (v01 - v00)*fx, bot = v10 + (v11 - v10)*fx,
 top + (bot - top)*fy over its four corners, in that order and dtype, so both
 samplers equal a 2-D fancy-indexed gather (the tests' oracle) byte for byte.
-``resize_bilinear`` is separable: it lerps each source row that a row tap
-reads across its column pairs once, then pairs of those rows, each pass one
-1-D ``np.take`` (channels ride the column axis; uint8 widens to float64 after
-the gather, which is exact). ``bilinear_sample`` gathers by one flat index.
+``resize_bilinear`` is separable: it lerps every source row across its column
+pairs, then pairs of those rows, each pass a 1-D ``np.take`` (channels ride
+the column axis; uint8 widens to float64 after the gather, which is exact).
+``bilinear_sample`` gathers each corner by one flat index.
 """
 
 from __future__ import annotations
@@ -53,9 +53,10 @@ def bilinear_sample(img: np.ndarray, ys: np.ndarray, xs: np.ndarray) -> np.ndarr
     if img.ndim == 3:
         fy, fx = fy[..., None], fx[..., None]
     flat = img.reshape((h * w,) + img.shape[2:])
-    i = y0 * w + x0
-    dx, dy = x1 - x0, (y1 - y0) * w
-    return _lerp(_lerp(flat[i], flat[i + dx], fx), _lerp(flat[i + dy], flat[i + dy + dx], fx), fy)
+    y0 *= w  # row offsets, in place: one corner's flat index at a time
+    y1 *= w
+    top = _lerp(flat[y0 + x0], flat[y0 + x1], fx)
+    return _lerp(top, _lerp(flat[y1 + x0], flat[y1 + x1], fx), fy)
 
 
 def resize_bilinear(image: np.ndarray, w: int, h: int) -> np.ndarray:
@@ -74,10 +75,9 @@ def resize_bilinear(image: np.ndarray, w: int, h: int) -> np.ndarray:
     x0, x1, fx = _taps((np.arange(w) + 0.5) * (src_w / w) - 0.5, src_w, image.dtype)
     c = image[0, 0].size  # channels per pixel
     x0, x1 = ((x[:, None] * c + np.arange(c)).ravel() for x in (x0, x1))
-    rows, at = np.unique(np.concatenate([y0, y1]), return_inverse=True)
-    src = np.take(image.reshape(src_h, src_w * c), rows, axis=0)
+    src = image.reshape(src_h, src_w * c)
     cols = _lerp(np.take(src, x0, axis=1), np.take(src, x1, axis=1), np.repeat(fx, c))
-    out = _lerp(np.take(cols, at[:h], axis=0), np.take(cols, at[h:], axis=0), fy[:, None])
+    out = _lerp(np.take(cols, y0, axis=0), np.take(cols, y1, axis=0), fy[:, None])
     out = out.reshape((h, w) + image.shape[2:])
     if image.dtype == np.uint8:
         return np.clip(np.rint(out, out=out), 0, 255, out=out).astype(np.uint8)

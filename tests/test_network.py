@@ -78,8 +78,9 @@ class TestStreamShapes:
         x = np.random.default_rng(1).random((3, 8, 8)).astype(np.float32)
         h = stream.nodes[0].forward(x)  # the layers run on (C, H, W) maps
         assert h.shape[0] == 6
+        ws = Workspace()
         for n, layer in enumerate(stream.nodes[1:-1], start=1):
-            h = layer.forward(h)
+            h = layer.forward(h, ws=ws)
             assert h.shape[0] == 6 + n * 3
 
     def test_toy_config_output_shape(self):
@@ -430,8 +431,11 @@ class TestFusedDenseLayer:
             b.running_mean[...] = gen.normal(0, 1, n)
             b.running_var[...] = 10.0 ** gen.uniform(-3, 1, n)
         x = gen.standard_normal((c, h, w)).astype(dtype)
-        got = layer.forward(x)
-        assert np.array_equal(layer.forward(x, ws=Workspace()), got)
+        ws = Workspace()
+        got = layer.forward(x, ws=ws).copy()
+        assert np.array_equal(layer.forward(x, ws=ws), got)  # a reused workspace
+        with pytest.raises(ContractViolationError):
+            layer.forward(x)
         assert got.dtype == dtype and np.array_equal(got[:c], x)
         # the chain term by term, and the same chain on magnitudes: |x|, BN
         # as (|x| + |mean|) * |gamma| / sqrt(var + eps) + |beta|, |w|
