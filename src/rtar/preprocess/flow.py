@@ -4,6 +4,10 @@ The estimator builds Gaussian pyramids of both frames, then from the
 coarsest level to the finest: upsamples and rescales the flow carried so
 far, warps the second frame back by it, and runs a fixed number of
 Jacobi updates of the Horn-Schunck equations on the residual motion.
+Every level runs the same count, 25 by default: the accuracy knee of the
+paired sweep in ``scripts/flow_accuracy.py``, where 25 steps stay within
+0.02 px mean endpoint error of 50 at every displacement from 0.5 to 3 px
+(gated in tests/test_flow.py) and 20 do not.
 Derivatives use centered differences averaged over the frame pair, which
 keeps the estimate equivariant under horizontal mirroring.
 
@@ -33,7 +37,7 @@ class FlowParams:
     pyramid_levels: int = 4
     scale: float = 0.5
     alpha: float = 15.0
-    iterations: int = 50
+    iterations: int = 25
 
     def __post_init__(self):
         if not 0 < self.scale < 1:
@@ -132,7 +136,7 @@ def _warp(img: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 
 def compute_flow(prev: np.ndarray, next: np.ndarray, params: FlowParams = FlowParams()) -> np.ndarray:
-    """Dense flow (H, W, 2) from prev to next; channel 0 is u, channel 1 is v.
+    """Dense float32 flow (H, W, 2) from prev to next; channel 0 is u, channel 1 is v.
 
     u is positive rightward and v positive downward, both in pixels per
     frame. Inputs are real-valued grayscale images in [0, 1] with equal

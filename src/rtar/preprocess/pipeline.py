@@ -76,7 +76,7 @@ def unit_scale(image: np.ndarray) -> np.ndarray:
 
 # Recorded in every cache; bump it on any change to sample_frames' choices or
 # to the bytes pair_maps returns, so that older caches are refused.
-PREPROCESS_VERSION = 1
+PREPROCESS_VERSION = 2
 
 
 def pair_maps(
@@ -97,7 +97,7 @@ def pair_maps(
     frame = resize_bilinear(prev_frame, s, s)
     gray_prev = grayscale_bt601(unit_scale(frame))
     gray_next = grayscale_bt601(unit_scale(resize_bilinear(next_frame, s, s)))
-    flow = compute_flow(gray_prev, gray_next, config.flow).astype(np.float32)
+    flow = compute_flow(gray_prev, gray_next, config.flow)
     return frame, flow, render_hog(compute_hog(gray_prev))
 
 

@@ -1,3 +1,6 @@
+import importlib.util
+import os
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -6,6 +9,9 @@ from hypothesis import strategies as st
 from rtar.errors import ContractViolationError
 from rtar.preprocess import FlowParams, compute_flow
 from rtar.preprocess.flow import _jacobi
+
+SWEEP_SCRIPT = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                            "scripts", "flow_accuracy.py")
 
 # (dy, dx, weight) of Horn-Schunck's neighbourhood average, in summation order.
 AVG_WEIGHTS = [(-1, -1, 1 / 12), (-1, 0, 1 / 6), (-1, 1, 1 / 12),
@@ -142,3 +148,16 @@ class TestComputeFlow:
             FlowParams(scale=1.5)
         with pytest.raises(ContractViolationError):
             FlowParams(alpha=0.0)
+
+
+def test_default_iterations_within_accuracy_knee():
+    # Gate fixed before measuring: at every displacement, the default step
+    # count's mean EPE is at most 0.02 px above 50 steps', on the paired sweep.
+    spec = importlib.util.spec_from_file_location("flow_accuracy", SWEEP_SCRIPT)
+    flow_accuracy = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(flow_accuracy)
+    assert flow_accuracy.MAGNITUDES == (0.5, 1.0, 1.5, 2.0, 3.0)
+    epes = flow_accuracy.sweep(112, cases=20, seed=0,
+                               iteration_grid=[FlowParams().iterations, 50])
+    for magnitude, (default, fifty) in zip(flow_accuracy.MAGNITUDES, epes):
+        assert default <= fifty + 0.02, (magnitude, default, fifty)

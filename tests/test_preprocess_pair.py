@@ -56,17 +56,17 @@ class TestPreprocessPair:
 
 
 # sha256 of pair_maps' three outputs for one fixed synthetic pair, taken with
-# PREPROCESS_VERSION 1 under numpy 2.4.6. Caches record that version, so any
+# PREPROCESS_VERSION 2 under numpy 2.4.6. Caches record that version, so any
 # change to these bytes must come with a version bump and new digests.
 PAIR_MAPS_DIGESTS = {
     32: {
         "frame": "b0718565327610f3e0e119bbf64da1467b003b5766326fa0ceb5be3e1991fa45",
-        "flow": "e26c29ab9feec478dfed96e55b469ef1aba6259d8bd361508d28c9c3f06e623a",
+        "flow": "8f8a70c4737f81ae519c029fbe68417ef53acf5db0ab958488aaf36be061af7b",
         "hog_img": "09fb426e61c8497009eeb3f3f83c0bcefa9b1ae01b7d4261fb8fdf4038a79592",
     },
     112: {
         "frame": "77937f0cce3242d476057086456d30a50b0d542d4c2568673b875afd2bf0c7df",
-        "flow": "2dcb37b4f02c23743af94fb248b5b066da7ef8ea2552d987bec1187c4cb84cc1",
+        "flow": "2f1c1249c54676e4f27b171b741f1af07e7f8c73f5667d8870c205151089e79d",
         "hog_img": "c0bdf6d6da7653e78ab7ff5cd42dbebf40578725c02607b8ca9ea8eea4db597f",
     },
 }
@@ -81,7 +81,7 @@ def pinned_pair():
 
 @pytest.mark.parametrize("size", sorted(PAIR_MAPS_DIGESTS))
 def test_pair_maps_bytes_pinned_to_preprocess_version(size):
-    assert PREPROCESS_VERSION == 1
+    assert PREPROCESS_VERSION == 2
     outputs = pair_maps(*pinned_pair(), PreprocessConfig(target_size=size))
     got = {name: hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()
            for name, a in zip(("frame", "flow", "hog_img"), outputs)}
