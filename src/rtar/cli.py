@@ -131,6 +131,8 @@ class Settings:
             self.threads = int(env) if env else 1
         if self.threads < 1:
             raise UsageError(f"threads must be a positive integer, got {self.threads}")
+        if self.seed < 0:
+            raise UsageError(f"seed must be a non-negative integer, got {self.seed}")
         if not 0 <= self.threshold < 1:
             raise UsageError("threshold_confidence must be in [0, 1)")
         if self.section not in ("train", "test"):

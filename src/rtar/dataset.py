@@ -395,10 +395,13 @@ def load_clip_samples(
     With a cache directory, flow and HOG come from the cached files and
     missing cache entries fall back to direct computation. The RGB input is
     recomputed (a 224 -> 112 px reload pair: 1.2 ms, 0.7 of it the resize,
-    on one BLAS thread of a 2-core x86_64 VM). A cache built with another
-    config or preprocessing version, or recording none, raises FormatError.
+    on one BLAS thread of a 2-core x86_64 VM). A cache directory that does
+    not exist, or was built with another config or preprocessing version,
+    or records none, raises FormatError.
     """
     stamp = _config_stamp(config)
+    if cache_dir is not None and not os.path.isdir(cache_dir):
+        raise FormatError(f"cache {cache_dir} is not a directory", field=CACHE_CONFIG)
     if cache_dir is not None and (built := _cached_config(cache_dir)) != stamp:
         raise FormatError(f"cache {cache_dir} was built with {built or 'an unrecorded config'}, "
                           f"not {stamp}", field=CACHE_CONFIG)

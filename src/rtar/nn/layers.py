@@ -28,12 +28,13 @@ class Workspace:
 
     A slot is one flat array that grows to the largest request, so after
     the first pass a forward pass of the same shapes allocates no
-    activation. ``take`` lays a layer's buffers end to end in whichever
-    of slots ``a`` and ``b`` its input does not occupy, and BN and ReLU
-    run in place on an input that already lies there. A dense block's
-    running map lives in a third slot, ``block``, into which each dense
-    layer writes its new channels; channels lead, so the map's first c
-    channels are one contiguous prefix. Every view handed out is overwritten
+    activation. ``take`` lays a kernel's buffers, its scratch and its
+    output, end to end in whichever of slots ``a`` and ``b`` its input
+    does not occupy, and BN and ReLU run in place on an input that
+    already lies there. A dense block's running map lives in a third
+    slot, ``block``, into which each dense layer writes its new channels;
+    channels lead, so the map's first c channels are one contiguous
+    prefix. Every view handed out is overwritten
     by a later layer or pass: nothing that leaves the model may alias one.
     An eval call given no workspace runs the same operations: a layer writes
     a new array, and a whole stream takes one fresh ``Workspace``.
@@ -141,21 +142,16 @@ class Conv2D(Layer):
         """Eval mode can fuse its neighbours: ``bn``, the BatchNorm that
         follows, is folded in on every call (its scale into the weights'
         output channels, its shift added to the result); ``relu``
-        convolves max(x, 0), written as x is padded (3x3 only); ``out``,
-        with ``ws``, is where the (Cout, H, W) result goes."""
+        convolves max(x, 0), written as x is padded (3x3 only); ``out`` is
+        where the (Cout, H, W) result goes, in place of ``ws`` or a new
+        array."""
         if train and (bn is not None or relu or out is not None):
             raise ContractViolationError("Conv2D fuses its neighbours in eval mode only")
-        if out is not None and ws is None:
-            raise ContractViolationError("Conv2D writes into out only with a workspace")
         w = self.params["w"]
         if bn is not None:
             scale, shift = bn.folded()
             w = w * scale
-        buffers = None
-        if ws is not None:
-            shapes = T.conv2d_buffers(x.shape, w.shape)
-            buffers = ws.take(x, *shapes) if out is None else ws.take(x, *shapes[:-1]) + [out]
-        y = T.conv2d_gemm(x, w, buffers, relu)
+        y = T.conv2d_gemm(x, w, ws, relu, out)
         if bn is not None:
             y += shift[:, None, None]
         if train:
@@ -247,9 +243,7 @@ class AvgPool2(Layer):
     def forward(self, x, train=False, ws=None):
         if train:
             self._cache = x.shape
-        c, h, w = x.shape
-        out = None if ws is None else ws.take(x, (c, h // 2, w // 2))[0]
-        return T.avg_pool2x2(x, out)
+        return T.avg_pool2x2(x, ws)
 
     def backward(self, dy):
         dx = np.empty(self._take_cache(), dtype=dy.dtype)

@@ -3,10 +3,11 @@
 Feature maps are channel-major, (C, H, W), so one channel's map is one
 contiguous run. All functions are dtype-preserving (float32 for normal
 use, float64 for gradient-check runs) and write nothing but their
-result. The eval-mode kernels can write into the caller's buffers
-(``out``, or conv2d_gemm's ``buffers``, shaped by ``conv2d_buffers``) in
-place of new arrays; each runs the same operations in the same order
-either way, so where the result lives changes no bit.
+result. The eval-mode kernels ``conv2d_gemm`` and ``avg_pool2x2`` take
+their memory, scratch and result, from a ``layers.Workspace`` in one
+request, or use new arrays without one; a conv can instead write its
+result into the caller's ``out``. Each runs the same operations in the
+same order either way, so where the result lives changes no bit.
 
 ``conv2d_gemm`` is the one conv the model runs: "same", stride 1, with a
 square 1x1 or 3x3 kernel padded by k//2. A 1x1 conv is one BLAS product,
@@ -70,7 +71,7 @@ def _flat_padded(x: np.ndarray, k: int, xp: np.ndarray | None = None,
     xp is x zero-padded by p = k//2 on both spatial axes and flattened to
     (Cin, Hp*Wp + k-1), with Wp = W + 2p; it is written into the given
     ``xp`` buffer of that shape, whose border and tail alone are zeroed
-    (the interior is overwritten whole), or into a new zeroed one.
+    (the interior is overwritten whole), or into a new one zeroed alike.
     ``relu`` writes max(x, 0) in place of x. The output at the full
     padded width has n = H*Wp columns, and tap (ky, kx) pairs output
     column q with input column q + ky*Wp + kx. The k-1 trailing zero
@@ -84,34 +85,18 @@ def _flat_padded(x: np.ndarray, k: int, xp: np.ndarray | None = None,
     if k == 1:
         return x.reshape(cin, n), wp, n
     if xp is None:
-        xp = np.zeros((cin, hp * wp + k - 1), dtype=x.dtype)
-    else:
-        xp[:, : p * wp + p] = 0  # the top rows, then the first row's left pad
-        xp[:, (p + h) * wp - p :] = 0  # the last row's right pad, the bottom rows, the tail
-        # each row's right pad and the next row's left pad are one flat run of 2p
-        s = p * wp + p + w_in
-        xp[:, s : s + (h - 1) * wp].reshape(cin, h - 1, wp)[:, :, : 2 * p] = 0
+        xp = np.empty((cin, hp * wp + k - 1), dtype=x.dtype)
+    xp[:, : p * wp + p] = 0  # the top rows, then the first row's left pad
+    xp[:, (p + h) * wp - p :] = 0  # the last row's right pad, the bottom rows, the tail
+    # each row's right pad and the next row's left pad are one flat run of 2p
+    s = p * wp + p + w_in
+    xp[:, s : s + (h - 1) * wp].reshape(cin, h - 1, wp)[:, :, : 2 * p] = 0
     inner = xp[:, : hp * wp].reshape(cin, hp, wp)[:, p : p + h, p : p + w_in]
     if relu:
         np.maximum(x, np.asarray(0, dtype=x.dtype), out=inner)
     else:
         inner[...] = x
     return xp, wp, n
-
-
-def conv2d_buffers(x_shape: tuple, w_shape: tuple) -> list[tuple[int, ...]]:
-    """Shapes of conv2d_gemm's ``buffers``. A 1x1 conv has one, its (Cout,
-    H*W) output. A 3x3 conv has three: the flat padded input (see
-    ``_flat_padded``), one band's work area (flat room for the expanded
-    matrix, k*k*min(Cin, Cout) rows of rows*Wp + halo, see ``_bands``)
-    and the (Cout, H, W) output."""
-    cin, h, w_in = x_shape
-    k, cout = w_shape[0], w_shape[3]
-    if k == 1:
-        return [(cout, h * w_in)]
-    wp, halo, rows = _bands(h, w_in, k, min(cin, cout))
-    return [(cin, (h + k - 1) * wp + k - 1), (k * k * min(cin, cout) * (rows * wp + halo),),
-            (cout, h, w_in)]
 
 
 def _bands(h: int, w_in: int, k: int, c: int) -> tuple[int, int, int]:
@@ -127,8 +112,8 @@ def _bands(h: int, w_in: int, k: int, c: int) -> tuple[int, int, int]:
     return wp, halo, -(-h // bands)
 
 
-def conv2d_gemm(x: np.ndarray, w: np.ndarray, buffers: list[np.ndarray] | None = None,
-                relu: bool = False) -> np.ndarray:
+def conv2d_gemm(x: np.ndarray, w: np.ndarray, ws=None, relu: bool = False,
+                out: np.ndarray | None = None) -> np.ndarray:
     """"Same" 2-D convolution (cross-correlation), stride 1, channel-major, no bias.
 
     x: (Cin, H, W); w: (k, k, Cin, Cout) with k in {1, 3}, padded by k//2.
@@ -145,35 +130,38 @@ def conv2d_gemm(x: np.ndarray, w: np.ndarray, buffers: list[np.ndarray] | None =
     wrapped columns. Where Cin <= Cout (im2col) the band's k*k
     tap-shifted windows of the padded input are copied into one (k*k*Cin,
     rows*W) stack, tap-major, and one product with the (Cout, k*k*Cin)
-    weights writes the band's output rows. The buffers are new arrays (the
-    padded input zeroed whole), or the caller's ``buffers`` (C-contiguous,
-    x's dtype, the shapes ``conv2d_buffers`` gives), and the result is the
-    last one. Where they live changes no bit of the result.
+    weights writes the band's output rows. A 3x3's scratch is the flat
+    padded input and one band's work area, room for the expanded matrix
+    (see ``_bands``). It and the output, unless the caller gives ``out``
+    (C-contiguous, (Cout, H, W), x's dtype), come from one ``take`` of the
+    ``layers.Workspace`` ``ws``, or are new arrays without one. Where they
+    live changes no bit of the result.
     """
     _check_conv_args(x, w)
     k, _, cin, cout = w.shape
-    shapes = conv2d_buffers(x.shape, w.shape)
-    if buffers is None:
-        # a 3x3's padded input, its first buffer, is left to _flat_padded,
-        # which allocates it zeroed rather than zeroing its border
-        buffers = [None if i == 0 and k > 1 else np.empty(s, dtype=x.dtype)
-                   for i, s in enumerate(shapes)]
-    elif [b.shape for b in buffers] != shapes or not all(
-        b.dtype == x.dtype and b.flags.c_contiguous for b in buffers
-    ):
-        raise ContractViolationError(
-            f"conv2d_gemm buffers must be C-contiguous {x.dtype} arrays of shapes {shapes}, "
-            f"got {[(b.shape, str(b.dtype)) for b in buffers]}"
-        )
     h, w_in = x.shape[1:]
+    if out is not None and (out.shape != (cout, h, w_in) or out.dtype != x.dtype
+                            or not out.flags.c_contiguous):
+        raise ContractViolationError(
+            f"conv2d_gemm out must be a C-contiguous {x.dtype} array of shape {(cout, h, w_in)}, "
+            f"got {out.shape} {out.dtype}"
+        )
+    if k == 1 and relu:
+        raise ContractViolationError("relu is applied in a 3x3 conv's pad step; a 1x1 has none")
+    shapes = []
+    if k == 3:
+        wp, halo, rows = _bands(h, w_in, k, min(cin, cout))
+        shapes = [(cin, (h + k - 1) * wp + k - 1), (k * k * min(cin, cout) * (rows * wp + halo),)]
+    if out is None:
+        shapes.append((cout, h, w_in))
+    buffers = [np.empty(s, dtype=x.dtype) for s in shapes] if ws is None else ws.take(x, *shapes)
+    if out is None:
+        out = buffers.pop()
     if k == 1:
-        if relu:
-            raise ContractViolationError("relu is applied in a 3x3 conv's pad step; a 1x1 has none")
-        out, = buffers
-        return np.matmul(w[0, 0].T, x.reshape(cin, h * w_in), out=out).reshape(cout, h, w_in)
-    pad, work, out = buffers
+        np.matmul(w[0, 0].T, x.reshape(cin, h * w_in), out=out.reshape(cout, -1))
+        return out
+    pad, work = buffers
     xp = _flat_padded(x, k, pad, relu)[0]
-    wp, halo, rows = _bands(h, w_in, k, min(cin, cout))
     if cin <= cout:
         grid = xp[:, : (h + k - 1) * wp].reshape(cin, -1, wp)
         wk = w.reshape(k * k * cin, cout).T
@@ -268,14 +256,15 @@ def relu(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return np.maximum(x, np.asarray(0, dtype=x.dtype), out=out)
 
 
-def avg_pool2x2(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def avg_pool2x2(x: np.ndarray, ws=None) -> np.ndarray:
     """2x2 average pooling of a (C, H, W) map, stride 2. Requires even
-    spatial extents. The four taps are summed left to right into ``out``
-    or a new array, then scaled by 0.25."""
+    spatial extents. The four taps are summed left to right into a buffer
+    ``ws.take`` gives, or a new array, then scaled by 0.25."""
     c, h, w = x.shape
     if h % 2 or w % 2:
         raise ContractViolationError(f"avg_pool2x2 needs even extents, got {h}x{w}")
     pooled = x.reshape(c, h // 2, 2, w // 2, 2)
+    out = None if ws is None else ws.take(x, (c, h // 2, w // 2))[0]
     y = np.add(pooled[:, :, 0, :, 0], pooled[:, :, 0, :, 1], out=out)
     y += pooled[:, :, 1, :, 0]
     y += pooled[:, :, 1, :, 1]

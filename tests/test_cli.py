@@ -246,6 +246,15 @@ class TestTrainEvalRun:
         assert "iterations=8" in err[0] and "iterations=1" in err[0]
         assert not (tmp_path / "run").exists()
 
+    def test_train_on_missing_cache_exits_2(self, synth_dir, tmp_path, capsys):
+        missing = tmp_path / "no" / "cache"
+        code = main(["train", "--data", str(synth_dir), "--out", str(tmp_path / "run"),
+                     "--cache", str(missing), "--seed", "3"] + FAST_FLAGS + TINY_MODEL)
+        assert code == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: cache {missing} is not a directory"]
+        assert not (tmp_path / "run").exists()
+
     @pytest.mark.parametrize("recorded", [
         # what caches recorded before they carried a preprocessing version
         "PreprocessConfig(target_size=16, sample_frames_per_second=2, flow=FlowParams("
@@ -505,6 +514,18 @@ class TestConfigFile:
             captured = capsys.readouterr()
             assert captured.out == ""
             assert captured.err == f"error: threads must be a positive integer, got {bad}\n"
+
+    def test_negative_seed_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg"
+        cfg.write_text("seed=-1\n")
+        synth_flag = ["dataset", "synth", "--out", str(tmp_path / "data"), "--seed", "-1"]
+        bench_file = TINY_BENCH + ["--config", str(cfg)]
+        for argv in (synth_flag, bench_file):
+            assert main(argv) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == "error: seed must be a non-negative integer, got -1\n"
+        assert not (tmp_path / "data").exists()
 
     def test_section_config_key_checked(self, tmp_path, capsys):
         cfg = tmp_path / "cfg"

@@ -351,6 +351,12 @@ class TestCache:
         with pytest.raises(FormatError, match="unrecorded"):
             dataset.load_clip_samples(clips, [name], {name: 0}, FAST_PRE, cache_dir=out)
 
+    def test_load_rejects_missing_cache_directory(self, tmp_path):
+        clips, name, out = self._one_clip_cache(tmp_path)
+        with pytest.raises(FormatError, match="is not a directory"):
+            dataset.load_clip_samples(clips, [name], {name: 0}, FAST_PRE,
+                                      cache_dir=tmp_path / "missing")
+
     def test_load_rejects_garbled_config_in_one_line(self, tmp_path):
         clips, name, out = self._one_clip_cache(tmp_path)
         (out / "cache.config").write_bytes(b"\xff\xfe\npreprocess_version=")

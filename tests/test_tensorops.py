@@ -124,15 +124,21 @@ class TestConv2dGemm:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("k", [1, 3])
     def test_caller_buffers_equal_new_ones(self, rng, k, dtype):
+        # The buffers of the caller's workspace, holding stale values, give
+        # the bytes of new arrays. A new padded input is as uninitialized
+        # as a reused one, so this is the oracle of the one zeroing path.
         for cin, cout in ((3, 4), (4, 3)):  # im2col, then kn2row
             x = rng.standard_normal((cin, 5, 7)).astype(dtype)
             wt = rng.standard_normal((k, k, cin, cout)).astype(dtype)
+            ws = Workspace()
+            first = T.conv2d_gemm(x, wt, ws)
             # stale contents: every element the conv reads must be written first
-            buffers = [np.full(s, np.nan, dtype=dtype) for s in T.conv2d_buffers(x.shape, wt.shape)]
-            for xi in (x, x[:, ::-1].copy()):  # then buffers that hold the last call's values
-                got = T.conv2d_gemm(xi, wt, buffers)
+            for buf in ws._slots.values():
+                buf.fill(np.nan)
+            for xi in (x, x[:, ::-1].copy()):  # then a slot that holds the last call's values
+                got = T.conv2d_gemm(xi, wt, ws)
                 assert np.array_equal(got, T.conv2d_gemm(xi, wt))
-                assert np.shares_memory(got, buffers[-1])
+                assert np.shares_memory(got, first)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_bands_equal_one_product(self, rng, monkeypatch, dtype):
@@ -145,7 +151,7 @@ class TestConv2dGemm:
         wholes = [T.conv2d_gemm(x, wt) for x, wt in cases]
         monkeypatch.setattr(T, "_BAND_FLOATS", 18 * (4 * 11 + 24))
         for (x, wt), whole in zip(cases, wholes):
-            assert T.conv2d_buffers(x.shape, wt.shape)[1] == (18 * (4 * 11 + 24),)
+            assert T._bands(*x.shape[1:], 3, 2) == (11, 24, 4)
             assert np.array_equal(T.conv2d_gemm(x, wt), whole)
 
     @pytest.mark.parametrize("cin,cout", [(2, 3), (3, 2)], ids=["im2col", "kn2row"])
@@ -156,20 +162,20 @@ class TestConv2dGemm:
         with pytest.raises(ContractViolationError, match="pad step"):
             T.conv2d_gemm(x, wt[1:2, 1:2], relu=True)
 
-    @pytest.mark.parametrize("spoil", ["shape", "dtype", "strides", "count"])
+    @pytest.mark.parametrize("spoil", ["shape", "dtype", "strides"])
     def test_rejects_wrong_buffers(self, rng, spoil):
+        # out is the one buffer a caller can give
         x = rng.random((3, 5, 7), dtype=np.float32)
-        wt = rng.random((3, 3, 3, 4), dtype=np.float32)
-        pad, prod, out = (np.zeros(s, dtype=np.float32) for s in T.conv2d_buffers(x.shape, wt.shape))
-        spoiled = {
-            "shape": [pad, prod[1:], out],
-            "dtype": [pad, prod.astype(np.float64), out],
-            # a padded input the pad write would silently copy instead of fill
-            "strides": [np.repeat(pad, 2, axis=1)[:, ::2], prod, out],
-            "count": [pad, prod],
+        out = {
+            "shape": np.empty((4, 5, 6), np.float32),
+            "dtype": np.empty((4, 5, 7), np.float64),
+            # an output the im2col product's reshape would silently copy instead of fill
+            "strides": np.empty((4, 5, 14), np.float32)[:, :, ::2],
         }[spoil]
-        with pytest.raises(ContractViolationError):
-            T.conv2d_gemm(x, wt, spoiled)
+        for k in (1, 3):
+            wt = rng.random((k, k, 3, 4), dtype=np.float32)
+            with pytest.raises(ContractViolationError, match="out must be"):
+                T.conv2d_gemm(x, wt, out=out)
 
     def test_conv2d_layer_runs_gemm_in_both_modes(self, rng):
         layer = Conv2D(3, 2, 4, rng=rng)
@@ -186,9 +192,10 @@ class TestConv2dGemm:
         x = rng.random((2, 6, 5), dtype=np.float32)
         with pytest.raises(ContractViolationError, match="eval mode only"):
             layer.forward(x, train=True, **fuse)
-        if "out" in fuse:  # the other two also run without a workspace
-            with pytest.raises(ContractViolationError, match="only with a workspace"):
-                layer.forward(x, **fuse)
+        if "out" in fuse:  # eval writes into out, with or without a workspace
+            got = layer.forward(x, **fuse)
+            assert got is fuse["out"]
+            assert np.array_equal(got, layer.forward(x, ws=Workspace()))
 
 
 class TestConv2dBackward:
