@@ -79,24 +79,23 @@ class SplitManifest:
 
 
 def load_split(path: str | os.PathLike) -> SplitManifest:
-    """Parse a split manifest; every name must parse and the sections must
-    be disjoint. An entirely empty file is valid but draws a warning."""
+    """Parse a split manifest; every name must parse, appear once in its
+    section, and the sections must be disjoint. An entirely empty file is
+    valid but draws a warning."""
     with open(path, "rb") as f:
         try:
             text = f.read().decode("ascii")
         except UnicodeDecodeError as e:
             raise FormatError(f"split file is not ASCII: {e}", field="encoding") from None
     manifest = SplitManifest()
+    sections = {"[train]": (manifest.train, set()), "[test]": (manifest.test, set())}
     section: list[str] | None = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line:
             continue
-        if line == "[train]":
-            section = manifest.train
-            continue
-        if line == "[test]":
-            section = manifest.test
+        if line in sections:
+            section, names = sections[line]
             continue
         if line.startswith("["):
             raise FormatError(f"line {lineno}: unknown section {line!r}", field="section")
@@ -106,6 +105,9 @@ def load_split(path: str | os.PathLike) -> SplitManifest:
             parse_clip_name(line)
         except FormatError as e:
             raise FormatError(f"line {lineno}: {e}", field=e.field) from None
+        if line in names:
+            raise FormatError(f"line {lineno}: duplicate clip {line!r}", field="duplicate")
+        names.add(line)
         section.append(line)
     if not manifest.train and not manifest.test:
         warnings.warn(f"{path}: empty split manifest", stacklevel=2)

@@ -76,6 +76,8 @@ class ModelConfig:
             raise ContractViolationError("need at least one dense block with >= 1 layers")
         if not 0 < self.compression <= 1:
             raise ContractViolationError(f"compression must be in (0, 1], got {self.compression}")
+        if self.input_size < 1:
+            raise ContractViolationError(f"input_size must be >= 1, got {self.input_size}")
         size = self.input_size
         for _ in range(len(self.blocks) - 1):
             if size % 2:

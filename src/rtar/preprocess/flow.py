@@ -8,8 +8,9 @@ Every level runs the same count, 25 by default: the accuracy knee of the
 paired sweep in ``scripts/flow_accuracy.py``, where 25 steps stay within
 0.02 px mean endpoint error of 50 at every displacement from 0.5 to 3 px
 (gated in tests/test_flow.py) and 20 do not.
-Derivatives use centered differences averaged over the frame pair, which
-keeps the estimate equivariant under horizontal mirroring.
+Derivatives are centered differences (``_centered_diff``, which HOG shares)
+averaged over the frame pair, which keeps the estimate equivariant under
+horizontal mirroring. The flow is one float32 (H, W, 2) field throughout.
 
 The Jacobi loop (``_jacobi``) smooths u and v as one stacked array inside
 one preallocated edge-padded buffer, refreshing only its border on each
@@ -56,14 +57,10 @@ _AVG_OFFSETS = (
 )
 
 
-def _central_diff_x(f: np.ndarray) -> np.ndarray:
-    p = np.pad(f, ((0, 0), (1, 1)), mode="edge")
-    return np.asarray(0.5, dtype=f.dtype) * (p[:, 2:] - p[:, :-2])
-
-
-def _central_diff_y(f: np.ndarray) -> np.ndarray:
-    p = np.pad(f, ((1, 1), (0, 0)), mode="edge")
-    return np.asarray(0.5, dtype=f.dtype) * (p[2:, :] - p[:-2, :])
+def _centered_diff(f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Raw [-1, 0, 1] differences of a 2-D f along x and y, from one edge pad."""
+    p = np.pad(f, 1, mode="edge")
+    return p[1:-1, 2:] - p[1:-1, :-2], p[2:, 1:-1] - p[:-2, 1:-1]
 
 
 def _jacobi(fx: np.ndarray, fy: np.ndarray, ft: np.ndarray, alpha: float,
@@ -129,10 +126,10 @@ def _build_pyramid(img: np.ndarray, levels: int, scale: float) -> list[np.ndarra
     return pyramid
 
 
-def _warp(img: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+def _warp(img: np.ndarray, flow: np.ndarray) -> np.ndarray:
     h, w = img.shape
-    return bilinear_sample(img, np.arange(h, dtype=img.dtype)[:, None] + v,
-                           np.arange(w, dtype=img.dtype) + u)
+    return bilinear_sample(img, np.arange(h, dtype=img.dtype)[:, None] + flow[..., 1],
+                           np.arange(w, dtype=img.dtype) + flow[..., 0])
 
 
 def compute_flow(prev: np.ndarray, next: np.ndarray, params: FlowParams = FlowParams()) -> np.ndarray:
@@ -152,20 +149,16 @@ def compute_flow(prev: np.ndarray, next: np.ndarray, params: FlowParams = FlowPa
     pyr2 = _build_pyramid(f2, params.pyramid_levels, params.scale)
     alpha = float(params.alpha)
 
-    u = np.zeros_like(pyr1[-1])
-    v = np.zeros_like(pyr1[-1])
-    for level in range(len(pyr1) - 1, -1, -1):
-        p1, p2 = pyr1[level], pyr2[level]
-        if u.shape != p1.shape:
-            ratio_x = np.float32(p1.shape[1] / u.shape[1])
-            ratio_y = np.float32(p1.shape[0] / u.shape[0])
-            u = resize_bilinear(u, p1.shape[1], p1.shape[0]) * ratio_x
-            v = resize_bilinear(v, p1.shape[1], p1.shape[0]) * ratio_y
-        warped = _warp(p2, u, v)
-        fx = np.asarray(0.5, np.float32) * (_central_diff_x(p1) + _central_diff_x(warped))
-        fy = np.asarray(0.5, np.float32) * (_central_diff_y(p1) + _central_diff_y(warped))
-        ft = warped - p1
-        du, dv = _jacobi(fx, fy, ft, alpha, params.iterations)
-        u = u + du
-        v = v + dv
-    return np.stack([u, v], axis=-1)
+    flow = np.zeros(pyr1[-1].shape + (2,), dtype=np.float32)
+    for p1, p2 in zip(reversed(pyr1), reversed(pyr2)):
+        h, w = p1.shape
+        if flow.shape[:2] != (h, w):
+            ratio = np.array([w / flow.shape[1], h / flow.shape[0]], dtype=np.float32)
+            flow = resize_bilinear(flow, w, h) * ratio
+        warped = _warp(p2, flow)
+        (gx1, gy1), (gx2, gy2) = _centered_diff(p1), _centered_diff(warped)
+        quarter = np.float32(0.25)  # the mean of two half-differences
+        d = _jacobi(quarter * (gx1 + gx2), quarter * (gy1 + gy2), warped - p1, alpha,
+                    params.iterations)
+        flow += d.transpose(1, 2, 0)
+    return flow

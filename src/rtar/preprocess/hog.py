@@ -7,6 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import ContractViolationError
+from .flow import _centered_diff
 
 
 # the textbook geometry (Dalal & Triggs, 2005): 8x8-pixel cells, 9 unsigned
@@ -35,7 +36,7 @@ _EPS = 1e-6
 def compute_hog(image: np.ndarray) -> HogDescriptor:
     """HOG of a real-valued grayscale image whose extents divide the cell size.
 
-    Gradients are centered [-1, 0, 1] differences with replicated borders;
+    Gradients are flow's ``_centered_diff``, [-1, 0, 1] with replicated borders;
     orientations are unsigned (in [0, 180)) with bin centers at 0, 20, ...
     degrees, and each pixel's magnitude is split linearly between the two
     nearest bins.
@@ -47,11 +48,7 @@ def compute_hog(image: np.ndarray) -> HogDescriptor:
         raise ContractViolationError(f"image {h}x{w} not divisible by cell size {CELL}")
     cells_y, cells_x = h // CELL, w // CELL
 
-    img = image.astype(np.float64)
-    px = np.pad(img, ((0, 0), (1, 1)), mode="edge")
-    py = np.pad(img, ((1, 1), (0, 0)), mode="edge")
-    gx = px[:, 2:] - px[:, :-2]
-    gy = py[2:, :] - py[:-2, :]
+    gx, gy = _centered_diff(image.astype(np.float64))
     mag = np.hypot(gx, gy)
     ang = np.degrees(np.arctan2(gy, gx)) % 180.0
 

@@ -78,6 +78,17 @@ class TestSplits:
         with pytest.raises(FormatError, match=name):
             dataset.load_split(path)
 
+    # the second listing is the one named, also when its section was reopened
+    @pytest.mark.parametrize("layout, lineno", [("[train]\n{0}\n{0}\n", 3),
+                                                ("[test]\n{0}\n[train]\n[test]\n{0}\n", 5)])
+    def test_duplicate_in_section_rejected(self, tmp_path, layout, lineno):
+        name = "HandWash_001_A_01_G_00.avi"
+        path = tmp_path / "dup.txt"
+        path.write_text(layout.format(name))
+        with pytest.raises(FormatError, match=f"line {lineno}: duplicate clip") as exc:
+            dataset.load_split(path)
+        assert exc.value.field == "duplicate"
+
     def test_validate_rejects_overlap(self):
         name = "HandWash_001_A_01_G_00.avi"
         manifest = dataset.SplitManifest(train=[name], test=[name])

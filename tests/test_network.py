@@ -88,6 +88,11 @@ class TestStreamShapes:
                               compression=0.5, input_size=112)
         assert net.stream_feature_shape(cfg) == (56, 56, 84)
 
+    @pytest.mark.parametrize("size", [0, -4])
+    def test_nonpositive_input_size_rejected(self, size):
+        with pytest.raises(ContractViolationError, match="input_size"):
+            net.ModelConfig(num_classes=2, input_size=size)
+
     def test_zero_weights_zero_features(self):
         model = net.FusionModel(tiny_config(), seed=3)
         stream = model.streams["rgb"]
@@ -691,6 +696,17 @@ class TestCheckpoint:
         with pytest.raises(FormatError) as exc:
             net.load_model(path)
         assert exc.value.field == "blocks"
+
+    def test_zero_input_size_rejected(self, tmp_path):
+        path = tmp_path / "m.ckpt"
+        net.save_model(net.FusionModel(tiny_config(), seed=0), path)
+        data = bytearray(path.read_bytes())
+        assert struct.unpack_from("<I", data, 32)[0] == 8  # the input_size word
+        struct.pack_into("<I", data, 32, 0)
+        path.write_bytes(bytes(data))
+        with pytest.raises(FormatError, match="input_size") as exc:
+            net.load_model(path)
+        assert exc.value.field == "config"
 
     def test_header_int_mutations_never_allocate_blindly(self, tmp_path):
         # flipping high bytes of header integers must yield FormatError, not

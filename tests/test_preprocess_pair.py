@@ -3,8 +3,8 @@ import hashlib
 import numpy as np
 import pytest
 
-from rtar.preprocess import (PREPROCESS_VERSION, FlowParams, PreprocessConfig, pair_maps,
-                            preprocess_pair)
+from rtar.preprocess import (PREPROCESS_VERSION, FlowParams, PreprocessConfig, compute_flow,
+                            compute_hog, pair_maps, preprocess_pair)
 from tests.test_flow import smooth_periodic_texture
 
 
@@ -86,3 +86,32 @@ def test_pair_maps_bytes_pinned_to_preprocess_version(size):
     got = {name: hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()
            for name, a in zip(("frame", "flow", "hog_img"), outputs)}
     assert got == PAIR_MAPS_DIGESTS[size]
+
+
+def odd_texture(h, w, seed, dy=0, dx=0):
+    """An h x w crop of a smooth periodic texture rolled by (dy, dx) px."""
+    return np.roll(smooth_periodic_texture(64, seed), (dy, dx), axis=(0, 1))[:h, :w]
+
+
+# sha256 of compute_flow on a 45x60 pair at 3 levels, whose pyramid rounds
+# 45 to 22 (so u's and v's upsample ratios differ at every level), and of
+# compute_hog on a 40x64 image; both taken at PREPROCESS_VERSION 2 under
+# numpy 2.4.6.
+ODD_FLOW_DIGEST = "c298db37386b5ad67b6959417c4ddf2737ce2cd3a79f91e7933de091b6c9e5cf"
+ODD_HOG_DIGESTS = {
+    "cell_hist": "bfbfff5f9fe317b7cce4034d4df59e352fc4fa65f34f933e8b108710c2ab8f78",
+    "blocks": "f262b2afd861f62775076f3f54331338dcb1ca2f09916fdc30cfa8f1eed0285f",
+}
+
+
+def test_flow_bytes_pinned_on_odd_non_square_extents():
+    flow = compute_flow(odd_texture(45, 60, seed=31), odd_texture(45, 60, seed=31, dy=1, dx=2),
+                        FlowParams(pyramid_levels=3))
+    assert flow.shape == (45, 60, 2) and flow.dtype == np.float32 and flow.flags.c_contiguous
+    assert hashlib.sha256(flow.tobytes()).hexdigest() == ODD_FLOW_DIGEST
+
+
+def test_hog_bytes_pinned_on_non_square_extents():
+    d = compute_hog(odd_texture(40, 64, seed=32))
+    got = {name: hashlib.sha256(getattr(d, name).tobytes()).hexdigest() for name in ODD_HOG_DIGESTS}
+    assert got == ODD_HOG_DIGESTS
