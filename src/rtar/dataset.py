@@ -16,10 +16,12 @@ import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .errors import ContractViolationError, FormatError
 from . import mediaio
 from .network import ClipSamples
-from .preprocess import (PREPROCESS_VERSION, PreprocessConfig, pair_maps, preprocess_pair,
+from .preprocess import (PREPROCESS_VERSION, PreprocessConfig, pair_maps,
                          resize_bilinear, sample_frames, stream_inputs)
 
 
@@ -273,32 +275,47 @@ def _read_sums(cache_dir) -> dict[str, list[str]]:
     return {row[0]: row[1:] for row in rows if len(row) == 4}
 
 
+# The most sampled pairs one pair_maps call stacks into a single flow solve,
+# which holds about 1 MB per pair at 112 px; the measured knee (CHANGES.md).
+PAIRS_PER_SOLVE = 8
+
+
+def _maps_of(todo: list[tuple], config: PreprocessConfig):
+    """(key, prev, next) pairs -> (key, frame, flow, hog_img) each, from one
+    ``pair_maps`` call on their stacked frames."""
+    maps = pair_maps(np.stack([t[1] for t in todo]), np.stack([t[2] for t in todo]), config)
+    return zip([t[0] for t in todo], *maps)
+
+
 def _cache_one_clip(clips_dir, name, config: PreprocessConfig, out_dir, sums):
     clip_dir = os.path.join(clips_dir, name)
     meta = mediaio.read_clip_meta(os.path.join(clip_dir, "clip.meta"))
     pairs = sample_frames(meta, config.sample_frames_per_second, config.rng_seed)
-    rows, sum_rows = [], []
+    names = [cache_names(name, k) for k in range(len(pairs))]
+    digests: list[list[str]] = []  # per pair: frames, flo and pgm sha256
+    todo = []  # (pair index, prev, next) of the pairs to recompute
     written = skipped = 0
     for k, (i, j) in enumerate(pairs):
         prev, nxt = mediaio.read_frame(clip_dir, i, meta), mediaio.read_frame(clip_dir, j, meta)
-        flo_name, pgm_name = cache_names(name, k)
-        paths = [os.path.join(out_dir, n) for n in (flo_name, pgm_name)]
-        digests = [_frames_digest(prev, nxt)]
-        recorded = sums.get(flo_name)
-        if (recorded is not None and recorded[0] == digests[0]
-                and recorded[1:] == [_file_digest(path) for path in paths]):
-            digests = recorded
+        digests.append([_frames_digest(prev, nxt)])
+        recorded = sums.get(names[k][0])
+        if (recorded is not None and recorded[0] == digests[k][0]
+                and recorded[1:] == [_file_digest(os.path.join(out_dir, n)) for n in names[k]]):
+            digests[k] = recorded
             skipped += 2
         else:
-            _, flow, hog_img = pair_maps(prev, nxt, config)
-            for path, data in zip(paths, (mediaio.flo_bytes(flow), mediaio.pgm_bytes(hog_img))):
-                if _write_if_changed(path, data):
-                    written += 1
-                else:
-                    skipped += 1
-                digests.append(_sha256(data))
-        rows.append(f"{name}\t{k}\t{flo_name}\t{pgm_name}")
-        sum_rows.append("\t".join([flo_name, *digests]))
+            todo.append((k, prev, nxt))
+        if todo and (len(todo) == PAIRS_PER_SOLVE or k == len(pairs) - 1):
+            for kk, _, flow, hog_img in _maps_of(todo, config):
+                for n, data in zip(names[kk], (mediaio.flo_bytes(flow), mediaio.pgm_bytes(hog_img))):
+                    if _write_if_changed(os.path.join(out_dir, n), data):
+                        written += 1
+                    else:
+                        skipped += 1
+                    digests[kk].append(_sha256(data))
+            todo = []
+    rows = [f"{name}\t{k}\t{flo_name}\t{pgm_name}" for k, (flo_name, pgm_name) in enumerate(names)]
+    sum_rows = ["\t".join([flo_name, *d]) for (flo_name, _), d in zip(names, digests)]
     # remove the pairs an earlier build sampled past this config's last one
     k = len(pairs)
     while True:
@@ -324,8 +341,11 @@ def precompute_cache(
     files of pair indices past a clip's last sampled pair (left by a
     build at a higher sample rate) are removed; removals count in neither
     ``written`` nor ``skipped``. Every file is replaced atomically. An
-    unreadable clip is recorded as FAILED in the index and processing
-    continues. Clips are processed on ``threads`` workers.
+    unreadable clip (a missing or malformed file, a gray frame) is recorded
+    as FAILED in the index and processing continues. Clips are processed on
+    ``threads`` workers; a clip's pairs to recompute run through
+    ``pair_maps`` in stacks of up to ``PAIRS_PER_SOLVE``, one flow solve
+    per stack.
 
     ``cache.sums`` records, per indexed pair, the sha256 of its two
     decoded frames and of its ``.flo`` and ``.pgm`` bytes. When the
@@ -395,7 +415,9 @@ def load_clip_samples(
     """Preprocess every sampled pair of the named clips into memory.
 
     With a cache directory, flow and HOG come from the cached files and
-    missing cache entries fall back to direct computation. The RGB input is
+    missing cache entries fall back to direct computation; pairs computed
+    directly run through ``pair_maps`` in stacks of up to
+    ``PAIRS_PER_SOLVE``, as in ``precompute_cache``. The RGB input is
     recomputed (a 224 -> 112 px reload pair: 1.2 ms, 0.7 of it the resize,
     on one BLAS thread of a 2-core x86_64 VM). A cache directory that does
     not exist, or was built with another config or preprocessing version,
@@ -415,17 +437,22 @@ def load_clip_samples(
         clip_dir = os.path.join(clips_dir, name)
         meta = mediaio.read_clip_meta(os.path.join(clip_dir, "clip.meta"))
         pairs = sample_frames(meta, config.sample_frames_per_second, config.rng_seed)
-        triples = []
+        triples: list = [None] * len(pairs)
+        todo = []  # (pair index, prev, next) of the pairs the cache lacks
         for k, (i, j) in enumerate(pairs):
             prev = mediaio.read_frame(clip_dir, i, meta)
             flo_name, pgm_name = cache_names(name, k)
             flo_path = cache_dir and os.path.join(cache_dir, flo_name)
             pgm_path = cache_dir and os.path.join(cache_dir, pgm_name)
             if flo_path and os.path.exists(flo_path) and os.path.exists(pgm_path):
-                triples.append(stream_inputs(resize_bilinear(prev, s, s),
-                                             mediaio.read_flo(flo_path), mediaio.read_pgm(pgm_path)))
+                triples[k] = stream_inputs(resize_bilinear(prev, s, s),
+                                           mediaio.read_flo(flo_path), mediaio.read_pgm(pgm_path))
             else:
-                triples.append(preprocess_pair(prev, mediaio.read_frame(clip_dir, j, meta), config))
+                todo.append((k, prev, mediaio.read_frame(clip_dir, j, meta)))
+            if todo and (len(todo) == PAIRS_PER_SOLVE or k == len(pairs) - 1):
+                for kk, *maps in _maps_of(todo, config):
+                    triples[kk] = stream_inputs(*maps)
+                todo = []
         out.append(ClipSamples(name=name, label=labels[name], pairs=triples))
     return out
 

@@ -257,11 +257,14 @@ def read_clip(clip_dir: str | os.PathLike) -> tuple[ClipMeta, Iterator[np.ndarra
 
 
 def read_frame(clip_dir: str | os.PathLike, index: int, meta: ClipMeta) -> np.ndarray:
-    """Random access to one frame of a clip, with the same validation."""
+    """Random access to one frame of a clip, with the same validation: the
+    frame must be an RGB (H, W, 3) image of the meta's extents."""
     path = os.path.join(clip_dir, FRAME_NAME.format(index))
     if not os.path.exists(path):
         raise FormatError(f"gap at index {index}", field="frame")
     frame = read_ppm(path)
+    if frame.ndim != 3:
+        raise FormatError(f"frame {index} is grayscale (P5), expected RGB (P6)", field="frame")
     if frame.shape[:2] != (meta.height, meta.width):
         raise FormatError(
             f"frame {index} is {frame.shape[1]}x{frame.shape[0]}, "

@@ -82,23 +82,30 @@ PREPROCESS_VERSION = 2
 def pair_maps(
     prev_frame: np.ndarray, next_frame: np.ndarray, config: PreprocessConfig = PreprocessConfig()
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One sampled pair -> (frame, flow, hog_img) at S = config.target_size.
+    """Sampled pairs -> (frame, flow, hog_img) at S = config.target_size.
 
-    frame is the earlier frame resized to (S, S, 3) uint8, flow the
-    (S, S, 2) float32 Horn-Schunck flow in raw pixel displacements, and
-    hog_img the (S, S) uint8 HOG render of the earlier frame. Flow and
-    HOG are what the cache stores.
+    For one pair of (H, W, 3) frames, frame is the earlier frame resized
+    to (S, S, 3) uint8, flow the (S, S, 2) float32 Horn-Schunck flow in
+    raw pixel displacements, and hog_img the (S, S) uint8 HOG render of
+    the earlier frame. Flow and HOG are what the cache stores. Stacks of
+    N pairs, (N, H, W, 3) each, give the same maps stacked on a leading
+    axis: resize, gray conversion and HOG run per frame, and flow runs
+    once for the whole stack, so each pair's maps equal its own call's.
     """
     if prev_frame.shape != next_frame.shape:
         raise ContractViolationError(
             f"pair frames differ in shape: {prev_frame.shape} vs {next_frame.shape}"
         )
+    stacked = prev_frame.ndim == 4
+    if not stacked:
+        prev_frame, next_frame = prev_frame[None], next_frame[None]
     s = config.target_size
-    frame = resize_bilinear(prev_frame, s, s)
-    gray_prev = grayscale_bt601(unit_scale(frame))
-    gray_next = grayscale_bt601(unit_scale(resize_bilinear(next_frame, s, s)))
+    frames = np.stack([resize_bilinear(f, s, s) for f in prev_frame])
+    gray_prev = np.stack([grayscale_bt601(unit_scale(f)) for f in frames])
+    gray_next = np.stack([grayscale_bt601(unit_scale(resize_bilinear(f, s, s))) for f in next_frame])
     flow = compute_flow(gray_prev, gray_next, config.flow)
-    return frame, flow, render_hog(compute_hog(gray_prev))
+    hog_img = np.stack([render_hog(compute_hog(g)) for g in gray_prev])
+    return (frames, flow, hog_img) if stacked else (frames[0], flow[0], hog_img[0])
 
 
 def stream_inputs(

@@ -52,11 +52,16 @@ def bilinear_sample(img: np.ndarray, ys: np.ndarray, xs: np.ndarray) -> np.ndarr
     x0, x1, fx = _taps(xs, w, img.dtype)
     if img.ndim == 3:
         fy, fx = fy[..., None], fx[..., None]
-    flat = img.reshape((h * w,) + img.shape[2:])
     y0 *= w  # row offsets, in place: one corner's flat index at a time
     y1 *= w
-    top = _lerp(flat[y0 + x0], flat[y0 + x1], fx)
-    return _lerp(top, _lerp(flat[y1 + x0], flat[y1 + x1], fx), fy)
+    return _mix(img.reshape((h * w,) + img.shape[2:]), y0, y1, fy, x0, x1, fx)
+
+
+def _mix(flat: np.ndarray, r0: np.ndarray, r1: np.ndarray, fy: np.ndarray,
+         x0: np.ndarray, x1: np.ndarray, fx: np.ndarray) -> np.ndarray:
+    """The bilinear mix of flat's four corners at flat row offsets r0, r1 and columns x0, x1."""
+    top = _lerp(flat[r0 + x0], flat[r0 + x1], fx)
+    return _lerp(top, _lerp(flat[r1 + x0], flat[r1 + x1], fx), fy)
 
 
 def resize_bilinear(image: np.ndarray, w: int, h: int) -> np.ndarray:

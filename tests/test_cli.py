@@ -1,6 +1,7 @@
 import argparse
 import os
 import re
+import shutil
 import tempfile
 
 import numpy as np
@@ -389,6 +390,19 @@ class TestTrainEvalRun:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.splitlines()[-1] == f"error: alpha must be finite and > 0, got {value}"
+
+    def test_run_gray_frame_exits_2(self, synth_dir, trained, tmp_path, capsys):
+        clip = sorted(p for p in synth_dir.iterdir() if p.is_dir())[0]
+        gray = tmp_path / clip.name
+        shutil.copytree(clip, gray)
+        for path in gray.glob("*.ppm"):
+            mediaio.write_ppm(mediaio.read_ppm(path)[:, :, 0], path)
+        code = main(["run", "--checkpoint", str(trained), "--clip", str(gray)] + FAST_FLAGS)
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert re.fullmatch(r"error: frame \d+ is grayscale \(P5\), expected RGB \(P6\)",
+                            captured.err.splitlines()[-1])
 
     def test_run_byte_identical(self, synth_dir, trained, capsys):
         clip = sorted(p.name for p in synth_dir.iterdir() if p.is_dir())[0]

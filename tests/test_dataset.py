@@ -158,13 +158,14 @@ FAST_PRE = PreprocessConfig(target_size=16, sample_frames_per_second=3,
 
 
 def _count_pair_maps(monkeypatch) -> list:
-    """Replace dataset.pair_maps by a pass-through that records each call."""
+    """Replace dataset.pair_maps by a pass-through that records each pair of
+    the frame stacks it is given."""
     calls = []
     real_pair_maps = dataset.pair_maps
 
-    def counting(*args):
-        calls.append(args)
-        return real_pair_maps(*args)
+    def counting(prev, nxt, config):
+        calls.extend(zip(prev, nxt, strict=True))
+        return real_pair_maps(prev, nxt, config)
 
     monkeypatch.setattr(dataset, "pair_maps", counting)
     return calls
@@ -303,6 +304,23 @@ class TestCache:
         assert f"{bad}\tFAILED" in index
         assert index.count(good) == 3
 
+    def test_gray_frame_recorded_and_continues(self, tmp_path):
+        clips = tmp_path / "clips"
+        clips.mkdir()
+        gray, good = "HandWash_000_A_01_G_00.avi", "HandWash_001_A_01_G_00.avi"
+        meta = [_write_test_clip(clips, name, seed=seed) for seed, name in enumerate([gray, good])]
+        pairs = sample_frames(meta[0], FAST_PRE.sample_frames_per_second, FAST_PRE.rng_seed)
+        for index in pairs[1]:  # both frames gray: no shape check can tell the pair apart
+            path = clips / gray / mediaio.FRAME_NAME.format(index)
+            mediaio.write_ppm(mediaio.read_ppm(path)[:, :, 0], path)
+        out = tmp_path / "cache"
+        result = dataset.precompute_cache(clips, [gray, good], FAST_PRE, out, threads=2)
+        assert [name for name, _ in result.failures] == [gray]
+        assert "grayscale" in result.failures[0][1]
+        rows = [line.split("\t") for line in (out / "cache.index").read_text().splitlines()]
+        assert [r[0] for r in rows if r[1] != "FAILED"] == [good] * 3
+        assert [r[:2] for r in rows if r[1] == "FAILED"] == [[gray, "FAILED"]]
+
     def test_threaded_matches_serial(self, tmp_path):
         clips = tmp_path / "clips"
         clips.mkdir()
@@ -316,6 +334,42 @@ class TestCache:
         dataset.precompute_cache(clips, names, FAST_PRE, out2, threads=3)
         for p in sorted(out1.iterdir()):
             assert (out2 / p.name).read_bytes() == p.read_bytes()
+
+    def test_rebuild_of_one_damaged_flo_equals_a_fresh_build(self, tmp_path, monkeypatch):
+        clips, name, out = self._one_clip_cache(tmp_path)
+        fresh = {p.name: p.read_bytes() for p in out.iterdir()}
+        assert len([n for n in fresh if n.endswith(".flo")]) == 3
+        damaged = out / dataset.cache_names(name, 2)[0]
+        damaged.write_bytes(damaged.read_bytes()[:-8])
+        calls = _count_pair_maps(monkeypatch)
+        result = dataset.precompute_cache(clips, [name], FAST_PRE, out)
+        assert (result.written, result.skipped, len(calls)) == (1, 5, 1)
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == fresh
+
+    def test_chunked_solves_equal_one_solve(self, tmp_path, monkeypatch):
+        clips = tmp_path / "clips"
+        clips.mkdir()
+        name = "HandWash_000_A_01_G_00.avi"
+        meta = _write_test_clip(clips, name, frame_count=50)
+        assert len(sample_frames(meta, FAST_PRE.sample_frames_per_second, FAST_PRE.rng_seed)) == 5
+        sizes = []
+        real_pair_maps = dataset.pair_maps
+
+        def sizing(prev, nxt, config):
+            sizes.append(len(prev))
+            return real_pair_maps(prev, nxt, config)
+
+        monkeypatch.setattr(dataset, "pair_maps", sizing)
+        dataset.precompute_cache(clips, [name], FAST_PRE, tmp_path / "one")
+        one_solve = dataset.load_clip_samples(clips, [name], {name: 0}, FAST_PRE)[0].pairs
+        monkeypatch.setattr(dataset, "PAIRS_PER_SOLVE", 2)
+        dataset.precompute_cache(clips, [name], FAST_PRE, tmp_path / "chunked")
+        chunked = dataset.load_clip_samples(clips, [name], {name: 0}, FAST_PRE)[0].pairs
+        assert sizes == [5, 5, 2, 2, 1, 2, 2, 1]
+        assert ({p.name: p.read_bytes() for p in (tmp_path / "one").iterdir()}
+                == {p.name: p.read_bytes() for p in (tmp_path / "chunked").iterdir()})
+        for a, b in zip(one_solve, chunked, strict=True):
+            assert all(x.tobytes() == y.tobytes() for x, y in zip(a, b, strict=True))
 
     def _assert_cached_load_equals_direct(self, clips, name, out):
         direct = dataset.load_clip_samples(clips, [name], {name: 0}, FAST_PRE)

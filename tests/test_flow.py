@@ -150,6 +150,30 @@ class TestComputeFlow:
             FlowParams(alpha=0.0)
 
 
+class TestFlowStack:
+    @given(
+        n=st.integers(1, 5), h=st.integers(8, 64), w=st.integers(8, 64),
+        levels=st.integers(1, 4), iterations=st.integers(1, 30),
+        dtype=st.sampled_from([np.float32, np.float64]), seed=st.integers(0, 2**32 - 1),
+    )
+    def test_each_slice_equals_its_own_solve(self, n, h, w, levels, iterations, dtype, seed):
+        gen = np.random.default_rng(seed)
+        prev = gen.random((n, h, w)).astype(dtype)
+        nxt = np.clip(prev + gen.normal(0, 0.05, prev.shape), 0, 1).astype(dtype)
+        params = FlowParams(pyramid_levels=levels, iterations=iterations)
+        got = compute_flow(prev, nxt, params)
+        assert got.shape == (n, h, w, 2) and got.dtype == np.float32 and got.flags.c_contiguous
+        for k in range(n):
+            assert got[k].tobytes() == compute_flow(prev[k], nxt[k], params).tobytes()
+
+    @pytest.mark.parametrize("prev_shape, next_shape", [
+        ((2, 8, 8), (3, 8, 8)), ((2, 8, 8), (8, 8)), ((0, 8, 8), (0, 8, 8)), ((1, 2, 8, 8),) * 2,
+    ], ids=["stack_sizes", "stack_and_pair", "empty_stack", "four_axes"])
+    def test_rejects_mismatched_or_empty_stacks(self, prev_shape, next_shape):
+        with pytest.raises(ContractViolationError):
+            compute_flow(np.zeros(prev_shape), np.zeros(next_shape))
+
+
 def test_default_iterations_within_accuracy_knee():
     # Gate fixed before measuring: at every displacement, the default step
     # count's mean EPE is at most 0.02 px above 50 steps', on the paired sweep.

@@ -183,6 +183,15 @@ class TestClip:
         with pytest.raises(FormatError, match="meta says"):
             next(it)
 
+    def test_gray_frame_rejected(self, tmp_path):
+        clip, frames = _make_clip(tmp_path, 2)
+        mediaio.write_ppm(frames[1][:, :, 0], clip / mediaio.FRAME_NAME.format(1))
+        meta, _ = mediaio.read_clip(clip)
+        assert np.array_equal(mediaio.read_frame(clip, 0, meta), frames[0])
+        with pytest.raises(FormatError, match=r"frame 1 is grayscale \(P5\)") as exc:
+            mediaio.read_frame(clip, 1, meta)
+        assert exc.value.field == "frame"
+
     def test_meta_rejects_unknown_key(self, tmp_path):
         path = tmp_path / "clip.meta"
         path.write_bytes(b"fps=30\nwidth=1\nheight=1\nframe_count=1\ncodec=raw\n")

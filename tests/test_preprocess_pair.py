@@ -88,6 +88,19 @@ def test_pair_maps_bytes_pinned_to_preprocess_version(size):
     assert got == PAIR_MAPS_DIGESTS[size]
 
 
+def test_pair_maps_on_a_stack_equals_single_calls(rng):
+    config = PreprocessConfig(target_size=32, flow=FlowParams(pyramid_levels=3))
+    prev = rng.integers(0, 256, size=(3, 45, 60, 3), dtype=np.uint8)
+    nxt = np.clip(prev.astype(np.int64) + rng.integers(-20, 21, prev.shape), 0, 255).astype(np.uint8)
+    stacked = pair_maps(prev, nxt, config)
+    for got, shape, dtype in zip(stacked, [(3, 32, 32, 3), (3, 32, 32, 2), (3, 32, 32)],
+                                 [np.uint8, np.float32, np.uint8]):
+        assert got.shape == shape and got.dtype == dtype
+    for k in range(3):
+        for got, want in zip(stacked, pair_maps(prev[k], nxt[k], config), strict=True):
+            assert got[k].tobytes() == want.tobytes() and got[k].shape == want.shape
+
+
 def odd_texture(h, w, seed, dy=0, dx=0):
     """An h x w crop of a smooth periodic texture rolled by (dy, dx) px."""
     return np.roll(smooth_periodic_texture(64, seed), (dy, dx), axis=(0, 1))[:h, :w]
