@@ -405,6 +405,16 @@ def precompute_cache(
 # Sample loading for training and evaluation
 # ---------------------------------------------------------------------------
 
+def _read_cached(read, path: str, shape: tuple[int, ...]) -> np.ndarray:
+    """``read(path)``, refused with a FormatError naming the file unless it
+    is a map of ``shape``."""
+    data = read(path)
+    if data.shape != shape:
+        raise FormatError(f"cached {path} holds a {data.shape} map, expected {shape}",
+                          field="shape")
+    return data
+
+
 def load_clip_samples(
     clips_dir: str | os.PathLike,
     names: list[str],
@@ -421,7 +431,8 @@ def load_clip_samples(
     recomputed (a 224 -> 112 px reload pair: 1.2 ms, 0.7 of it the resize,
     on one BLAS thread of a 2-core x86_64 VM). A cache directory that does
     not exist, or was built with another config or preprocessing version,
-    or records none, raises FormatError.
+    or records none, raises FormatError, and so does a cached ``.flo`` that
+    is not (S, S, 2) or ``.pgm`` that is not (S, S), naming the file.
     """
     stamp = _config_stamp(config)
     if cache_dir is not None and not os.path.isdir(cache_dir):
@@ -446,7 +457,8 @@ def load_clip_samples(
             pgm_path = cache_dir and os.path.join(cache_dir, pgm_name)
             if flo_path and os.path.exists(flo_path) and os.path.exists(pgm_path):
                 triples[k] = stream_inputs(resize_bilinear(prev, s, s),
-                                           mediaio.read_flo(flo_path), mediaio.read_pgm(pgm_path))
+                                           _read_cached(mediaio.read_flo, flo_path, (s, s, 2)),
+                                           _read_cached(mediaio.read_pgm, pgm_path, (s, s)))
             else:
                 todo.append((k, prev, mediaio.read_frame(clip_dir, j, meta)))
             if todo and (len(todo) == PAIRS_PER_SOLVE or k == len(pairs) - 1):

@@ -76,7 +76,7 @@ def unit_scale(image: np.ndarray) -> np.ndarray:
 
 # Recorded in every cache; bump it on any change to sample_frames' choices or
 # to the bytes pair_maps returns, so that older caches are refused.
-PREPROCESS_VERSION = 2
+PREPROCESS_VERSION = 3
 
 
 def pair_maps(

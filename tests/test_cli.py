@@ -278,6 +278,35 @@ class TestTrainEvalRun:
         assert recorded in err[0] and "preprocess_version=" in err[0]
         assert not (tmp_path / "run").exists()
 
+    def test_train_on_cache_of_version_2_exits_2(self, synth_dir, tmp_path, capsys):
+        cache = tmp_path / "cache"
+        assert main(["preprocess", "--clips", str(synth_dir), "--out", str(cache),
+                     "--seed", "3"] + FAST_FLAGS) == 0
+        stamp = (cache / "cache.config").read_text()
+        assert stamp.startswith("preprocess_version=3 ")
+        (cache / "cache.config").write_text(stamp.replace("=3 ", "=2 ", 1))
+        capsys.readouterr()
+        code = main(["train", "--data", str(synth_dir), "--out", str(tmp_path / "run"),
+                     "--cache", str(cache), "--seed", "3"] + FAST_FLAGS + TINY_MODEL)
+        assert code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: cache ") and "version=2 " in err[0]
+        assert not (tmp_path / "run").exists()
+
+    def test_train_on_cache_of_wrong_shaped_hog_exits_2(self, synth_dir, tmp_path, capsys):
+        cache = tmp_path / "cache"
+        assert main(["preprocess", "--clips", str(synth_dir), "--out", str(cache),
+                     "--seed", "3"] + FAST_FLAGS) == 0
+        pgm = sorted(cache.glob("*.pgm"))[0]
+        mediaio.write_pgm(np.zeros((8, 8), dtype=np.uint8), pgm)
+        capsys.readouterr()
+        code = main(["train", "--data", str(synth_dir), "--out", str(tmp_path / "run"),
+                     "--cache", str(cache), "--seed", "3"] + FAST_FLAGS + TINY_MODEL)
+        assert code == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: cached {pgm} holds a (8, 8) map, expected (16, 16)"]
+        assert not (tmp_path / "run").exists()
+
     def test_garbled_cache_config_rebuilt_by_preprocess_refused_by_train_and_eval(
             self, synth_dir, trained, tmp_path, capsys):
         cache = tmp_path / "cache"

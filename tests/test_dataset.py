@@ -430,6 +430,20 @@ class TestCache:
         assert "\\xff\\xfe\\npreprocess_version=" in str(err.value)
         assert "\n" not in str(err.value)
 
+    @pytest.mark.parametrize("kind, damaged", [
+        (0, np.zeros((8, 8, 2), dtype=np.float32)),
+        (1, np.zeros((8, 8), dtype=np.uint8)),
+        (1, np.zeros((16, 16, 3), dtype=np.uint8)),
+    ], ids=["flo_8x8", "pgm_8x8", "pgm_rgb"])
+    def test_load_rejects_cached_map_of_wrong_shape(self, tmp_path, kind, damaged):
+        clips, name, out = self._one_clip_cache(tmp_path)
+        path = out / dataset.cache_names(name, 1)[kind]
+        (mediaio.write_flo if kind == 0 else mediaio.write_pgm)(damaged, path)
+        with pytest.raises(FormatError) as err:
+            dataset.load_clip_samples(clips, [name], {name: 0}, FAST_PRE, cache_dir=out)
+        assert str(err.value) == (f"cached {path} holds a {damaged.shape} map, "
+                                  f"expected {(16, 16, 2) if kind == 0 else (16, 16)}")
+
     def test_rebuild_with_another_config_records_it(self, tmp_path):
         other = dataclasses.replace(FAST_PRE, rng_seed=5)
         clips, name, out = self._one_clip_cache(tmp_path)

@@ -56,17 +56,17 @@ class TestPreprocessPair:
 
 
 # sha256 of pair_maps' three outputs for one fixed synthetic pair, taken with
-# PREPROCESS_VERSION 2 under numpy 2.4.6. Caches record that version, so any
+# PREPROCESS_VERSION 3 under numpy 2.4.6. Caches record that version, so any
 # change to these bytes must come with a version bump and new digests.
 PAIR_MAPS_DIGESTS = {
     32: {
         "frame": "b0718565327610f3e0e119bbf64da1467b003b5766326fa0ceb5be3e1991fa45",
-        "flow": "8f8a70c4737f81ae519c029fbe68417ef53acf5db0ab958488aaf36be061af7b",
+        "flow": "8faded9a4939acf414156cec6b9972653403a12b2565ae964536724babdfbe94",
         "hog_img": "09fb426e61c8497009eeb3f3f83c0bcefa9b1ae01b7d4261fb8fdf4038a79592",
     },
     112: {
         "frame": "77937f0cce3242d476057086456d30a50b0d542d4c2568673b875afd2bf0c7df",
-        "flow": "2f1c1249c54676e4f27b171b741f1af07e7f8c73f5667d8870c205151089e79d",
+        "flow": "87780a41339e8a95f455be169f1b4e20888f9f2560b4007e3ad744417f568b7f",
         "hog_img": "c0bdf6d6da7653e78ab7ff5cd42dbebf40578725c02607b8ca9ea8eea4db597f",
     },
 }
@@ -81,7 +81,7 @@ def pinned_pair():
 
 @pytest.mark.parametrize("size", sorted(PAIR_MAPS_DIGESTS))
 def test_pair_maps_bytes_pinned_to_preprocess_version(size):
-    assert PREPROCESS_VERSION == 2
+    assert PREPROCESS_VERSION == 3
     outputs = pair_maps(*pinned_pair(), PreprocessConfig(target_size=size))
     got = {name: hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()
            for name, a in zip(("frame", "flow", "hog_img"), outputs)}
@@ -108,9 +108,10 @@ def odd_texture(h, w, seed, dy=0, dx=0):
 
 # sha256 of compute_flow on a 45x60 pair at 3 levels, whose pyramid rounds
 # 45 to 22 (so u's and v's upsample ratios differ at every level), and of
-# compute_hog on a 40x64 image; both taken at PREPROCESS_VERSION 2 under
-# numpy 2.4.6.
-ODD_FLOW_DIGEST = "c298db37386b5ad67b6959417c4ddf2737ce2cd3a79f91e7933de091b6c9e5cf"
+# compute_hog on a 40x64 image, under numpy 2.4.6: the flow digest taken at
+# PREPROCESS_VERSION 3, the HOG digests at 2 (version 3 left HOG's bytes as
+# they were).
+ODD_FLOW_DIGEST = "7a00e64d400d6bc2267c0384e424436f3276d9a3e1000dd7a3a74212685b8a4b"
 ODD_HOG_DIGESTS = {
     "cell_hist": "bfbfff5f9fe317b7cce4034d4df59e352fc4fa65f34f933e8b108710c2ab8f78",
     "blocks": "f262b2afd861f62775076f3f54331338dcb1ca2f09916fdc30cfa8f1eed0285f",
