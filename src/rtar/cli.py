@@ -453,7 +453,8 @@ HELP = {
     "config": "key=value settings file",
     "seed": "master random seed",
     "threads": "worker threads; preprocess caches one clip per thread, its flow one solve "
-               f"per stack of up to {ds.PAIRS_PER_SOLVE} pairs (default: RTAR_THREADS or 1)",
+               f"per stack of up to {ds.PAIRS_PER_SOLVE} pairs (default: RTAR_THREADS or 1); "
+               "the model's stream workers follow the affinity mask instead",
     "data": "dir with clips, labels.tsv, split.txt",
     "cache": "precomputed cache dir",
     "live": "replay at wall-clock speed (non-deterministic)",

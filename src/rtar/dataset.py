@@ -406,9 +406,12 @@ def precompute_cache(
 # ---------------------------------------------------------------------------
 
 def _read_cached(read, path: str, shape: tuple[int, ...]) -> np.ndarray:
-    """``read(path)``, refused with a FormatError naming the file unless it
-    is a map of ``shape``."""
-    data = read(path)
+    """``read(path)``, refused with a FormatError naming the file when it is
+    damaged or is not a map of ``shape``."""
+    try:
+        data = read(path)
+    except FormatError as e:
+        raise FormatError(f"cached {path}: {e}", field=e.field) from None
     if data.shape != shape:
         raise FormatError(f"cached {path} holds a {data.shape} map, expected {shape}",
                           field="shape")

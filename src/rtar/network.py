@@ -18,10 +18,14 @@ concatenation in stream order.
 
 from __future__ import annotations
 
+import ctypes
 import math
+import os
 import struct
 import threading
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
+from functools import cache
 from typing import Sequence
 
 import numpy as np
@@ -240,15 +244,110 @@ def deinterleave(fused: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
 # ---------------------------------------------------------------------------
+# Parallel streams
+# ---------------------------------------------------------------------------
+
+PARALLEL_MIN_SIZE = 48
+"""The smallest ``input_size`` whose eval forward runs its streams on the
+stream pool. A sweep of ``predict`` on a 2-core x86_64 VM, in ms (medians
+of 21, two sittings), serial at the default OpenBLAS threads -> two
+workers with OpenBLAS at one thread, growth 12 and blocks 4,4 unless
+noted:
+
+    32 px, growth 6, blocks 2,2    1.8 -> 3.0-3.2
+    32 px                          8.7-9.2 -> 8.0-8.2
+    48 px                          17.0 -> 12.1-12.5
+    64 px                          26.5-27.2 -> 18.4-20.0
+    96 px                          51-54 -> 37-38
+    112 px                         66-68 -> 48-50
+
+At 32 px the pool's hand-offs cost about what the second core saves,
+and the live pipeline's reader and preprocessing threads want that core:
+with the cut at 32, the benchmark's 32 px live replay read a median
+pair latency of 6.4-7.2 ms against 5.4-7.0 ms at 48 (three alternated
+runs each)."""
+
+_BLAS_SYMBOLS = (
+    # numpy's bundled OpenBLAS (numpy 2.x wheels), then a plain OpenBLAS
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("openblas_get_num_threads", "openblas_set_num_threads"),
+)
+
+# Held for the whole parallel section, from setting OpenBLAS to one thread
+# to restoring it, so two callers never interleave their counts.
+_parallel_lock = threading.Lock()
+_pool: ThreadPoolExecutor | None = None
+
+
+def _usable_cores() -> int:
+    return len(os.sched_getaffinity(0))
+
+
+@cache
+def _blas_threads():
+    """(get, set) of the loaded OpenBLAS's thread count, or None where no
+    mapped OpenBLAS exports them. The library is the mapped file whose
+    name holds "openblas" in /proc/self/maps."""
+    try:
+        with open("/proc/self/maps") as f:
+            paths = {fields[5].strip() for fields in (line.split(None, 5) for line in f)
+                     if len(fields) == 6 and "openblas" in os.path.basename(fields[5])}
+    except OSError:
+        return None
+    for path in sorted(paths):
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for get_name, set_name in _BLAS_SYMBOLS:
+            if hasattr(lib, get_name) and hasattr(lib, set_name):
+                get, put = getattr(lib, get_name), getattr(lib, set_name)
+                get.argtypes, get.restype = [], ctypes.c_int
+                put.argtypes, put.restype = [ctypes.c_int], None
+                return get, put
+    return None
+
+
+def _map_streams(fn, names: Sequence[str], input_size: int) -> list:
+    """``[fn(name) for name in names]``, on the process-wide stream pool when
+    there are two usable cores for two streams, ``input_size`` is at least
+    ``PARALLEL_MIN_SIZE`` and OpenBLAS's thread count can be set, and by the
+    builtin ``map`` otherwise. The pool has a worker for each of the three
+    streams, at most one per usable core (``os.sched_getaffinity``), and
+    starts them as work arrives. Its section runs OpenBLAS at one thread,
+    whose spinning workers would otherwise oversubscribe the cores, and
+    restores the previous count before returning, after every stream has
+    finished, whether or not one raised."""
+    blas = _blas_threads() if input_size >= PARALLEL_MIN_SIZE else None
+    if blas is None or min(len(names), _usable_cores()) < 2:
+        return list(map(fn, names))
+    global _pool
+    get, put = blas
+    with _parallel_lock:
+        if _pool is None:
+            _pool = ThreadPoolExecutor(min(len(STREAM_ORDER), _usable_cores()),
+                                       thread_name_prefix="rtar-stream")
+        before = get()
+        put(1)
+        try:
+            futures = [_pool.submit(fn, name) for name in names]
+            wait(futures)
+        finally:
+            put(before)
+    return [f.result() for f in futures]
+
+
+# ---------------------------------------------------------------------------
 # Model
 # ---------------------------------------------------------------------------
 
 class FusionModel:
     """Streams plus fused softmax head; owns all trainable state.
 
-    Eval mode runs the streams in a workspace private to the calling
-    thread, kept across calls; training allocates its activations, which
-    backward reads."""
+    Eval mode runs each stream in a workspace private to the thread that
+    runs it, kept across calls: the caller's, or a stream pool worker's
+    (see ``_map_streams``). Training allocates its activations, which
+    backward reads, and runs its streams on the caller's thread."""
 
     def __init__(self, config: ModelConfig, seed: int = 0, dtype=np.float32):
         self.config = config
@@ -304,13 +403,18 @@ class FusionModel:
 
     def forward_logits(self, rgb=None, flow=None, hog=None, train: bool = False) -> np.ndarray:
         inputs = self._gather_inputs(rgb, flow, hog)
-        ws = None if train else self._workspace()
-        # The streams share the workspace, so each map is pooled into a new
-        # vector before the next stream runs.
-        pooled = {name: self.pools[name].forward(self.streams[name].forward(inputs[name], train, ws),
-                                                 train)
-                  for name in self.config.streams}
-        return self.head.forward(self.fuse(pooled), train)
+
+        def pooled(name):
+            # Streams run on one thread share its workspace, so each map is
+            # pooled into a new vector before that thread runs another.
+            ws = None if train else self._workspace()
+            return self.pools[name].forward(self.streams[name].forward(inputs[name], train, ws),
+                                            train)
+
+        names = self.config.streams
+        vectors = (list(map(pooled, names)) if train
+                   else _map_streams(pooled, names, self.config.input_size))
+        return self.head.forward(self.fuse(dict(zip(names, vectors))), train)
 
     def backward_from_logits(self, dlogits: np.ndarray) -> None:
         dpooled = self._unfuse(self.head.backward(dlogits))
@@ -365,7 +469,11 @@ class ClipSamples:
 def train(model: FusionModel, samples: Sequence[tuple], hyper: TrainConfig) -> list[float]:
     """SGD with momentum on softmax cross-entropy over (rgb, flow, hog, label)
     samples; returns the per-epoch mean loss history. Deterministic for a
-    fixed seed."""
+    fixed seed and OpenBLAS thread count: products round differently at
+    another count (a random 32 px, growth 6, blocks 2,2 model on 16 random
+    samples read an epoch-2 loss of 1.4011072739958763 at one thread and
+    1.4011072590947151 at two). Eval bytes and event logs do not depend
+    on it."""
     if len(samples) == 0:
         raise ContractViolationError("training needs a non-empty dataset")
     for _, _, _, label in samples:

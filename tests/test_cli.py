@@ -307,6 +307,21 @@ class TestTrainEvalRun:
             f"error: cached {pgm} holds a (8, 8) map, expected (16, 16)"]
         assert not (tmp_path / "run").exists()
 
+    def test_train_on_truncated_cached_flow_names_the_file_and_exits_2(self, synth_dir,
+                                                                        tmp_path, capsys):
+        cache = tmp_path / "cache"
+        assert main(["preprocess", "--clips", str(synth_dir), "--out", str(cache),
+                     "--seed", "3"] + FAST_FLAGS) == 0
+        flo = sorted(cache.glob("*.flo"))[0]
+        flo.write_bytes(flo.read_bytes()[:100])
+        capsys.readouterr()
+        code = main(["train", "--data", str(synth_dir), "--out", str(tmp_path / "run"),
+                     "--cache", str(cache), "--seed", "3"] + FAST_FLAGS + TINY_MODEL)
+        assert code == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: cached {flo}: size mismatch: header says 2060 bytes, file has 100"]
+        assert not (tmp_path / "run").exists()
+
     def test_garbled_cache_config_rebuilt_by_preprocess_refused_by_train_and_eval(
             self, synth_dir, trained, tmp_path, capsys):
         cache = tmp_path / "cache"

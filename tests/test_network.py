@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import struct
+import sys
 import threading
 import tracemalloc
 
@@ -10,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rtar.errors import ContractViolationError, FormatError
+from rtar import mediaio, runtime
 from rtar import network as net
 from rtar.nn import tensorops as T
 from rtar.nn.layers import AvgPool2, BatchNorm, Conv2D, ReLU, Workspace, softmax_cross_entropy
@@ -345,12 +347,24 @@ class TestEvalWorkspace:
             assert np.array_equal(model.forward_logits(**inputs), want)
             assert np.array_equal(model.predict(**inputs).probabilities, T.softmax(want))
 
-    def test_steady_predict_allocates_almost_nothing(self, rng):
+    def test_steady_predict_allocates_almost_nothing(self, rng, monkeypatch):
         # the CLI defaults: 112 px, growth 12, blocks 4,4, BN; an allocating
-        # forward peaks at 11.25 MB of activations per predict
+        # forward peaks at 11.25 MB of activations per predict. Every thread
+        # that runs a stream keeps its own workspace: the caller's on one
+        # core, each stream pool worker's on more (tracemalloc sees them all).
         model = net.FusionModel(net.ModelConfig(num_classes=12), seed=0)
         inputs = rand_inputs(rng, 112)
-        model.predict(*inputs)
+        for _ in range(3):  # every pool worker has run a stream
+            model.predict(*inputs)
+        used = {}
+        take = model._workspace
+
+        def spy():
+            ws = take()
+            used[id(ws)] = ws
+            return ws
+
+        monkeypatch.setattr(model, "_workspace", spy)
         tracemalloc.start()
         try:
             model.predict(*inputs)
@@ -358,7 +372,8 @@ class TestEvalWorkspace:
         finally:
             tracemalloc.stop()
         assert peak <= 1.5e6
-        assert model._workspace().nbytes <= 11.25e6
+        assert 1 <= len(used) <= min(len(model.config.streams), net._usable_cores())
+        assert all(ws.nbytes <= 11.25e6 for ws in used.values())
 
     def test_direct_stream_forward_takes_one_workspace(self, rng, monkeypatch):
         # an eval StreamNet.forward given no workspace runs the whole stream
@@ -416,6 +431,168 @@ class TestEvalWorkspace:
                 for x in xs:
                     fresh = net.FusionModel(cfg, seed=8).predict(*x).probabilities
                     assert np.array_equal(model.predict(*x).probabilities, fresh)
+
+
+def _blas():
+    """OpenBLAS's (get, set) thread count, without which no stream pool runs."""
+    blas = net._blas_threads()
+    if blas is None:
+        pytest.skip("the stream pool needs OpenBLAS's thread control")
+    return blas
+
+
+def _on_route(route, fn):
+    """fn() with eval forward forced onto ``route``: "map", the streams one
+    after another on the calling thread (one usable core), or "pool", the
+    stream pool's workers (two); checks that the streams ran there."""
+    if route == "pool":
+        _blas()
+    on_pool = []
+    take = net.FusionModel._workspace
+
+    def spy(self):
+        on_pool.append(threading.current_thread().name.startswith("rtar-stream"))
+        return take(self)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(net, "_usable_cores", lambda: 1 if route == "map" else 2)
+        mp.setattr(net.FusionModel, "_workspace", spy)
+        out = fn()
+    assert on_pool and all(p == (route == "pool") for p in on_pool)
+    return out
+
+
+class TestParallelStreams:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("bn", [True, False], ids=["bn", "no_bn"])
+    @pytest.mark.parametrize("streams", [net.STREAM_ORDER, ("flow", "rgb")],
+                             ids=["all", "flow_rgb"])
+    def test_routes_give_identical_probabilities(self, rng, streams, bn, dtype):
+        size = net.PARALLEL_MIN_SIZE
+        cfg = tiny_config(growth_rate=3, blocks=(1, 2), compression=0.5, input_size=size,
+                          bn_enabled=bn, streams=streams)
+        model = net.FusionModel(cfg, seed=3, dtype=dtype)
+        _draw_bn_statistics(model, rng)
+        inputs = [dict(zip(("rgb", "flow", "hog"), rand_inputs(rng, size, dtype)))
+                  for _ in range(2)]
+        got = {route: _on_route(route, lambda: [model.predict(**x).probabilities.tobytes()
+                                                for x in inputs + inputs])
+               for route in ("map", "pool")}
+        assert got["pool"] == got["map"]
+
+    def test_routes_give_identical_logs_at_the_defaults(self, rng, tmp_path):
+        model = net.FusionModel(net.ModelConfig(num_classes=4), seed=1)
+        _draw_bn_statistics(model, rng)
+        meta = mediaio.ClipMeta(fps=8, width=112, height=112, frame_count=16)
+        mediaio.write_clip([rng.integers(0, 256, (112, 112, 3), dtype=np.uint8)
+                            for _ in range(meta.frame_count)], meta, tmp_path / "clip")
+
+        class Recording:
+            def predict(self, rgb, flow, hog):
+                pred = model.predict(rgb, flow, hog)
+                probabilities.append(pred.probabilities.tobytes())
+                return pred
+
+        runs = {}
+        for route in ("map", "pool"):
+            probabilities = []
+            lines = _on_route(route, lambda: runtime.run_pipeline_offline(
+                tmp_path / "clip", Recording(), runtime.RuntimeConfig(threshold_confidence=0.3)))
+            runs[route] = (lines, probabilities)
+        assert runs["pool"][1] and runs["pool"] == runs["map"]
+
+    def test_concurrent_callers_on_the_pool_match_serial(self, rng, monkeypatch):
+        # three callers on two workers, switching threads often: each gets
+        # its serial bytes, every stream runs with OpenBLAS at one thread,
+        # and OpenBLAS ends at the count it started from. Callers whose
+        # sections overlapped would break the last two: one restores its
+        # count while another's streams run, or takes another's lowered
+        # count as its own "before".
+        size = net.PARALLEL_MIN_SIZE
+        model = net.FusionModel(dataclasses.replace(ODD_CEIL_CONFIG, input_size=size), seed=6)
+        batches = [[rand_inputs(rng, size) for _ in range(3)] for _ in range(3)]
+        serial = _on_route("map", lambda: [[model.predict(*x).probabilities for x in b]
+                                           for b in batches])
+        get, put = _blas()
+        counts = []
+        forward = model.streams["hog"].forward
+
+        def spy(x, train=False, ws=None):
+            counts.append(get())
+            return forward(x, train, ws)
+
+        monkeypatch.setattr(model.streams["hog"], "forward", spy)
+        results = [None] * len(batches)
+        start = threading.Barrier(len(batches))
+
+        def worker(i):
+            start.wait()
+            results[i] = [model.predict(*x).probabilities for x in batches[i] * 4]
+
+        def callers():
+            threads = [threading.Thread(target=worker, args=(i,)) for i in range(len(batches))]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in threads)
+
+        before, interval = get(), sys.getswitchinterval()
+        try:
+            put(2)
+            sys.setswitchinterval(1e-5)
+            _on_route("pool", callers)
+            assert get() == 2
+        finally:
+            sys.setswitchinterval(interval)
+            put(before)
+        assert counts == [1] * 4 * sum(map(len, batches))
+        for got, want in zip(results, serial):
+            assert all(np.array_equal(g, w) for g, w in zip(got, want * 4))
+
+    def test_blas_threads_restored_after_predict_and_after_a_stream_raises(self, rng,
+                                                                            monkeypatch):
+        get, put = _blas()
+        model = net.FusionModel(tiny_config(input_size=net.PARALLEL_MIN_SIZE), seed=0)
+        inputs = rand_inputs(rng, net.PARALLEL_MIN_SIZE)
+        seen = []
+        forward = model.streams["hog"].forward
+
+        def spy(x, train=False, ws=None):
+            seen.append(get())
+            if len(seen) == 2:
+                raise RuntimeError("stream failed")
+            return forward(x, train, ws)
+
+        monkeypatch.setattr(model.streams["hog"], "forward", spy)
+        before = get()
+        try:
+            put(2)  # a count the section must lower and then give back
+            _on_route("pool", lambda: model.predict(*inputs))
+            assert get() == 2
+            with pytest.raises(RuntimeError, match="stream failed"):
+                _on_route("pool", lambda: model.predict(*inputs))
+            assert get() == 2
+        finally:
+            put(before)
+        assert seen == [1, 1]
+
+    def test_training_around_a_pool_predict_is_unchanged(self, rng):
+        # training bytes depend on OpenBLAS's thread count, so a predict
+        # that left it at one thread would change the second train
+        size = net.PARALLEL_MIN_SIZE
+        cfg = tiny_config(growth_rate=6, blocks=(2, 2), compression=0.5, input_size=size)
+        samples = [(*rand_inputs(rng, size), i % 4) for i in range(8)]
+        hyper = net.TrainConfig(lr=0.05, epochs=1, batch=4, seed=0)
+        runs = []
+        for route in ("map", "pool"):
+            model = net.FusionModel(cfg, seed=2)
+            history = net.train(model, samples, hyper)
+            _on_route(route, lambda: model.predict(*samples[0][:3]))
+            history += net.train(model, samples, hyper)
+            runs.append((history, [p.tobytes() for layer in model.layers()
+                                   for p in layer.params.values()]))
+        assert runs[0] == runs[1]
 
 
 class TestFusedDenseLayer:
