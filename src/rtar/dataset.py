@@ -411,7 +411,10 @@ def _read_cached(read, path: str, shape: tuple[int, ...]) -> np.ndarray:
     try:
         data = read(path)
     except FormatError as e:
-        raise FormatError(f"cached {path}: {e}", field=e.field) from None
+        reason = str(e)
+        if not reason.startswith(f"{path}: "):  # read_flo names the file in one message
+            reason = f"{path}: {reason}"
+        raise FormatError(f"cached {reason}", field=e.field) from None
     if data.shape != shape:
         raise FormatError(f"cached {path} holds a {data.shape} map, expected {shape}",
                           field="shape")

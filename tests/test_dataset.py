@@ -444,15 +444,18 @@ class TestCache:
         assert str(err.value) == (f"cached {path} holds a {damaged.shape} map, "
                                   f"expected {(16, 16, 2) if kind == 0 else (16, 16)}")
 
-    @pytest.mark.parametrize("kind, keep, reason, field", [
-        (0, 100, "size mismatch: header says 2060 bytes, file has 100", "payload"),
-        (0, 0, "not a flow file: shorter than its 12-byte header", "tag"),
-        (1, 2, "truncated header while reading width", "width"),
-    ], ids=["flo_payload", "flo_empty", "pgm_header"])
-    def test_load_names_a_damaged_cached_file(self, tmp_path, kind, keep, reason, field):
+    @pytest.mark.parametrize("kind, damage, reason, field", [
+        (0, lambda raw: raw[:100], "size mismatch: header says 2060 bytes, file has 100",
+         "payload"),
+        (0, lambda raw: b"", "not a flow file: shorter than its 12-byte header", "tag"),
+        (0, lambda raw: raw[:12] + np.float32(np.nan).tobytes() + raw[16:],
+         "flow contains non-finite values", "payload"),
+        (1, lambda raw: raw[:2], "truncated header while reading width", "width"),
+    ], ids=["flo_payload", "flo_empty", "flo_nonfinite", "pgm_header"])
+    def test_load_names_a_damaged_cached_file(self, tmp_path, kind, damage, reason, field):
         clips, name, out = self._one_clip_cache(tmp_path)
         path = out / dataset.cache_names(name, 1)[kind]
-        path.write_bytes(path.read_bytes()[:keep])
+        path.write_bytes(damage(path.read_bytes()))
         with pytest.raises(FormatError) as err:
             dataset.load_clip_samples(clips, [name], {name: 0}, FAST_PRE, cache_dir=out)
         assert str(err.value) == f"cached {path}: {reason}"
