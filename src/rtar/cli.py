@@ -1,9 +1,11 @@
 """The ``rtar`` command: preprocessing, training, evaluation, offline and
 live runs, dataset tooling, the fusion ablation, and stage benchmarks.
 
-Settings resolve as flags > config file (``key=value`` lines) > defaults,
-and every run prints its fully resolved configuration as ``#``-prefixed
-header lines (on stderr for ``run``, whose stdout is the event log).
+Settings resolve as flags > config file (``key=value`` lines) > defaults;
+``eval`` and ``run`` take the map settings (target size and flow) from
+their checkpoint instead. Every run prints its fully resolved
+configuration as ``#``-prefixed header lines (on stderr for ``run``, whose
+stdout is the event log).
 All randomness flows from ``--seed``. Commands exit 0 on success and 2
 on usage or validation errors with a one-line reason.
 """
@@ -71,6 +73,9 @@ OPTION_DEFAULTS: dict[str, tuple] = {
 # the settings that shape PreprocessConfig, printed in every header that uses it
 PREPROCESS_KEYS = ["target_size", "sample_fps", "pyramid_levels", "flow_scale", "alpha",
                    "iterations"]
+# those that shape the maps rather than choose the pairs: a checkpoint records them, so
+# eval and run read them from it and take no flag for them
+MAP_KEYS = [key for key in PREPROCESS_KEYS if key != "sample_fps"]
 # the settings that shape ModelConfig besides its class count and input size
 MODEL_KEYS = ["growth", "blocks", "compression", "bottleneck", "streams", "bn"]
 # the settings that shape SynthConfig
@@ -117,7 +122,8 @@ def _read_config_file(path: str) -> dict:
 
 
 class Settings:
-    """Resolved options: flags beat the config file, which beats defaults."""
+    """Resolved options: flags beat the config file, which beats defaults.
+    With a checkpoint, the map settings (``MAP_KEYS``) are the ones it records."""
 
     def __init__(self, args: argparse.Namespace):
         file_values = _read_config_file(args.config) if getattr(args, "config", None) else {}
@@ -146,17 +152,29 @@ class Settings:
         except ValueError:
             raise UsageError(f"blocks must be comma-separated integers, "
                              f"got {self.blocks!r}") from None
+        self.model = None
+        if getattr(args, "checkpoint", None):
+            self.model = network.load_model(args.checkpoint)
+            cfg = self.model.config
+            self.target_size = cfg.input_size
+            self.pyramid_levels, self.flow_scale = cfg.flow.pyramid_levels, cfg.flow.scale
+            self.alpha, self.iterations = cfg.flow.alpha, cfg.flow.iterations
 
     def header(self, command: str) -> list[str]:
-        return [f"# command={command}"] + [f"# {key}={getattr(self, key)}"
-                                           for key in ["seed", "threads"] + COMMANDS[command].keys]
+        keys = ["seed", "threads"] + COMMANDS[command].keys
+        if self.model is not None:  # eval and run: the maps their checkpoint records
+            keys += MAP_KEYS
+        return [f"# command={command}"] + [f"# {key}={getattr(self, key)}" for key in keys]
+
+    def flow_params(self) -> FlowParams:
+        return FlowParams(pyramid_levels=self.pyramid_levels, scale=self.flow_scale,
+                          alpha=self.alpha, iterations=self.iterations)
 
     def preprocess_config(self) -> PreprocessConfig:
         return PreprocessConfig(
             target_size=self.target_size,
             sample_frames_per_second=self.sample_fps,
-            flow=FlowParams(pyramid_levels=self.pyramid_levels, scale=self.flow_scale,
-                            alpha=self.alpha, iterations=self.iterations),
+            flow=self.flow_params(),
             rng_seed=self.seed,
         )
 
@@ -166,6 +184,7 @@ class Settings:
             num_classes=num_classes, growth_rate=self.growth, blocks=self._blocks,
             bottleneck_factor=self.bottleneck, compression=self.compression,
             input_size=self.target_size, bn_enabled=self.bn, streams=streams,
+            flow=self.flow_params(),
         )
 
     def synth_config(self) -> synth.SynthConfig:
@@ -263,24 +282,14 @@ def cmd_train(args, s: Settings) -> int:
     return 0
 
 
-def _check_input_size(model, pre: PreprocessConfig) -> None:
-    if model.config.input_size != pre.target_size:
-        raise UsageError(
-            f"checkpoint expects {model.config.input_size}px inputs, "
-            f"preprocess target_size is {pre.target_size}"
-        )
-
-
 def cmd_eval(args, s: Settings) -> int:
-    model = network.load_model(args.checkpoint)
     manifest, labels = _load_sections(args.data)
     names = manifest.test if s.section == "test" else manifest.train
     if not names:
         raise UsageError(f"split section [{s.section}] is empty")
-    pre = s.preprocess_config()
-    _check_input_size(model, pre)
-    clips = ds.load_clip_samples(args.data, names, labels, pre, cache_dir=args.cache)
-    report = network.evaluate(model, clips, threshold_confidence=s.threshold)
+    clips = ds.load_clip_samples(args.data, names, labels, s.preprocess_config(),
+                                 cache_dir=args.cache)
+    report = network.evaluate(s.model, clips, threshold_confidence=s.threshold)
     print(f"clips evaluated      {report.clip_count}")
     print(f"clip accuracy        {report.accuracy:.4f}")
     print(f"frame accuracy       {report.frame_accuracy:.4f}")
@@ -292,9 +301,7 @@ def cmd_eval(args, s: Settings) -> int:
 
 
 def cmd_run(args, s: Settings) -> int:
-    model = network.load_model(args.checkpoint)
-    pre = s.preprocess_config()
-    _check_input_size(model, pre)
+    model, pre = s.model, s.preprocess_config()
     meta = mediaio.read_clip_meta(os.path.join(args.clip, "clip.meta"))
     config = s.runtime_config(fps=meta.fps)
     if args.live:
@@ -430,11 +437,11 @@ COMMANDS = {
                      PREPROCESS_KEYS + ["classes"] + MODEL_KEYS + TRAIN_KEYS),
     "eval": Command(cmd_eval, "evaluate a checkpoint on a split section",
                     {"checkpoint": REQUIRED, "data": REQUIRED, "cache": {}},
-                    PREPROCESS_KEYS + ["threshold", "section"]),
+                    ["sample_fps", "threshold", "section"]),
     "run": Command(cmd_run, "classify a clip, emitting the event log",
                    {"checkpoint": REQUIRED, "clip": REQUIRED, "live": {"action": "store_true"}},
-                   PREPROCESS_KEYS + ["threshold", "poll_interval", "stipulated_time",
-                                      "window_seconds"]),
+                   ["sample_fps", "threshold", "poll_interval", "stipulated_time",
+                    "window_seconds"]),
     "dataset validate": Command(cmd_validate, "check a split manifest",
                                 {"manifest": REQUIRED}, ["expect_train", "expect_test"]),
     "dataset synth": Command(cmd_synth, "generate a synthetic clip set", {"out": REQUIRED},
@@ -455,6 +462,7 @@ HELP = {
     "threads": "worker threads; preprocess caches one clip per thread, its flow one solve "
                f"per stack of up to {ds.PAIRS_PER_SOLVE} pairs (default: RTAR_THREADS or 1); "
                "the model's stream workers follow the affinity mask instead",
+    "checkpoint": "trained model, which also sets the target size and flow it was trained at",
     "data": "dir with clips, labels.tsv, split.txt",
     "cache": "precomputed cache dir",
     "live": "replay at wall-clock speed (non-deterministic)",

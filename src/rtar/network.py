@@ -46,6 +46,7 @@ from .nn.layers import (
     softmax_cross_entropy,
 )
 from .nn.tensorops import softmax
+from .preprocess import PREPROCESS_VERSION, FlowParams
 from .runtime import plurality_vote
 
 STREAM_CHANNELS = {"rgb": 3, "flow": 2, "hog": 1}
@@ -54,10 +55,16 @@ _STREAM_CODES = {"rgb": 0, "flow": 1, "hog": 2}
 _CODE_STREAMS = {v: k for k, v in _STREAM_CODES.items()}
 
 CHECKPOINT_MAGIC = b"TSM1"
+CHECKPOINT_VERSION = 2
 
 
 @dataclass(frozen=True)
 class ModelConfig:
+    """The architecture, and the maps it reads: ``input_size`` is the
+    preprocessing target size and ``flow`` the Horn-Schunck parameters its
+    flow stream was trained on. A checkpoint records both, so ``eval`` and
+    ``run`` compute the maps the model was trained on."""
+
     num_classes: int
     growth_rate: int = 12
     blocks: tuple[int, ...] = (4, 4)
@@ -66,6 +73,7 @@ class ModelConfig:
     input_size: int = 112
     bn_enabled: bool = True
     streams: tuple[str, ...] = STREAM_ORDER
+    flow: FlowParams = FlowParams()
 
     def __post_init__(self):
         if self.num_classes < 2:
@@ -558,15 +566,17 @@ def _model_state(model: FusionModel) -> list[np.ndarray]:
 def save_model(model: FusionModel, path) -> None:
     """Serialize config and tensors; little-endian, float32 payloads.
 
-    The compression factor travels as the raw bit pattern of its float64
-    value so reconstruction is exact.
+    The config's floats (the compression factor, the flow's pyramid scale
+    and alpha) travel as the bit patterns of their float64 values, so
+    reconstruction is exact. After the stream codes come the flow
+    parameters and the ``PREPROCESS_VERSION`` whose maps the model reads.
     """
     cfg = model.config
     out = bytearray()
     out += CHECKPOINT_MAGIC
-    out += struct.pack("<I", 1)  # version
+    out += struct.pack("<I", CHECKPOINT_VERSION)
     out += struct.pack("<III", cfg.num_classes, cfg.growth_rate, cfg.bottleneck_factor)
-    out += struct.pack("<Q", np.float64(cfg.compression).view(np.uint64).item())
+    out += struct.pack("<d", cfg.compression)
     out += struct.pack("<II", int(cfg.bn_enabled), cfg.input_size)
     out += struct.pack("<I", len(cfg.blocks))
     for n in cfg.blocks:
@@ -574,6 +584,9 @@ def save_model(model: FusionModel, path) -> None:
     out += struct.pack("<I", len(cfg.streams))
     for name in cfg.streams:
         out += struct.pack("<I", _STREAM_CODES[name])
+    flow = cfg.flow
+    out += struct.pack("<IddII", flow.pyramid_levels, flow.scale, flow.alpha, flow.iterations,
+                       PREPROCESS_VERSION)
     tensors = _model_state(model)
     out += struct.pack("<I", len(tensors))
     for t in tensors:
@@ -616,8 +629,8 @@ class _Reader:
     def u32(self) -> int:
         return struct.unpack("<I", self.take(4))[0]
 
-    def u64(self) -> int:
-        return struct.unpack("<Q", self.take(8))[0]
+    def f64(self) -> float:
+        return struct.unpack("<d", self.take(8))[0]
 
 
 def load_model(path) -> FusionModel:
@@ -627,10 +640,10 @@ def load_model(path) -> FusionModel:
     if r.take(4) != CHECKPOINT_MAGIC:
         raise FormatError("not a model checkpoint", field="magic")
     version = r.u32()
-    if version != 1:
+    if version != CHECKPOINT_VERSION:
         raise FormatError(f"unsupported checkpoint version {version}", field="version")
     num_classes, growth, bottleneck = r.u32(), r.u32(), r.u32()
-    compression = np.uint64(r.u64()).view(np.float64).item()
+    compression = r.f64()
     bn_enabled, input_size = bool(r.u32()), r.u32()
     n_blocks = r.u32()
     if n_blocks < 1 or n_blocks > 64:
@@ -649,13 +662,23 @@ def load_model(path) -> FusionModel:
     if any(c not in _CODE_STREAMS for c in codes):
         raise FormatError(f"unknown stream code in {codes}", field="streams")
     streams = tuple(_CODE_STREAMS[c] for c in codes)
-    if num_classes > 2**20 or growth > 2**16 or bottleneck > 2**16 or input_size > 2**16:
+    levels, scale, alpha, iterations = r.u32(), r.f64(), r.f64(), r.u32()
+    maps_version = r.u32()
+    if maps_version != PREPROCESS_VERSION:
+        raise FormatError(f"checkpoint was trained on preprocess version {maps_version} maps, "
+                          f"this build computes version {PREPROCESS_VERSION}",
+                          field="preprocess_version")
+    # a mutated pyramid or iteration count would otherwise spin the flow solver
+    if (num_classes > 2**20 or growth > 2**16 or bottleneck > 2**16 or input_size > 2**16
+            or levels > 2**16 or iterations > 2**16):
         raise FormatError("implausible checkpoint config values", field="config")
     try:
         config = ModelConfig(num_classes=num_classes, growth_rate=growth,
                              bottleneck_factor=bottleneck, compression=compression,
                              input_size=input_size, bn_enabled=bn_enabled,
-                             blocks=blocks, streams=streams)
+                             blocks=blocks, streams=streams,
+                             flow=FlowParams(pyramid_levels=levels, scale=scale, alpha=alpha,
+                                             iterations=iterations))
     except ContractViolationError as e:
         raise FormatError(f"checkpoint config invalid: {e}", field="config") from None
     payload = _state_scalar_count(config)

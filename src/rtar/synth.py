@@ -225,7 +225,8 @@ def fusion_ablation(config: SynthConfig, pre: PreprocessConfig, model: network.M
                     hyper: network.TrainConfig, out_dir: str | os.PathLike):
     """Acceptance criterion 1's experiment: generate the set into ``out_dir``,
     load both split sections, then train ``model`` on the fused and on each
-    single stream set and evaluate it on the test section. ``hyper.seed``
+    single stream set and evaluate it on the test section. Each run's model
+    records ``pre.flow``, the flow it was trained on. ``hyper.seed``
     also draws the clips and initialises every model. Returns ``(manifest,
     train_clips, test_clips, runs)``, ``runs`` keyed by stream set."""
     result = generate_synthetic(config, seed=hyper.seed, out_dir=out_dir)
@@ -241,7 +242,8 @@ def fusion_ablation(config: SynthConfig, pre: PreprocessConfig, model: network.M
     runs = {}
     for streams in (("rgb", "flow", "hog"), ("rgb",), ("flow",), ("hog",)):
         t0 = time.monotonic()
-        trained = network.FusionModel(replace(model, streams=streams), seed=hyper.seed)
+        trained = network.FusionModel(replace(model, streams=streams, flow=pre.flow),
+                                      seed=hyper.seed)
         network.train(trained, samples, hyper)
         report = network.evaluate(trained, test_clips)
         runs[streams] = AblationRun(trained, report, time.monotonic() - t0)

@@ -2,21 +2,24 @@ import argparse
 import os
 import re
 import shutil
+import struct
 import tempfile
 
 import numpy as np
 import pytest
 
-from rtar import dataset, mediaio, runtime, synth
+from rtar import dataset, mediaio, network, runtime, synth
 from rtar.cli import OPTION_DEFAULTS, Settings, build_parser, main
 from rtar.errors import ContractViolationError
 from rtar.network import FusionModel
+from rtar.preprocess import PREPROCESS_VERSION, FlowParams, PreprocessConfig
 from tests.test_dataset import full_dataset_manifest
 
 SYNTH_ARGS = ["--clips-per-class", "2", "--groups", "2", "--fps", "4",
               "--duration", "1.0", "--resolution", "32", "--seed", "3"]
-FAST_FLAGS = ["--target-size", "16", "--sample-fps", "2",
-              "--pyramid-levels", "2", "--iterations", "8"]
+# eval and run take their map settings from the checkpoint, so only the pair rate
+PAIR_FLAGS = ["--sample-fps", "2"]
+FAST_FLAGS = ["--target-size", "16"] + PAIR_FLAGS + ["--pyramid-levels", "2", "--iterations", "8"]
 TINY_MODEL = ["--growth", "2", "--blocks", "2", "--epochs", "1", "--batch", "4",
               "--classes", "4"]
 TINY_BENCH = ["bench", "--frames", "1", "--target-size", "32", "--growth", "2", "--blocks", "2",
@@ -332,7 +335,7 @@ class TestTrainEvalRun:
         for argv in (["train", "--data", str(synth_dir), "--out", str(tmp_path / "run"),
                       "--cache", str(cache), "--seed", "3"] + FAST_FLAGS + TINY_MODEL,
                      ["eval", "--checkpoint", str(trained), "--data", str(synth_dir),
-                      "--cache", str(cache), "--seed", "3"] + FAST_FLAGS):
+                      "--cache", str(cache), "--seed", "3"] + PAIR_FLAGS):
             (cache / "cache.config").write_bytes(b"\xff\xfe")
             capsys.readouterr()
             assert main(argv) == 2
@@ -361,7 +364,7 @@ class TestTrainEvalRun:
         labels_path = str(data / "labels.tsv")
         for argv in (["train", "--data", str(data), "--out", str(tmp_path / "run")]
                      + FAST_FLAGS + TINY_MODEL[:-2],
-                     ["eval", "--checkpoint", str(trained), "--data", str(data)] + FAST_FLAGS):
+                     ["eval", "--checkpoint", str(trained), "--data", str(data)] + PAIR_FLAGS):
             capsys.readouterr()
             assert main(argv) == 2
             err = capsys.readouterr().err.splitlines()
@@ -383,7 +386,7 @@ class TestTrainEvalRun:
 
     def test_eval_report(self, synth_dir, trained, capsys):
         code = main(["eval", "--checkpoint", str(trained), "--data", str(synth_dir),
-                     "--seed", "3"] + FAST_FLAGS)
+                     "--seed", "3"] + PAIR_FLAGS)
         assert code == 0
         out = capsys.readouterr().out
         assert "clip accuracy" in out
@@ -392,22 +395,16 @@ class TestTrainEvalRun:
 
     def test_eval_threshold_out_of_range_exits_2(self, synth_dir, trained, capsys):
         code = main(["eval", "--checkpoint", str(trained), "--data", str(synth_dir),
-                     "--threshold", "1.5"] + FAST_FLAGS)
+                     "--threshold", "1.5"] + PAIR_FLAGS)
         assert code == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: threshold_confidence must be in [0, 1)\n"
 
-    def test_eval_size_mismatch_is_usage_error(self, synth_dir, trained, capsys):
-        code = main(["eval", "--checkpoint", str(trained), "--data", str(synth_dir),
-                     "--target-size", "32", "--sample-fps", "2"])
-        assert code == 2
-        assert "target_size" in capsys.readouterr().err
-
     def test_run_event_log(self, synth_dir, trained, capsys):
         clip = sorted(p.name for p in synth_dir.iterdir() if p.is_dir())[0]
         code = main(["run", "--checkpoint", str(trained),
-                     "--clip", str(synth_dir / clip), "--seed", "3"] + FAST_FLAGS)
+                     "--clip", str(synth_dir / clip), "--seed", "3"] + PAIR_FLAGS)
         assert code == 0
         captured = capsys.readouterr()
         lines = captured.out.splitlines()
@@ -419,21 +416,21 @@ class TestTrainEvalRun:
     def test_run_nan_timing_exits_2(self, synth_dir, trained, capsys, key):
         clip = sorted(p.name for p in synth_dir.iterdir() if p.is_dir())[0]
         code = main(["run", "--checkpoint", str(trained), "--clip", str(synth_dir / clip),
-                     "--" + key.replace("_", "-"), "nan"] + FAST_FLAGS)
+                     "--" + key.replace("_", "-"), "nan"] + PAIR_FLAGS)
         assert code == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.splitlines()[-1] == f"error: {key} must be finite, got nan"
 
     @pytest.mark.parametrize("value", ["nan", "inf"])
-    def test_run_non_finite_alpha_exits_2(self, synth_dir, trained, capsys, value):
-        clip = sorted(p.name for p in synth_dir.iterdir() if p.is_dir())[0]
-        code = main(["run", "--checkpoint", str(trained), "--clip", str(synth_dir / clip),
+    def test_preprocess_non_finite_alpha_exits_2(self, synth_dir, tmp_path, capsys, value):
+        code = main(["preprocess", "--clips", str(synth_dir), "--out", str(tmp_path / "cache"),
                      "--alpha", value] + FAST_FLAGS)
         assert code == 2
         captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.splitlines()[-1] == f"error: alpha must be finite and > 0, got {value}"
+        assert all(line.startswith("# ") for line in captured.out.splitlines())
+        assert captured.err.splitlines() == [f"error: alpha must be finite and > 0, got {value}"]
+        assert not (tmp_path / "cache").exists()
 
     def test_run_gray_frame_exits_2(self, synth_dir, trained, tmp_path, capsys):
         clip = sorted(p for p in synth_dir.iterdir() if p.is_dir())[0]
@@ -441,7 +438,7 @@ class TestTrainEvalRun:
         shutil.copytree(clip, gray)
         for path in gray.glob("*.ppm"):
             mediaio.write_ppm(mediaio.read_ppm(path)[:, :, 0], path)
-        code = main(["run", "--checkpoint", str(trained), "--clip", str(gray)] + FAST_FLAGS)
+        code = main(["run", "--checkpoint", str(trained), "--clip", str(gray)] + PAIR_FLAGS)
         assert code == 2
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -451,7 +448,7 @@ class TestTrainEvalRun:
     def test_run_byte_identical(self, synth_dir, trained, capsys):
         clip = sorted(p.name for p in synth_dir.iterdir() if p.is_dir())[0]
         argv = ["run", "--checkpoint", str(trained),
-                "--clip", str(synth_dir / clip), "--seed", "3"] + FAST_FLAGS
+                "--clip", str(synth_dir / clip), "--seed", "3"] + PAIR_FLAGS
         assert main(argv) == 0
         first = capsys.readouterr().out
         assert main(argv) == 0
@@ -471,7 +468,7 @@ class TestTrainEvalRun:
         monkeypatch.setattr(FusionModel, "predict", predict)
         clip = sorted(p.name for p in synth_dir.iterdir() if p.is_dir())[0]
         code = main(["run", "--live", "--checkpoint", str(trained),
-                     "--clip", str(synth_dir / clip), "--seed", "3"] + FAST_FLAGS)
+                     "--clip", str(synth_dir / clip), "--seed", "3"] + PAIR_FLAGS)
         assert code == 2
         assert "third predict fails" in capsys.readouterr().err
 
@@ -492,7 +489,7 @@ class TestTrainEvalRun:
         cfg.write_text("fps=30\n")  # synth's frame rate key must not reach the runtime
         clip = synth_dir / sorted(p.name for p in synth_dir.iterdir() if p.is_dir())[0]
         code = main(["run", "--live", "--checkpoint", str(trained), "--clip", str(clip),
-                     "--config", str(cfg), "--seed", "3"] + FAST_FLAGS)
+                     "--config", str(cfg), "--seed", "3"] + PAIR_FLAGS)
         assert code == 0
         clip_fps = mediaio.read_clip_meta(clip / "clip.meta").fps
         assert clip_fps == 4
@@ -502,12 +499,127 @@ class TestTrainEvalRun:
                                                         live_configs):
         clip = synth_dir / sorted(p.name for p in synth_dir.iterdir() if p.is_dir())[0]
         code = main(["run", "--live", "--checkpoint", str(trained), "--clip", str(clip),
-                     "--seed", "3", "--alpha", "12.5"] + FAST_FLAGS)
+                     "--seed", "3"] + PAIR_FLAGS)
         assert code == 0
         header = capsys.readouterr().err.splitlines()
         for line in ("# target_size=16", "# sample_fps=2", "# pyramid_levels=2",
-                     "# iterations=8", "# flow_scale=0.5", "# alpha=12.5"):
+                     "# iterations=8", "# flow_scale=0.5", "# alpha=15.0"):
             assert line in header
+
+
+def _flow_words_at(ckpt: bytes) -> int:
+    """Offset of a checkpoint's first flow word, just after its stream codes."""
+    n_blocks = struct.unpack_from("<I", ckpt, 36)[0]
+    n_streams = struct.unpack_from("<I", ckpt, 40 + 4 * n_blocks)[0]
+    return 44 + 4 * n_blocks + 4 * n_streams
+
+
+def _as_version_1(ckpt: bytearray) -> None:
+    """A checkpoint as version 1 wrote it: no flow words, no preprocess version."""
+    at = _flow_words_at(ckpt)
+    del ckpt[at : at + 28]
+    struct.pack_into("<I", ckpt, 4, 1)
+
+
+def _as_other_maps(ckpt: bytearray) -> None:
+    struct.pack_into("<I", ckpt, _flow_words_at(ckpt) + 24, PREPROCESS_VERSION - 1)
+
+
+class TestCheckpointMaps:
+    """eval and run compute the maps their checkpoint records, or exit 2."""
+
+    TRAINED = {"target_size": 16, "pyramid_levels": 2, "flow_scale": 0.5, "alpha": 15.0,
+               "iterations": 8}
+
+    @pytest.mark.parametrize("key, value", [("target_size", 24), ("pyramid_levels", 3),
+                                            ("flow_scale", 0.625), ("alpha", 9.0),
+                                            ("iterations", 5)])
+    def test_run_and_eval_use_the_trained_maps(self, synth_dir, tmp_path, capsys, monkeypatch,
+                                               key, value):
+        trained = {**self.TRAINED, key: value}
+        flags = [a for k, v in trained.items() for a in ("--" + k.replace("_", "-"), str(v))]
+        assert main(["train", "--data", str(synth_dir), "--out", str(tmp_path / "run"),
+                     "--seed", "3"] + PAIR_FLAGS + flags + TINY_MODEL) == 0
+        ckpt = tmp_path / "run" / "model.ckpt"
+        pre = PreprocessConfig(
+            target_size=trained["target_size"], sample_frames_per_second=2, rng_seed=3,
+            flow=FlowParams(pyramid_levels=trained["pyramid_levels"],
+                            scale=trained["flow_scale"], alpha=trained["alpha"],
+                            iterations=trained["iterations"]))
+        configs = []  # the PreprocessConfig of every map computed from here on
+        for module, name in ((runtime, "preprocess_pair"), (dataset, "pair_maps")):
+            real = getattr(module, name)
+            monkeypatch.setattr(module, name,
+                                lambda *args, real=real: configs.append(args[2]) or real(*args))
+        clip = synth_dir / sorted(p.name for p in synth_dir.iterdir() if p.is_dir())[0]
+        capsys.readouterr()
+
+        assert main(["run", "--checkpoint", str(ckpt), "--clip", str(clip), "--seed", "3"]
+                    + PAIR_FLAGS) == 0
+        captured = capsys.readouterr()
+        rt = runtime.RuntimeConfig(fps=mediaio.read_clip_meta(clip / "clip.meta").fps)
+        log = runtime.run_pipeline_offline(clip, network.load_model(ckpt), rt, pre)
+        assert captured.out.splitlines() == log
+        assert f"# {key}={value}" in captured.err.splitlines()
+
+        assert main(["eval", "--checkpoint", str(ckpt), "--data", str(synth_dir),
+                     "--seed", "3"] + PAIR_FLAGS) == 0
+        out = capsys.readouterr().out.splitlines()
+        manifest = dataset.load_split(synth_dir / "split.txt")
+        labels = dataset.read_labels(synth_dir / "labels.tsv")
+        report = network.evaluate(
+            network.load_model(ckpt),
+            dataset.load_clip_samples(synth_dir, manifest.test, labels, pre),
+            threshold_confidence=runtime.RuntimeConfig.threshold_confidence)
+        assert [line for line in out if not line.startswith("# ")] == [
+            f"clips evaluated      {report.clip_count}",
+            f"clip accuracy        {report.accuracy:.4f}",
+            f"frame accuracy       {report.frame_accuracy:.4f}",
+            f"below-threshold rate {report.below_threshold_rate:.4f}",
+            "per-class accuracy",
+        ] + [f"  class {cls:<3d} {acc:.4f}" for cls, acc in report.per_class.items()]
+        assert f"# {key}={value}" in out
+        assert configs and all(c == pre for c in configs)
+
+    @pytest.mark.parametrize("damage, reason", [
+        (_as_version_1, "unsupported checkpoint version 1"),
+        (_as_other_maps, f"checkpoint was trained on preprocess version "
+                         f"{PREPROCESS_VERSION - 1} maps, this build computes version "
+                         f"{PREPROCESS_VERSION}"),
+    ], ids=["version_1", "other_preprocess_version"])
+    def test_checkpoint_of_another_format_exits_2(self, synth_dir, trained, tmp_path, capsys,
+                                                   damage, reason):
+        data = bytearray(trained.read_bytes())
+        damage(data)
+        ckpt = tmp_path / "model.ckpt"
+        ckpt.write_bytes(bytes(data))
+        clip = synth_dir / sorted(p.name for p in synth_dir.iterdir() if p.is_dir())[0]
+        for argv in (["run", "--checkpoint", str(ckpt), "--clip", str(clip)],
+                     ["eval", "--checkpoint", str(ckpt), "--data", str(synth_dir)]):
+            assert main(argv) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.splitlines() == [f"error: {reason}"]
+
+    def test_eval_checks_a_cache_against_the_checkpoint(self, synth_dir, trained, tmp_path,
+                                                        capsys):
+        evaluate = ["eval", "--checkpoint", str(trained), "--data", str(synth_dir),
+                    "--seed", "3"] + PAIR_FLAGS
+        assert main(evaluate) == 0
+        uncached = capsys.readouterr().out
+        for iterations in ("8", "1"):  # the checkpoint's, then another
+            cache = tmp_path / f"cache{iterations}"
+            assert main(["preprocess", "--clips", str(synth_dir), "--out", str(cache),
+                         "--seed", "3"] + FAST_FLAGS[:-1] + [iterations]) == 0
+            capsys.readouterr()
+            code = main(evaluate + ["--cache", str(cache)])
+            captured = capsys.readouterr()
+            if iterations == "8":
+                assert code == 0 and captured.out == uncached
+        assert code == 2
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: cache ")
+        assert "iterations=1" in err[0] and "iterations=8" in err[0]
 
 
 class TestConfigFile:

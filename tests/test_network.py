@@ -15,6 +15,7 @@ from rtar import mediaio, runtime
 from rtar import network as net
 from rtar.nn import tensorops as T
 from rtar.nn.layers import AvgPool2, BatchNorm, Conv2D, ReLU, Workspace, softmax_cross_entropy
+from rtar.preprocess import PREPROCESS_VERSION, FlowParams
 from tests.test_tensorops import conv2d_naive
 
 
@@ -804,7 +805,7 @@ class TestCheckpoint:
         path = tmp_path / "init.ckpt"
         net.save_model(net.FusionModel(cfg, seed=0), path)
         assert hashlib.sha256(path.read_bytes()).hexdigest() == (
-            "93276c8138fb097c4fbcc1436b8eb90618042b7fefd05892fc3829683f15801e")
+            "1dc8f07d2ff62c00990dbcc23dd4ad285be747262d81aec78b3c3a70d44c2220")
 
     def test_round_trip_bit_identical(self, tmp_path, rng):
         model = net.FusionModel(tiny_config(bn_enabled=True), seed=11)
@@ -887,6 +888,74 @@ class TestCheckpoint:
             net.load_model(path)
         assert exc.value.field == "config"
 
+    # tiny_config's one block and three streams put the flow words at 60:
+    # pyramid_levels, scale, alpha, iterations, then the preprocess version
+    FLOW_WORDS = 60
+
+    def _saved(self, tmp_path, **kw) -> bytearray:
+        path = tmp_path / "m.ckpt"
+        net.save_model(net.FusionModel(tiny_config(**kw), seed=0), path)
+        data = bytearray(path.read_bytes())
+        assert struct.unpack_from("<IddII", data, self.FLOW_WORDS) == (
+            4, 0.5, 15.0, 25, PREPROCESS_VERSION)
+        return data
+
+    def _load(self, tmp_path, data: bytearray):
+        path = tmp_path / "mut.ckpt"
+        path.write_bytes(bytes(data))
+        return net.load_model(path)
+
+    def test_flow_round_trip(self, tmp_path):
+        flow = FlowParams(pyramid_levels=3, scale=0.1 + 0.2, alpha=9.75, iterations=7)
+        model = net.FusionModel(tiny_config(flow=flow), seed=0)
+        p1, p2 = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
+        net.save_model(model, p1)
+        loaded = net.load_model(p1)
+        assert loaded.config == model.config and loaded.config.flow.scale == 0.1 + 0.2
+        net.save_model(loaded, p2)
+        assert p1.read_bytes() == p2.read_bytes()
+
+    def test_version_1_refused(self, tmp_path):
+        data = self._saved(tmp_path)
+        del data[self.FLOW_WORDS : self.FLOW_WORDS + 28]  # version 1 recorded no maps
+        struct.pack_into("<I", data, 4, 1)
+        with pytest.raises(FormatError, match="^unsupported checkpoint version 1$") as exc:
+            self._load(tmp_path, data)
+        assert exc.value.field == "version"
+
+    def test_other_preprocess_version_refused(self, tmp_path):
+        data = self._saved(tmp_path)
+        struct.pack_into("<I", data, self.FLOW_WORDS + 24, PREPROCESS_VERSION + 1)
+        with pytest.raises(FormatError) as exc:
+            self._load(tmp_path, data)
+        assert exc.value.field == "preprocess_version"
+        assert str(exc.value) == (f"checkpoint was trained on preprocess version "
+                                  f"{PREPROCESS_VERSION + 1} maps, this build computes "
+                                  f"version {PREPROCESS_VERSION}")
+
+    @pytest.mark.parametrize("word", [0, 20], ids=["pyramid_levels", "iterations"])
+    def test_implausible_flow_counts_rejected(self, tmp_path, word):
+        data = self._saved(tmp_path)
+        struct.pack_into("<I", data, self.FLOW_WORDS + word, 2**16)
+        self._load(tmp_path, data)  # the bound itself loads
+        for count in (2**16 + 1, 2**32 - 1):
+            struct.pack_into("<I", data, self.FLOW_WORDS + word, count)
+            with pytest.raises(FormatError, match="implausible") as exc:
+                self._load(tmp_path, data)
+            assert exc.value.field == "config"
+
+    @pytest.mark.parametrize("word, value, reason", [
+        (4, 1.5, "pyramid scale must be in"),
+        (12, float("nan"), "alpha must be finite and > 0"),
+        (20, 0, "pyramid_levels and iterations must be positive"),
+    ], ids=["scale", "alpha", "iterations"])
+    def test_invalid_flow_params_rejected(self, tmp_path, word, value, reason):
+        data = self._saved(tmp_path)
+        struct.pack_into("<I" if word == 20 else "<d", data, self.FLOW_WORDS + word, value)
+        with pytest.raises(FormatError, match=f"^checkpoint config invalid: {reason}") as exc:
+            self._load(tmp_path, data)
+        assert exc.value.field == "config"
+
     def test_header_int_mutations_never_allocate_blindly(self, tmp_path):
         # flipping high bytes of header integers must yield FormatError, not
         # an attempted giant model construction
@@ -895,7 +964,8 @@ class TestCheckpoint:
         net.save_model(model, path)
         base = bytearray(path.read_bytes())
         mutant = tmp_path / "mut.ckpt"
-        for offset in range(4, 60):
+        assert struct.unpack_from("<I", base, 88)[0] == len(net._model_state(model))
+        for offset in range(4, 92):  # every header word, through the tensor count
             data = bytearray(base)
             data[offset] = 0xFF
             mutant.write_bytes(bytes(data))

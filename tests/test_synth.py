@@ -121,6 +121,21 @@ class TestFusionAblation:
                            match="clips_per_class=1 and groups=2 give 4 train and 0 test"):
             synth.fusion_ablation(config, pre, model, hyper, tmp_path)
 
+    def test_checkpoints_record_the_flow_they_were_trained_on(self, tmp_path):
+        config = synth.SynthConfig(clips_per_class=2, fps=4, duration_s=1.0, resolution=32,
+                                   groups=2)
+        pre = PreprocessConfig(target_size=16, sample_frames_per_second=2,
+                               flow=FlowParams(pyramid_levels=2, scale=0.25, alpha=9.0,
+                                               iterations=8))
+        model = network.ModelConfig(num_classes=4, growth_rate=2, blocks=(1,), input_size=16,
+                                    bn_enabled=False)  # the default FlowParams
+        hyper = network.TrainConfig(lr=0.05, epochs=1, batch=4, seed=0)
+        _, _, _, runs = synth.fusion_ablation(config, pre, model, hyper, tmp_path / "set")
+        for streams, run in runs.items():
+            path = tmp_path / "model.ckpt"
+            network.save_model(run.model, path)
+            assert network.load_model(path).config.flow == pre.flow, streams
+
 
 class TestMotionVsFlow:
     def test_flow_sign_agreement(self, small_tree):
