@@ -1,13 +1,15 @@
 """The ``rtar`` command: preprocessing, training, evaluation, offline and
 live runs, dataset tooling, the fusion ablation, and stage benchmarks.
 
-Settings resolve as flags > config file (``key=value`` lines) > defaults;
-``eval`` and ``run`` take the map settings (target size and flow) from
-their checkpoint instead. Every run prints its fully resolved
-configuration as ``#``-prefixed header lines (on stderr for ``run``, whose
-stdout is the event log).
+Each command takes exactly the settings it reads, listed once in
+``COMMANDS``: they are its flags, the keys its config file (``key=value``
+lines) may name, and its ``#``-prefixed header lines (on stderr for
+``run``, whose stdout is the event log). Settings resolve as flags > config
+file > defaults; ``eval`` and ``run`` take the map settings (target size and
+flow) from their checkpoint instead, and list them in their headers too.
 All randomness flows from ``--seed``. Commands exit 0 on success and 2
-on usage or validation errors with a one-line reason.
+on usage or validation errors (a config key the command does not take, or
+one named twice, among them) with a one-line reason.
 """
 
 from __future__ import annotations
@@ -32,45 +34,63 @@ class UsageError(Exception):
     pass
 
 
-# dest -> (default, type); config-file keys use the dest name. A setting that
-# a library config also has takes that config's default.
-OPTION_DEFAULTS: dict[str, tuple] = {
-    "seed": (PreprocessConfig.rng_seed, int),
-    "threads": (None, int),  # falls back to RTAR_THREADS, then 1
-    "target_size": (PreprocessConfig.target_size, int),
-    "sample_fps": (PreprocessConfig.sample_frames_per_second, int),
-    "pyramid_levels": (FlowParams.pyramid_levels, int),
-    "flow_scale": (FlowParams.scale, float),
-    "alpha": (FlowParams.alpha, float),
-    "iterations": (FlowParams.iterations, int),
-    "growth": (network.ModelConfig.growth_rate, int),
-    "blocks": (",".join(map(str, network.ModelConfig.blocks)), str),
-    "bottleneck": (network.ModelConfig.bottleneck_factor, int),
-    "compression": (network.ModelConfig.compression, float),
-    "streams": (",".join(network.ModelConfig.streams), str),
-    "bn": (network.ModelConfig.bn_enabled, bool),
-    "classes": (0, int),  # 0 = infer from labels
-    "epochs": (network.TrainConfig.epochs, int),
-    "lr": (network.TrainConfig.lr, float),
-    "momentum": (network.TrainConfig.momentum, float),
-    "batch": (network.TrainConfig.batch, int),
-    "threshold": (runtime.RuntimeConfig.threshold_confidence, float),
-    "poll_interval": (runtime.RuntimeConfig.poll_interval, float),
-    "stipulated_time": (runtime.RuntimeConfig.stipulated_time, float),
-    "window_seconds": (runtime.RuntimeConfig.window_seconds, float),
-    "clips_per_class": (synth.SynthConfig.clips_per_class, int),
-    "fps": (synth.SynthConfig.fps, int),
-    "duration": (synth.SynthConfig.duration_s, float),
-    "resolution": (synth.SynthConfig.resolution, int),
-    "groups": (synth.SynthConfig.groups, int),
-    "test_fraction": (ds.TEST_FRACTION, float),
-    "frames": (20, int),
-    "expect_train": (None, int),  # None = not checked
-    "expect_test": (None, int),
-    "section": ("test", str),
+class Option(NamedTuple):
+    default: object
+    type: type
+    valid: Callable[[object], bool] | None = None  # False, or ValueError, when out of range
+    reason: str = ""  # the exit-2 line when ``valid`` fails, formatted with the value
+
+
+def _block_sizes(text: str) -> tuple[int, ...]:
+    return tuple(int(b) for b in text.split(",") if b)
+
+
+# dest -> Option; config-file keys use the dest name. A setting that a library
+# config also has takes that config's default, and that config checks its range.
+OPTION_DEFAULTS: dict[str, Option] = {
+    "seed": Option(PreprocessConfig.rng_seed, int, lambda v: v >= 0,
+                   "seed must be a non-negative integer, got {}"),
+    "threads": Option(None, int, lambda v: v >= 1,  # None falls back to RTAR_THREADS, then 1
+                      "threads must be a positive integer, got {}"),
+    "target_size": Option(PreprocessConfig.target_size, int),
+    "sample_fps": Option(PreprocessConfig.sample_frames_per_second, int),
+    "pyramid_levels": Option(FlowParams.pyramid_levels, int),
+    "flow_scale": Option(FlowParams.scale, float),
+    "alpha": Option(FlowParams.alpha, float),
+    "iterations": Option(FlowParams.iterations, int),
+    "growth": Option(network.ModelConfig.growth_rate, int),
+    "blocks": Option(",".join(map(str, network.ModelConfig.blocks)), str,
+                     lambda v: _block_sizes(v) is not None,  # or ValueError
+                     "blocks must be comma-separated integers, got {!r}"),
+    "bottleneck": Option(network.ModelConfig.bottleneck_factor, int),
+    "compression": Option(network.ModelConfig.compression, float),
+    "streams": Option(",".join(network.ModelConfig.streams), str),
+    "bn": Option(network.ModelConfig.bn_enabled, bool),
+    "classes": Option(0, int),  # 0 = infer from labels
+    "epochs": Option(network.TrainConfig.epochs, int),
+    "lr": Option(network.TrainConfig.lr, float),
+    "momentum": Option(network.TrainConfig.momentum, float),
+    "batch": Option(network.TrainConfig.batch, int),
+    "threshold": Option(runtime.RuntimeConfig.threshold_confidence, float,
+                        lambda v: 0 <= v < 1, "threshold_confidence must be in [0, 1)"),
+    "poll_interval": Option(runtime.RuntimeConfig.poll_interval, float),
+    "stipulated_time": Option(runtime.RuntimeConfig.stipulated_time, float),
+    "window_seconds": Option(runtime.RuntimeConfig.window_seconds, float),
+    "clips_per_class": Option(synth.SynthConfig.clips_per_class, int),
+    "fps": Option(synth.SynthConfig.fps, int),
+    "duration": Option(synth.SynthConfig.duration_s, float),
+    "resolution": Option(synth.SynthConfig.resolution, int),
+    "groups": Option(synth.SynthConfig.groups, int),
+    "test_fraction": Option(ds.TEST_FRACTION, float, lambda v: 0 < v < 1,
+                            "test_fraction must be in (0, 1), got {}"),
+    "frames": Option(20, int, lambda v: v >= 1, "frames must be a positive integer, got {}"),
+    "expect_train": Option(None, int),  # None = not checked
+    "expect_test": Option(None, int),
+    "section": Option("test", str, lambda v: v in ("train", "test"),
+                      "section must be train or test, got {!r}"),
 }
 
-# the settings that shape PreprocessConfig, printed in every header that uses it
+# the settings that shape PreprocessConfig besides its seed
 PREPROCESS_KEYS = ["target_size", "sample_fps", "pyramid_levels", "flow_scale", "alpha",
                    "iterations"]
 # those that shape the maps rather than choose the pairs: a checkpoint records them, so
@@ -85,7 +105,7 @@ TRAIN_KEYS = ["epochs", "lr", "momentum", "batch"]
 
 
 def _coerce(key: str, raw: str):
-    default, typ = OPTION_DEFAULTS[key]
+    typ = OPTION_DEFAULTS[key].type
     if typ is bool:
         if raw.lower() in ("1", "true", "yes"):
             return True
@@ -98,7 +118,8 @@ def _coerce(key: str, raw: str):
         raise UsageError(f"config key {key}: cannot parse {raw!r} as {typ.__name__}") from None
 
 
-def _read_config_file(path: str) -> dict:
+def _read_config_file(path: str, command: str) -> dict:
+    """The settings a config file names, each one that ``command`` takes, once."""
     values = {}
     try:
         with open(path, "r", encoding="ascii") as f:
@@ -117,41 +138,43 @@ def _read_config_file(path: str) -> dict:
         key = key.strip().replace("-", "_")
         if key not in OPTION_DEFAULTS:
             raise UsageError(f"config line {lineno}: unknown key {key!r}")
+        if key not in COMMANDS[command].keys:
+            raise UsageError(f"config line {lineno}: rtar {command} takes no setting {key!r}")
+        if key in values:
+            raise UsageError(f"config line {lineno}: duplicate key {key!r}")
         values[key] = _coerce(key, value.strip())
     return values
 
 
 class Settings:
-    """Resolved options: flags beat the config file, which beats defaults.
-    With a checkpoint, the map settings (``MAP_KEYS``) are the ones it records."""
+    """The resolved settings of one command, exactly those it takes: flags beat
+    the config file, which beats defaults. With a checkpoint, the map settings
+    (``MAP_KEYS``) are the ones it records."""
 
     def __init__(self, args: argparse.Namespace):
-        file_values = _read_config_file(args.config) if getattr(args, "config", None) else {}
-        for key, (default, _) in OPTION_DEFAULTS.items():
+        self.command = args.command
+        keys = COMMANDS[self.command].keys
+        file_values = (_read_config_file(args.config, self.command)
+                       if getattr(args, "config", None) else {})
+        for key in keys:
             flag = getattr(args, key, None)
-            setattr(self, key, flag if flag is not None else file_values.get(key, default))
-        if self.threads is None:
+            setattr(self, key, flag if flag is not None
+                    else file_values.get(key, OPTION_DEFAULTS[key].default))
+        if "threads" in keys and self.threads is None:
             env = os.environ.get("RTAR_THREADS", "")
             if env and not (env.isdigit() and int(env) > 0):
                 raise UsageError(f"RTAR_THREADS must be a positive integer, got {env!r}")
             self.threads = int(env) if env else 1
-        if self.threads < 1:
-            raise UsageError(f"threads must be a positive integer, got {self.threads}")
-        if self.seed < 0:
-            raise UsageError(f"seed must be a non-negative integer, got {self.seed}")
-        if not 0 <= self.threshold < 1:
-            raise UsageError("threshold_confidence must be in [0, 1)")
-        if self.section not in ("train", "test"):
-            raise UsageError(f"section must be train or test, got {self.section!r}")
-        if self.frames < 1:
-            raise UsageError(f"frames must be a positive integer, got {self.frames}")
-        if not 0 < self.test_fraction < 1:
-            raise UsageError(f"test_fraction must be in (0, 1), got {self.test_fraction}")
-        try:
-            self._blocks = tuple(int(b) for b in str(self.blocks).split(",") if b)
-        except ValueError:
-            raise UsageError(f"blocks must be comma-separated integers, "
-                             f"got {self.blocks!r}") from None
+        for key in keys:
+            option, value = OPTION_DEFAULTS[key], getattr(self, key)
+            if option.valid is None:
+                continue
+            try:
+                valid = option.valid(value)
+            except ValueError:
+                valid = False
+            if not valid:
+                raise UsageError(option.reason.format(value))
         self.model = None
         if getattr(args, "checkpoint", None):
             self.model = network.load_model(args.checkpoint)
@@ -160,11 +183,11 @@ class Settings:
             self.pyramid_levels, self.flow_scale = cfg.flow.pyramid_levels, cfg.flow.scale
             self.alpha, self.iterations = cfg.flow.alpha, cfg.flow.iterations
 
-    def header(self, command: str) -> list[str]:
-        keys = ["seed", "threads"] + COMMANDS[command].keys
+    def header(self) -> list[str]:
+        keys = COMMANDS[self.command].keys
         if self.model is not None:  # eval and run: the maps their checkpoint records
-            keys += MAP_KEYS
-        return [f"# command={command}"] + [f"# {key}={getattr(self, key)}" for key in keys]
+            keys = keys + MAP_KEYS
+        return [f"# command={self.command}"] + [f"# {key}={getattr(self, key)}" for key in keys]
 
     def flow_params(self) -> FlowParams:
         return FlowParams(pyramid_levels=self.pyramid_levels, scale=self.flow_scale,
@@ -173,17 +196,21 @@ class Settings:
     def preprocess_config(self) -> PreprocessConfig:
         return PreprocessConfig(
             target_size=self.target_size,
-            sample_frames_per_second=self.sample_fps,
+            # bench times single pairs, so it takes no pair rate
+            sample_frames_per_second=getattr(self, "sample_fps",
+                                             OPTION_DEFAULTS["sample_fps"].default),
             flow=self.flow_params(),
             rng_seed=self.seed,
         )
 
     def model_config(self, num_classes: int) -> network.ModelConfig:
-        streams = tuple(s.strip() for s in str(self.streams).split(",") if s.strip())
+        # ablation trains every stream set, so it takes no stream set
+        streams = getattr(self, "streams", OPTION_DEFAULTS["streams"].default)
         return network.ModelConfig(
-            num_classes=num_classes, growth_rate=self.growth, blocks=self._blocks,
+            num_classes=num_classes, growth_rate=self.growth, blocks=_block_sizes(self.blocks),
             bottleneck_factor=self.bottleneck, compression=self.compression,
-            input_size=self.target_size, bn_enabled=self.bn, streams=streams,
+            input_size=self.target_size, bn_enabled=self.bn,
+            streams=tuple(name.strip() for name in streams.split(",") if name.strip()),
             flow=self.flow_params(),
         )
 
@@ -424,44 +451,48 @@ class Command(NamedTuple):
     run: Callable[[argparse.Namespace, Settings], int]
     help: str
     args: dict[str, dict]  # path arguments -> add_argument keywords
-    keys: list[str]  # settings taken as flags, in header order after seed and threads
+    # every setting the command reads, in header order: its flags, the keys its
+    # config file may name and its header lines (eval and run add MAP_KEYS from the
+    # checkpoint)
+    keys: list[str]
 
 
 REQUIRED = {"required": True}
 
 COMMANDS = {
     "preprocess": Command(cmd_preprocess, "precompute flow/HOG cache for clips",
-                          {"clips": REQUIRED, "out": REQUIRED}, PREPROCESS_KEYS),
+                          {"clips": REQUIRED, "out": REQUIRED},
+                          ["seed", "threads"] + PREPROCESS_KEYS),
     "train": Command(cmd_train, "train a model on a clip dataset",
                      {"data": REQUIRED, "out": REQUIRED, "cache": {}},
-                     PREPROCESS_KEYS + ["classes"] + MODEL_KEYS + TRAIN_KEYS),
+                     ["seed"] + PREPROCESS_KEYS + ["classes"] + MODEL_KEYS + TRAIN_KEYS),
     "eval": Command(cmd_eval, "evaluate a checkpoint on a split section",
                     {"checkpoint": REQUIRED, "data": REQUIRED, "cache": {}},
-                    ["sample_fps", "threshold", "section"]),
+                    ["seed", "sample_fps", "threshold", "section"]),
     "run": Command(cmd_run, "classify a clip, emitting the event log",
                    {"checkpoint": REQUIRED, "clip": REQUIRED, "live": {"action": "store_true"}},
-                   ["sample_fps", "threshold", "poll_interval", "stipulated_time",
+                   ["seed", "sample_fps", "threshold", "poll_interval", "stipulated_time",
                     "window_seconds"]),
     "dataset validate": Command(cmd_validate, "check a split manifest",
                                 {"manifest": REQUIRED}, ["expect_train", "expect_test"]),
     "dataset synth": Command(cmd_synth, "generate a synthetic clip set", {"out": REQUIRED},
-                             SYNTH_KEYS),
+                             ["seed"] + SYNTH_KEYS),
     "dataset split": Command(cmd_split, "write a group-disjoint split manifest",
                              {"clips": REQUIRED, "out": REQUIRED}, ["test_fraction"]),
     # every stream set is trained, so ``streams`` is no flag here
     "ablation": Command(cmd_ablation, "fused vs single-stream accuracy on a synthetic set",
-                        {"out": REQUIRED}, SYNTH_KEYS + PREPROCESS_KEYS
+                        {"out": REQUIRED}, ["seed"] + SYNTH_KEYS + PREPROCESS_KEYS
                         + [k for k in MODEL_KEYS if k != "streams"] + TRAIN_KEYS),
+    # bench times single pairs, so ``sample_fps`` is no flag here
     "bench": Command(cmd_bench, "per-stage timing table", {},
-                     ["frames"] + PREPROCESS_KEYS + MODEL_KEYS),
+                     ["seed", "frames"] + MAP_KEYS + MODEL_KEYS),
 }
 
 HELP = {
     "config": "key=value settings file",
     "seed": "master random seed",
-    "threads": "worker threads; preprocess caches one clip per thread, its flow one solve "
-               f"per stack of up to {ds.PAIRS_PER_SOLVE} pairs (default: RTAR_THREADS or 1); "
-               "the model's stream workers follow the affinity mask instead",
+    "threads": "cache worker threads, each caching one clip, its flow one solve per stack "
+               f"of up to {ds.PAIRS_PER_SOLVE} pairs (default: RTAR_THREADS or 1)",
     "checkpoint": "trained model, which also sets the target size and flow it was trained at",
     "data": "dir with clips, labels.tsv, split.txt",
     "cache": "precomputed cache dir",
@@ -488,8 +519,8 @@ def build_parser() -> argparse.ArgumentParser:
         for arg, kwargs in command.args.items():
             p.add_argument(f"--{arg}", help=HELP.get(arg), **kwargs)
         p.add_argument("--config", help=HELP["config"])
-        for key in ["seed", "threads"] + command.keys:
-            typ = OPTION_DEFAULTS[key][1]
+        for key in command.keys:
+            typ = OPTION_DEFAULTS[key].type
             kind = {"action": argparse.BooleanOptionalAction} if typ is bool else {"type": typ}
             p.add_argument("--" + key.replace("_", "-"), help=HELP.get(key), **kind)
     return parser
@@ -502,7 +533,7 @@ def main(argv=None) -> int:
         return e.code
     try:
         s = Settings(args)
-        _emit(s.header(args.command), sys.stderr if args.command == "run" else sys.stdout)
+        _emit(s.header(), sys.stderr if args.command == "run" else sys.stdout)
         return COMMANDS[args.command].run(args, s)
     except (UsageError, FormatError, ContractViolationError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)

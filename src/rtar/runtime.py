@@ -242,6 +242,10 @@ def run_pipeline_offline(
     multiple of poll_interval up to the clip duration, then once more
     after source exhaustion. The buffer holds one window of the
     prediction stream (sample rate x window_seconds slots).
+
+    ``pre_config``'s ``target_size`` and ``flow`` must equal ``model.config``'s
+    ``input_size`` and ``flow``, the maps the model was trained on; this
+    function does not check that, and runs with whatever maps it is given.
     """
     meta = read_clip_meta(os.path.join(clip_dir, "clip.meta"))
     sample_fps = pre_config.sample_frames_per_second
@@ -315,6 +319,10 @@ def run_pipeline_live(
     An inference exception closes the queue, which stops the reading of
     frames, and is re-raised here once the worker has been joined; an
     exception from ``frames`` propagates.
+
+    As in ``run_pipeline_offline``, ``pre_config``'s ``target_size`` and
+    ``flow`` must equal ``model.config``'s ``input_size`` and ``flow``; this
+    function does not check that either.
     """
     queue = BoundedQueue(queue_size)
     poller = _Poller(config.fps, config, model, pre_config)

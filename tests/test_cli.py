@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from rtar import dataset, mediaio, network, runtime, synth
-from rtar.cli import OPTION_DEFAULTS, Settings, build_parser, main
+from rtar.cli import OPTION_DEFAULTS, Settings, UsageError, build_parser, main
 from rtar.errors import ContractViolationError
 from rtar.network import FusionModel
 from rtar.preprocess import PREPROCESS_VERSION, FlowParams, PreprocessConfig
@@ -122,17 +122,36 @@ def _leaf_parsers(parser, prefix=""):
     yield prefix.strip(), parser
 
 
-def test_every_command_takes_exactly_its_header_keys(monkeypatch):
+def test_every_command_takes_exactly_its_header_keys(tmp_path, monkeypatch):
+    """A command's flags, its header keys and the keys its config file may name
+    are one list; a config file naming any other known key exits 2."""
     monkeypatch.delenv("RTAR_THREADS", raising=False)
-    settings = Settings(argparse.Namespace())
     commands = dict(_leaf_parsers(build_parser()))
     assert sorted(commands) == ["ablation", "bench", "dataset split", "dataset synth",
                                 "dataset validate", "eval", "preprocess", "run", "train"]
+    cfg = tmp_path / "cfg"
+    taken = {}
     for command, parser in commands.items():
-        flags = {a.dest for a in parser._actions if a.dest in OPTION_DEFAULTS}
-        header = [line[2:].partition("=")[0] for line in settings.header(command)]
-        assert header[0] == "command" and header[1:3] == ["seed", "threads"]
-        assert sorted(header[1:]) == sorted(flags), command
+        flags = sorted(a.dest for a in parser._actions if a.dest in OPTION_DEFAULTS)
+        header = Settings(argparse.Namespace(command=command)).header()
+        keys = [line[2:].partition("=")[0] for line in header]
+        assert keys[0] == "command"
+        accepted = []
+        for key, option in OPTION_DEFAULTS.items():
+            cfg.write_text(f"{key}={1 if option.default is None else option.default}\n")
+            try:
+                Settings(argparse.Namespace(command=command, config=str(cfg)))
+            except UsageError as e:
+                assert str(e) == f"config line 1: rtar {command} takes no setting {key!r}"
+            else:
+                accepted.append(key)
+        assert sorted(keys[1:]) == flags == sorted(accepted), command
+        taken[command] = set(flags)
+    assert sum(map(len, taken.values())) == 81
+    assert [c for c, keys in taken.items() if "threads" in keys] == ["preprocess"]
+    assert [c for c, keys in taken.items() if "seed" not in keys] == [
+        "dataset validate", "dataset split"]
+    assert "sample_fps" not in taken["bench"]
 
 
 @pytest.mark.parametrize("argv, reason", [
@@ -379,6 +398,7 @@ class TestTrainEvalRun:
                      "--config", str(cfg), "--seed", "3"] + FAST_FLAGS + TINY_MODEL[:-2]) == 0
         header = capsys.readouterr().out.splitlines()
         assert "# classes=5" in header and "# bn=False" in header
+        cfg.write_text("bn=0\n")  # bench builds a 4-class model, so takes no classes
         assert main(["bench", "--config", str(cfg), "--frames", "1", "--target-size", "32",
                      "--growth", "2", "--blocks", "2", "--pyramid-levels", "2",
                      "--iterations", "4"]) == 0
@@ -484,16 +504,26 @@ class TestTrainEvalRun:
         monkeypatch.setattr(runtime, "run_pipeline_live", fake_live)
         return configs
 
-    def test_live_ring_sized_from_clip_fps(self, synth_dir, trained, tmp_path, live_configs):
-        cfg = tmp_path / "cfg"
-        cfg.write_text("fps=30\n")  # synth's frame rate key must not reach the runtime
+    def test_live_ring_sized_from_clip_fps(self, synth_dir, trained, live_configs):
         clip = synth_dir / sorted(p.name for p in synth_dir.iterdir() if p.is_dir())[0]
         code = main(["run", "--live", "--checkpoint", str(trained), "--clip", str(clip),
-                     "--config", str(cfg), "--seed", "3"] + PAIR_FLAGS)
+                     "--seed", "3"] + PAIR_FLAGS)
         assert code == 0
         clip_fps = mediaio.read_clip_meta(clip / "clip.meta").fps
         assert clip_fps == 4
         assert [c.fps for c in live_configs] == [clip_fps]
+
+    def test_run_config_naming_synth_fps_exits_2(self, synth_dir, trained, tmp_path, capsys,
+                                                  live_configs):
+        cfg = tmp_path / "cfg"
+        cfg.write_text("fps=30\n")  # synth's frame rate, not the clip's
+        clip = synth_dir / sorted(p.name for p in synth_dir.iterdir() if p.is_dir())[0]
+        code = main(["run", "--live", "--checkpoint", str(trained), "--clip", str(clip),
+                     "--config", str(cfg), "--seed", "3"] + PAIR_FLAGS)
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and live_configs == []
+        assert captured.err.splitlines() == ["error: config line 1: rtar run takes no setting 'fps'"]
 
     def test_run_header_lists_every_preprocess_setting(self, synth_dir, trained, capsys,
                                                         live_configs):
@@ -650,40 +680,35 @@ class TestConfigFile:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: config file is not ASCII")
 
-    def test_threads_env_fallback(self, tmp_path, monkeypatch, capsys):
+    def test_threads_env_fallback(self, synth_dir, tmp_path, monkeypatch, capsys):
+        preprocess = ["preprocess", "--clips", str(synth_dir), "--out", str(tmp_path / "cache"),
+                      "--seed", "3"] + FAST_FLAGS
         monkeypatch.setenv("RTAR_THREADS", "3")
-        cfg = tmp_path / "cfg"
-        cfg.write_text("frames=1\ntarget_size=32\n")
-        code = main(["bench", "--config", str(cfg), "--growth", "2", "--blocks", "2",
-                     "--pyramid-levels", "2", "--iterations", "4"])
-        assert code == 0
+        assert main(preprocess) == 0
         assert "# threads=3" in capsys.readouterr().out
-
-        split = tmp_path / "split.txt"
-        dataset.save_split(dataset.SplitManifest(train=["HandWash_001_A_01_G_00.avi"]), split)
-        validate = ["dataset", "validate", "--manifest", str(split)]
         monkeypatch.setenv("RTAR_THREADS", "")
-        assert main(validate) == 0
+        assert main(preprocess) == 0
         assert "# threads=1" in capsys.readouterr().out
         monkeypatch.delenv("RTAR_THREADS")
-        assert main(validate) == 0
+        assert main(preprocess) == 0
         assert "# threads=1" in capsys.readouterr().out
-        assert main(validate + ["--threads", "2"]) == 0
+        assert main(preprocess + ["--threads", "2"]) == 0
         assert "# threads=2" in capsys.readouterr().out
         for bad in ("0", "-2", "abc"):
             monkeypatch.setenv("RTAR_THREADS", bad)
-            assert main(validate) == 2
+            assert main(preprocess) == 2
             captured = capsys.readouterr()
             assert captured.out == ""
             assert captured.err == f"error: RTAR_THREADS must be a positive integer, got {bad!r}\n"
 
     def test_nonpositive_threads_flag_exits_2(self, tmp_path, capsys):
-        validate = ["dataset", "validate", "--manifest", str(tmp_path / "split.txt")]
+        preprocess = ["preprocess", "--clips", str(tmp_path), "--out", str(tmp_path / "cache")]
         for bad in ("0", "-3"):
-            assert main(validate + ["--threads", bad]) == 2
+            assert main(preprocess + ["--threads", bad]) == 2
             captured = capsys.readouterr()
             assert captured.out == ""
             assert captured.err == f"error: threads must be a positive integer, got {bad}\n"
+        assert not (tmp_path / "cache").exists()
 
     def test_negative_seed_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "cfg"
@@ -722,12 +747,50 @@ class TestConfigFile:
     def test_nonpositive_threads_config_key_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "cfg"
         cfg.write_text("threads=0\n")
-        code = main(["eval", "--checkpoint", str(tmp_path / "m.ckpt"), "--data", str(tmp_path),
+        code = main(["preprocess", "--clips", str(tmp_path), "--out", str(tmp_path / "cache"),
                      "--config", str(cfg)])
         assert code == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: threads must be a positive integer, got 0\n"
+        assert not (tmp_path / "cache").exists()
+
+    def test_duplicate_config_key_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg"
+        cfg.write_text("frames=2\n# the pair budget\nframes=1\n")
+        assert main(["bench", "--config", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: config line 3: duplicate key 'frames'\n"
+
+    def test_config_key_of_another_command_exits_2(self, synth_dir, trained, tmp_path,
+                                                   monkeypatch, capsys):
+        """A map setting in eval's config file would be overridden by the checkpoint, so
+        it is refused; RTAR_THREADS is read by preprocess alone."""
+        cfg = tmp_path / "cfg"
+        cfg.write_text("sample_fps=2\niterations=5\n")
+        assert network.load_model(trained).config.flow.iterations == 8
+        code = main(["eval", "--checkpoint", str(trained), "--data", str(synth_dir),
+                     "--config", str(cfg)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "error: config line 2: rtar eval takes no setting 'iterations'"]
+
+        monkeypatch.setenv("RTAR_THREADS", "abc")
+        split = tmp_path / "split.txt"
+        dataset.save_split(dataset.SplitManifest(train=["HandWash_001_A_01_G_00.avi"]), split)
+        assert main(["dataset", "validate", "--manifest", str(split)]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "# command=dataset validate", "# expect_train=None", "# expect_test=None",
+            "train clips 1", "test clips  0"]
+        assert main(["preprocess", "--clips", str(synth_dir),
+                     "--out", str(tmp_path / "cache")] + FAST_FLAGS) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: RTAR_THREADS must be a positive integer, got 'abc'\n"
+        assert not (tmp_path / "cache").exists()
 
 
 class TestBench:
