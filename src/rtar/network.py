@@ -125,6 +125,27 @@ def _stream_plan(config: ModelConfig, input_channels: int) -> tuple[list, tuple[
     return nodes + bn_relu(c), (size, size, c)
 
 
+def _layer_specs(node) -> list[tuple]:
+    """A plan node's layer specs: a dense layer's chain, else the node itself."""
+    return node[2] if node[0] == "dense" else [node]
+
+
+def _flop_midpoint(config: ModelConfig, input_channels: int) -> int:
+    """The node boundary of a stream's plan nearest half its conv FLOPs
+    (k²·cin·cout·H·W summed over nodes[:cut]), the first on a tie; both
+    sides hold at least one node. At the defaults it is 4: the stem and
+    three dense layers, 0.53 of the FLOPs."""
+    nodes, _ = _stream_plan(config, input_channels)
+    size, total, done = config.input_size, 0, []
+    for node in nodes:
+        if node[0] == "pool":
+            size //= 2
+        total += sum(s[1] * s[1] * s[2] * s[3] * size * size
+                     for s in _layer_specs(node) if s[0] == "conv")
+        done.append(total)
+    return min(range(1, len(nodes)), key=lambda cut: abs(2 * done[cut - 1] - total))
+
+
 def stream_feature_shape(config: ModelConfig) -> tuple[int, int, int]:
     """(H, W, D) of every stream's output (input channels change only the first conv)."""
     return _stream_plan(config, 1)[1]
@@ -194,10 +215,13 @@ class _DenseLayer:
 
 class StreamNet:
     """One stream: initial conv, dense blocks with transitions (BN-ReLU-1x1
-    conv to ceil(compression * channels), then 2x2 avg pool), final BN-ReLU."""
+    conv to ceil(compression * channels), then 2x2 avg pool), final BN-ReLU.
+    ``cut`` is the node boundary nearest half its conv FLOPs, where eval
+    can split it into a head and a tail that run on two threads."""
 
     def __init__(self, config: ModelConfig, input_channels: int, rng, dtype):
         self.nodes = [_build(node, rng, dtype) for node in _stream_plan(config, input_channels)[0]]
+        self.cut = _flop_midpoint(config, input_channels)
 
     def layers(self) -> list[Layer]:
         flat: list[Layer] = []
@@ -213,7 +237,17 @@ class StreamNet:
         the first conv pads a transposed view of x, and the last map is
         copied out channel-last, which keeps pooling's summation order."""
         run = ws if ws is not None or train else Workspace()
-        y = forward(self.nodes, x.transpose(2, 0, 1), train, run).transpose(1, 2, 0)
+        end = len(self.nodes)
+        return self.tail(self.head(x, end, train, run), end, ws)
+
+    def head(self, x, stop: int, train=False, ws: Workspace | None = None):
+        """nodes[:stop] on the (H, W, Cin) input: their (C, H, W) map."""
+        return forward(self.nodes[:stop], x.transpose(2, 0, 1), train, ws)
+
+    def tail(self, h, start: int, ws: Workspace | None = None):
+        """nodes[start:] in eval mode on a (C, H, W) map, then the copy out
+        to the (H, W, D) map: in ``ws``, or a new array without it."""
+        y = forward(self.nodes[start:], h, ws=ws).transpose(1, 2, 0)
         out = np.empty(y.shape, y.dtype) if ws is None else ws.take(y, y.shape)[0]
         out[...] = y
         return out
@@ -256,24 +290,25 @@ def deinterleave(fused: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]
 # ---------------------------------------------------------------------------
 
 PARALLEL_MIN_SIZE = 48
-"""The smallest ``input_size`` whose eval forward runs its streams on the
-stream pool. A sweep of ``predict`` on a 2-core x86_64 VM, in ms (medians
-of 21, two sittings), serial at the default OpenBLAS threads -> two
-workers with OpenBLAS at one thread, growth 12 and blocks 4,4 unless
-noted:
+"""The smallest ``input_size`` whose eval forward shares its streams with
+the stream pool. A sweep of ``predict`` on a 2-core x86_64 VM, in ms
+(medians of 21, ranges over four sittings), serial at the default
+OpenBLAS threads -> the caller and one pool worker with OpenBLAS at one
+thread, the first stream cut at its FLOP midpoint; growth 12 and blocks
+4,4 with BN unless noted:
 
-    32 px, growth 6, blocks 2,2    1.8 -> 3.0-3.2
-    32 px                          8.7-9.2 -> 8.0-8.2
-    48 px                          17.0 -> 12.1-12.5
-    64 px                          26.5-27.2 -> 18.4-20.0
-    96 px                          51-54 -> 37-38
-    112 px                         66-68 -> 48-50
+    32 px, growth 6, blocks 2,2, no BN    1.5-2.6 -> 1.6-3.3
+    32 px                                 8.1-11.2 -> 6.6-11.2
+    48 px                                 14.8-16.7 -> 9.6-12.9
+    64 px                                 21.3-30.1 -> 17.5-19.1
+    96 px                                 51-55 -> 32-37
+    112 px                                63-81 -> 44-45
 
 At 32 px the pool's hand-offs cost about what the second core saves,
 and the live pipeline's reader and preprocessing threads want that core:
-with the cut at 32, the benchmark's 32 px live replay read a median
-pair latency of 6.4-7.2 ms against 5.4-7.0 ms at 48 (three alternated
-runs each)."""
+with each stream whole on two pool workers and the threshold at 32
+(BENCH_30), the benchmark's 32 px live replay read a median pair latency
+of 6.4-7.2 ms against 5.4-7.0 ms at 48 (three alternated runs each)."""
 
 _BLAS_SYMBOLS = (
     # numpy's bundled OpenBLAS (numpy 2.x wheels), then a plain OpenBLAS
@@ -316,33 +351,56 @@ def _blas_threads():
     return None
 
 
-def _map_streams(fn, names: Sequence[str], input_size: int) -> list:
-    """``[fn(name) for name in names]``, on the process-wide stream pool when
-    there are two usable cores for two streams, ``input_size`` is at least
-    ``PARALLEL_MIN_SIZE`` and OpenBLAS's thread count can be set, and by the
-    builtin ``map`` otherwise. The pool has a worker for each of the three
-    streams, at most one per usable core (``os.sched_getaffinity``), and
-    starts them as work arrives. Its section runs OpenBLAS at one thread,
-    whose spinning workers would otherwise oversubscribe the cores, and
-    restores the previous count before returning, after every stream has
-    finished, whether or not one raised."""
+def _map_streams(run, names: Sequence[str], input_size: int, head, tail) -> list:
+    """``[run(name) for name in names]``, where ``tail(name, head(name))``
+    equals ``run(name)``, with the calling thread as one of the workers.
+
+    The caller runs every stream itself unless there are two usable cores
+    for two streams, ``input_size`` is at least ``PARALLEL_MIN_SIZE`` and
+    OpenBLAS's thread count can be set. Then a process-wide stream pool of
+    ``min(3, cores) - 1`` threads (``os.sched_getaffinity``, sized at first
+    use) shares the streams with it, by McNaughton's wrap-around rule
+    (McNaughton, 1959) for equal streams:
+
+    - as many workers as streams: each runs one whole stream, the caller
+      the first;
+    - three streams on two workers: the caller runs the first stream's
+      head, then the second stream; the pool's worker runs the third
+      stream, then the first's tail. Each does about 1.5 streams' work.
+
+    The section runs OpenBLAS at one thread, whose spinning threads would
+    otherwise oversubscribe the cores, and restores the previous count
+    after every stream has finished, whether or not one raised."""
     blas = _blas_threads() if input_size >= PARALLEL_MIN_SIZE else None
     if blas is None or min(len(names), _usable_cores()) < 2:
-        return list(map(fn, names))
+        return list(map(run, names))
     global _pool
     get, put = blas
     with _parallel_lock:
         if _pool is None:
-            _pool = ThreadPoolExecutor(min(len(STREAM_ORDER), _usable_cores()),
+            _pool = ThreadPoolExecutor(min(len(STREAM_ORDER), _usable_cores()) - 1,
                                        thread_name_prefix="rtar-stream")
         before = get()
         put(1)
+        mine, theirs = {}, {}
         try:
-            futures = [_pool.submit(fn, name) for name in names]
-            wait(futures)
+            if _pool._max_workers + 1 >= len(names):
+                for name in names[1:]:
+                    theirs[name] = _pool.submit(run, name)
+                mine[names[0]] = run(names[0])
+            else:
+                first, middle, last = names
+                theirs[last] = _pool.submit(run, last)
+                # The caller runs the head itself, so the tail is queued only
+                # once its input exists: it never waits in the pool's queue
+                # behind the head it needs.
+                h = head(first)
+                theirs[first] = _pool.submit(tail, first, h)
+                mine[middle] = run(middle)
         finally:
+            wait(theirs.values())
             put(before)
-    return [f.result() for f in futures]
+    return [mine[name] if name in mine else theirs[name].result() for name in names]
 
 
 # ---------------------------------------------------------------------------
@@ -352,10 +410,12 @@ def _map_streams(fn, names: Sequence[str], input_size: int) -> list:
 class FusionModel:
     """Streams plus fused softmax head; owns all trainable state.
 
-    Eval mode runs each stream in a workspace private to the thread that
-    runs it, kept across calls: the caller's, or a stream pool worker's
-    (see ``_map_streams``). Training allocates its activations, which
-    backward reads, and runs its streams on the caller's thread."""
+    Eval mode runs each stream, or a head or tail of one, in a workspace
+    private to the thread that runs it, kept across calls: the caller's
+    or a stream pool worker's (see ``_map_streams``). A head's map waits
+    for its tail in the caller's hand-off buffer, also kept across calls.
+    Training allocates its activations, which backward reads, and runs its
+    streams on the caller's thread."""
 
     def __init__(self, config: ModelConfig, seed: int = 0, dtype=np.float32):
         self.config = config
@@ -377,6 +437,18 @@ class FusionModel:
         if ws is None:
             ws = self._local.ws = Workspace()
         return ws
+
+    def _handoff(self, h: np.ndarray) -> np.ndarray:
+        """h copied into the calling thread's hand-off buffer, which grows to
+        the largest map it has held, as a workspace slot does. The caller's
+        next stream overwrites h in its workspace; the copy lasts until the
+        tail has read it."""
+        buf = getattr(self._local, "handoff", None)
+        if buf is None or buf.size < h.size or buf.dtype != h.dtype:
+            buf = self._local.handoff = np.empty(h.size, h.dtype)
+        out = buf[: h.size].reshape(h.shape)
+        out[...] = h
+        return out
 
     def layers(self) -> list[Layer]:
         return [layer for name in self.config.streams
@@ -412,16 +484,25 @@ class FusionModel:
     def forward_logits(self, rgb=None, flow=None, hog=None, train: bool = False) -> np.ndarray:
         inputs = self._gather_inputs(rgb, flow, hog)
 
+        # Streams run on one thread share its workspace, so each map is
+        # pooled into a new vector, and a head's map copied to the hand-off
+        # buffer, before that thread runs another.
         def pooled(name):
-            # Streams run on one thread share its workspace, so each map is
-            # pooled into a new vector before that thread runs another.
             ws = None if train else self._workspace()
             return self.pools[name].forward(self.streams[name].forward(inputs[name], train, ws),
                                             train)
 
+        def head(name):
+            stream = self.streams[name]
+            return self._handoff(stream.head(inputs[name], stream.cut, ws=self._workspace()))
+
+        def tail(name, h):
+            stream = self.streams[name]
+            return self.pools[name].forward(stream.tail(h, stream.cut, self._workspace()))
+
         names = self.config.streams
         vectors = (list(map(pooled, names)) if train
-                   else _map_streams(pooled, names, self.config.input_size))
+                   else _map_streams(pooled, names, self.config.input_size, head, tail))
         return self.head.forward(self.fuse(dict(zip(names, vectors))), train)
 
     def backward_from_logits(self, dlogits: np.ndarray) -> None:
@@ -606,7 +687,7 @@ def _state_scalar_count(config: ModelConfig) -> int:
     for name in config.streams:
         nodes, (_, _, d) = _stream_plan(config, STREAM_CHANNELS[name])
         for node in nodes:
-            for spec in node[2] if node[0] == "dense" else [node]:
+            for spec in _layer_specs(node):
                 if spec[0] == "conv":
                     total += spec[1] * spec[1] * spec[2] * spec[3]
                 elif spec[0] == "bn":

@@ -366,6 +366,7 @@ class TestEvalWorkspace:
         used = {}
         model.predict(*inputs)
         warm, used = used, {}
+        handoff = getattr(model._local, "handoff", None)
         tracemalloc.start()
         try:
             model.predict(*inputs)
@@ -377,6 +378,12 @@ class TestEvalWorkspace:
         assert used and used.keys() <= warm.keys()
         assert len(warm) <= min(len(model.config.streams), net._usable_cores())
         assert all(ws.nbytes <= 11.25e6 for ws in used.values())
+        # two workspaces for three streams is the cut route, whose caller
+        # keeps one head's map for the tail: at most a dense block's (72,
+        # 112, 112) map, in a buffer the second predict reuses
+        if len(warm) == 2:
+            assert handoff is not None and handoff.nbytes <= 72 * 112 * 112 * 4
+        assert getattr(model._local, "handoff", None) is handoff
 
     def test_direct_stream_forward_takes_one_workspace(self, rng, monkeypatch):
         # an eval StreamNet.forward given no workspace runs the whole stream
@@ -444,11 +451,19 @@ def _blas():
     return blas
 
 
+# the usable cores that each route sees
+_ROUTE_CORES = {"map": 1, "pool": 2, "wide": 3}
+
+
 def _on_route(route, fn):
-    """fn() with eval forward forced onto ``route``: "map", the streams one
-    after another on the calling thread (one usable core), or "pool", the
-    stream pool's workers (two); checks that the streams ran there."""
-    if route == "pool":
+    """fn() with eval forward forced onto ``route`` by the usable cores it
+    sees and a fresh stream pool sized for them: "map", the streams one
+    after another on the calling thread (one core); "pool", the caller and
+    one pool worker (two cores), which cut a model's first stream when it
+    has three; or "wide", the caller and two pool workers (three cores),
+    each stream whole. Checks that the streams ran on the caller alone on
+    "map", and on both the caller and a pool worker otherwise."""
+    if route != "map":
         _blas()
     on_pool = []
     take = net.FusionModel._workspace
@@ -458,10 +473,15 @@ def _on_route(route, fn):
         return take(self)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(net, "_usable_cores", lambda: 1 if route == "map" else 2)
+        mp.setattr(net, "_usable_cores", lambda: _ROUTE_CORES[route])
+        mp.setattr(net, "_pool", None)
         mp.setattr(net.FusionModel, "_workspace", spy)
-        out = fn()
-    assert on_pool and all(p == (route == "pool") for p in on_pool)
+        try:
+            out = fn()
+        finally:
+            if net._pool is not None:
+                net._pool.shutdown()
+    assert set(on_pool) == ({False} if route == "map" else {False, True})
     return out
 
 
@@ -480,8 +500,8 @@ class TestParallelStreams:
                   for _ in range(2)]
         got = {route: _on_route(route, lambda: [model.predict(**x).probabilities.tobytes()
                                                 for x in inputs + inputs])
-               for route in ("map", "pool")}
-        assert got["pool"] == got["map"]
+               for route in _ROUTE_CORES}
+        assert got["pool"] == got["map"] and got["wide"] == got["map"]
 
     def test_routes_give_identical_logs_at_the_defaults(self, rng, tmp_path):
         model = net.FusionModel(net.ModelConfig(num_classes=4), seed=1)
@@ -596,6 +616,164 @@ class TestParallelStreams:
             runs.append((history, [p.tobytes() for layer in model.layers()
                                    for p in layer.params.values()]))
         assert runs[0] == runs[1]
+
+
+    def test_two_workers_are_the_caller_and_one_pool_thread(self, rng):
+        # three streams on two workers: the caller runs the first stream's
+        # head, then the second stream; the pool worker runs the third, then
+        # the first's tail, only after the head has finished
+        size = net.PARALLEL_MIN_SIZE
+        model = net.FusionModel(tiny_config(input_size=size), seed=0)
+        inputs = rand_inputs(rng, size)
+        serial = _on_route("map", lambda: model.predict(*inputs).probabilities.tobytes())
+        ran, inside = [], threading.local()
+
+        def spy(name, part):
+            original = getattr(model.streams[name], part)
+
+            def run(*args, **kwargs):
+                # a whole stream's forward runs its own head and tail: only
+                # the outermost call is a step of the schedule
+                if getattr(inside, "part", None):
+                    return original(*args, **kwargs)
+                inside.part = part
+                ran.append((threading.current_thread(), name, part, "start"))
+                try:
+                    return original(*args, **kwargs)
+                finally:
+                    ran.append((threading.current_thread(), name, part, "end"))
+                    inside.part = None
+            return run
+
+        with pytest.MonkeyPatch.context() as mp:
+            for name in model.config.streams:
+                for part in ("forward", "head", "tail"):
+                    mp.setattr(model.streams[name], part, spy(name, part))
+            got = _on_route("pool", lambda: model.predict(*inputs).probabilities.tobytes())
+        assert got == serial
+        caller = threading.current_thread()
+        threads = {t for t, *_ in ran}
+        assert len(threads) == 2 and caller in threads
+        worker, = threads - {caller}
+        assert worker.name.startswith("rtar-stream")
+        steps = [(t is caller, name, part) for t, name, part, edge in ran if edge == "start"]
+        assert sorted(steps) == sorted([(True, "rgb", "head"), (True, "flow", "forward"),
+                                        (False, "hog", "forward"), (False, "rgb", "tail")])
+        assert [s for s in steps if not s[0]] == [(False, "hog", "forward"), (False, "rgb", "tail")]
+        assert ran.index((caller, "rgb", "head", "end")) < ran.index((worker, "rgb", "tail", "start"))
+
+    def test_route_follows_the_pool_not_a_later_core_count(self, rng):
+        # the pool is sized at first use; a predict splits the streams by the
+        # workers that pool has, whatever the core count reads by then
+        size = net.PARALLEL_MIN_SIZE
+        model = net.FusionModel(tiny_config(input_size=size), seed=0)
+        inputs = rand_inputs(rng, size)
+        handed_off = []
+        handoff = model._handoff
+
+        def spy(h):
+            handed_off.append(threading.current_thread())
+            return handoff(h)
+
+        def predict_on_more_cores():
+            model.predict(*inputs)  # sizes the pool for two cores
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(net, "_usable_cores", lambda: 3)
+                mp.setattr(model, "_handoff", spy)
+                return model.predict(*inputs).probabilities.tobytes()
+
+        got = _on_route("pool", predict_on_more_cores)
+        # only the cut route hands a head's map off, from the caller
+        assert handed_off == [threading.current_thread()]
+        assert got == _on_route("map", lambda: model.predict(*inputs).probabilities.tobytes())
+
+    @pytest.mark.parametrize("fails", ["head", "whole"])
+    def test_a_failed_piece_leaves_no_thread_waiting(self, rng, fails):
+        # "head": the first stream's head, which the caller runs; "whole":
+        # the third stream, which the pool worker runs before the first
+        # stream's tail. Each predict re-raises, OpenBLAS gets its count
+        # back, and the next predict gives the serial bytes. The calls run
+        # on a thread joined with a timeout, so a section left waiting on a
+        # tail or a worker fails the test instead of hanging it.
+        get, put = _blas()
+        size = net.PARALLEL_MIN_SIZE
+        model = net.FusionModel(tiny_config(input_size=size), seed=0)
+        inputs = rand_inputs(rng, size)
+        serial = _on_route("map", lambda: model.predict(*inputs).probabilities.tobytes())
+        name, part = ("rgb", "head") if fails == "head" else ("hog", "forward")
+        raised_on = []
+
+        def failing(*args, **kwargs):
+            raised_on.append(threading.current_thread().name.startswith("rtar-stream"))
+            raise RuntimeError(f"{fails} failed")
+
+        def predicts():
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(model.streams[name], part, failing)
+                for _ in range(2):
+                    with pytest.raises(RuntimeError, match=f"{fails} failed"):
+                        model.predict(*inputs)
+                    counts.append(get())
+            got.append(model.predict(*inputs).probabilities.tobytes())
+
+        counts, got = [], []
+        before = get()
+        try:
+            put(2)  # a count the section must lower and then give back
+            caller = threading.Thread(target=lambda: _on_route("pool", predicts))
+            caller.start()
+            caller.join(timeout=60)
+            assert not caller.is_alive()
+            assert get() == 2
+        finally:
+            put(before)
+        assert raised_on == [fails == "whole"] * 2
+        assert counts == [2, 2] and got == [serial]
+
+
+class TestFlopMidpoint:
+    @given(growth=st.integers(1, 4), blocks=st.lists(st.integers(1, 3), min_size=1, max_size=3),
+           bn=st.booleans(), compression=st.sampled_from([0.5, 1.0]), base=st.integers(1, 3),
+           channels=st.sampled_from(sorted(net.STREAM_CHANNELS.values())))
+    def test_cut_is_the_nearest_half_flop_boundary(self, growth, blocks, bn, compression, base,
+                                                   channels):
+        # oracle: each node's conv FLOPs counted from the shapes its convs
+        # see in an eval forward, then every boundary tried
+        size = base * 2 ** (len(blocks) - 1)
+        cfg = tiny_config(growth_rate=growth, blocks=tuple(blocks), bn_enabled=bn,
+                          compression=compression, input_size=size)
+        stream = net.StreamNet(cfg, channels, np.random.default_rng(0), np.float64)
+        per_node, counted = [], []
+        conv = Conv2D.forward
+
+        def spy(self, x, *args, **kwargs):
+            k, _, cin, cout = self.params["w"].shape
+            counted.append(k * k * cin * cout * x.shape[1] * x.shape[2])
+            return conv(self, x, *args, **kwargs)
+
+        x = np.random.default_rng(1).random((size, size, channels))
+        ws = Workspace()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(Conv2D, "forward", spy)
+            h = x.transpose(2, 0, 1)
+            for node in stream.nodes:
+                h = node.forward(h, ws=ws)
+                per_node.append(sum(counted))
+                counted.clear()
+        done, total = np.cumsum(per_node), sum(per_node)
+        nearest = min(abs(2 * done[i - 1] - total) for i in range(1, len(stream.nodes)))
+        assert 1 <= stream.cut < len(stream.nodes)
+        assert abs(2 * done[stream.cut - 1] - total) == nearest
+        assert all(abs(2 * done[i - 1] - total) > nearest for i in range(1, stream.cut))
+        assert net.StreamNet(cfg, channels, np.random.default_rng(5), np.float64).cut == stream.cut
+        whole = stream.forward(x)
+        parts = stream.tail(stream.head(x, stream.cut, ws=Workspace()).copy(), stream.cut,
+                            Workspace())
+        assert parts.tobytes() == whole.tobytes()
+
+    def test_defaults_cut_after_three_dense_layers(self):
+        cfg = net.ModelConfig(num_classes=12)
+        assert [net._flop_midpoint(cfg, c) for c in sorted(net.STREAM_CHANNELS.values())] == [4] * 3
 
 
 class TestFusedDenseLayer:
