@@ -411,6 +411,10 @@ def cmd_bench(args, s: Settings) -> int:
     ws = network.Workspace()
     pooled = {name: rng.standard_normal(model.feature_shape[2]).astype(np.float32)
               for name in model.config.streams}
+    # one training step: one sample, one minibatch; it runs after every row
+    # that reads the model's weights
+    step = ([(inputs["rgb"], inputs["flow"], inputs["hog"], 0)],
+            network.TrainConfig(epochs=1, batch=1, seed=s.seed))
 
     stages = {
         "resize": lambda: resize_bilinear(src[0], size, size),
@@ -420,6 +424,7 @@ def cmd_bench(args, s: Settings) -> int:
             inputs[name], ws=ws) for name in model.config.streams},
         "fuse_head": lambda: model.head.forward(model.fuse(pooled)),
         "predict": lambda: model.predict(**inputs),
+        "train_step": lambda: network.train(model, *step),
         "pre_combined": lambda: preprocess_pair(src[0], src[1], pre),
     }
 

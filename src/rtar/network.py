@@ -23,7 +23,9 @@ import math
 import os
 import struct
 import threading
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor, wait
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cache
 from typing import Sequence
@@ -216,8 +218,9 @@ class _DenseLayer:
 class StreamNet:
     """One stream: initial conv, dense blocks with transitions (BN-ReLU-1x1
     conv to ceil(compression * channels), then 2x2 avg pool), final BN-ReLU.
-    ``cut`` is the node boundary nearest half its conv FLOPs, where eval
-    can split it into a head and a tail that run on two threads."""
+    ``cut`` is the node boundary nearest half its conv FLOPs, where a
+    forward or backward pass can split it into a head and a tail that run
+    on two threads."""
 
     def __init__(self, config: ModelConfig, input_channels: int, rng, dtype):
         self.nodes = [_build(node, rng, dtype) for node in _stream_plan(config, input_channels)[0]]
@@ -238,22 +241,33 @@ class StreamNet:
         copied out channel-last, which keeps pooling's summation order."""
         run = ws if ws is not None or train else Workspace()
         end = len(self.nodes)
-        return self.tail(self.head(x, end, train, run), end, ws)
+        return self.tail(self.head(x, end, train, run), end, ws, train)
 
     def head(self, x, stop: int, train=False, ws: Workspace | None = None):
         """nodes[:stop] on the (H, W, Cin) input: their (C, H, W) map."""
         return forward(self.nodes[:stop], x.transpose(2, 0, 1), train, ws)
 
-    def tail(self, h, start: int, ws: Workspace | None = None):
-        """nodes[start:] in eval mode on a (C, H, W) map, then the copy out
-        to the (H, W, D) map: in ``ws``, or a new array without it."""
-        y = forward(self.nodes[start:], h, ws=ws).transpose(1, 2, 0)
+    def tail(self, h, start: int, ws: Workspace | None = None, train=False):
+        """nodes[start:] on a (C, H, W) map, then the copy out to the (H, W,
+        D) map: in ``ws``, or a new array without it."""
+        y = forward(self.nodes[start:], h, train, ws).transpose(1, 2, 0)
         out = np.empty(y.shape, y.dtype) if ws is None else ws.take(y, y.shape)[0]
         out[...] = y
         return out
 
     def backward(self, dy):
-        return backward(self.nodes, dy.transpose(2, 0, 1)).transpose(1, 2, 0)
+        end = len(self.nodes)
+        return self.head_backward(self.tail_backward(dy, end), end)
+
+    def tail_backward(self, dy, start: int):
+        """``tail``'s backward for the (H, W, D) map's gradient: the (C, H,
+        W) gradient of nodes[start]'s input."""
+        return backward(self.nodes[start:], dy.transpose(2, 0, 1))
+
+    def head_backward(self, dh, stop: int):
+        """``head``'s backward for the (C, H, W) gradient of its map: the
+        (H, W, Cin) input's gradient."""
+        return backward(self.nodes[:stop], dh).transpose(1, 2, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -290,12 +304,12 @@ def deinterleave(fused: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]
 # ---------------------------------------------------------------------------
 
 PARALLEL_MIN_SIZE = 48
-"""The smallest ``input_size`` whose eval forward shares its streams with
-the stream pool. A sweep of ``predict`` on a 2-core x86_64 VM, in ms
-(medians of 21, ranges over four sittings), serial at the default
-OpenBLAS threads -> the caller and one pool worker with OpenBLAS at one
-thread, the first stream cut at its FLOP midpoint; growth 12 and blocks
-4,4 with BN unless noted:
+"""The smallest ``input_size`` whose eval forward, and training's forward
+and backward, share their streams with the stream pool. A sweep of
+``predict`` on a 2-core x86_64 VM, in ms (medians of 21, ranges over
+four sittings), serial at the default OpenBLAS threads -> the caller and
+one pool worker with OpenBLAS at one thread, the first stream cut at its
+FLOP midpoint; growth 12 and blocks 4,4 with BN unless noted:
 
     32 px, growth 6, blocks 2,2, no BN    1.5-2.6 -> 1.6-3.3
     32 px                                 8.1-11.2 -> 6.6-11.2
@@ -316,9 +330,45 @@ _BLAS_SYMBOLS = (
     ("openblas_get_num_threads", "openblas_set_num_threads"),
 )
 
-# Held for the whole parallel section, from setting OpenBLAS to one thread
-# to restoring it, so two callers never interleave their counts.
-_parallel_lock = threading.Lock()
+class _TurnLock:
+    """A reentrant lock taken in the order it was asked for: a thread that
+    leaves it and asks again at once queues behind the threads already
+    waiting. (A plain lock goes to whichever thread asks first once it is
+    free, which is usually the one that just left it.)"""
+
+    def __init__(self):
+        self._cond = threading.Condition(threading.Lock())
+        self._queue: deque[int] = deque()
+        self._owner, self._depth = None, 0
+
+    def __enter__(self):
+        me = threading.get_ident()
+        with self._cond:
+            if self._owner != me:
+                self._queue.append(me)
+                try:
+                    self._cond.wait_for(lambda: self._owner is None and self._queue[0] == me)
+                except BaseException:
+                    self._queue.remove(me)
+                    self._cond.notify_all()
+                    raise
+                self._queue.popleft()
+                self._owner = me
+            self._depth += 1
+
+    def __exit__(self, *exc):
+        with self._cond:
+            self._depth -= 1
+            if not self._depth:
+                self._owner = None
+                self._cond.notify_all()
+
+
+# Held for the whole of a one-thread section (``_one_blas_thread``), so two
+# callers never interleave their counts. A training step holds it around
+# the stream schedules of its forward and backward passes, which take it
+# again; a predict that waits for it runs before the next step.
+_parallel_lock = _TurnLock()
 _pool: ThreadPoolExecutor | None = None
 
 
@@ -351,6 +401,25 @@ def _blas_threads():
     return None
 
 
+@contextmanager
+def _one_blas_thread():
+    """A section with OpenBLAS at one thread, under ``_parallel_lock``; its
+    previous count is restored on the way out, whether or not the body
+    raised. Where ``_blas_threads()`` is None the body runs as it is."""
+    blas = _blas_threads()
+    if blas is None:
+        yield
+        return
+    get, put = blas
+    with _parallel_lock:
+        before = get()
+        put(1)
+        try:
+            yield
+        finally:
+            put(before)
+
+
 def _map_streams(run, names: Sequence[str], input_size: int, head, tail) -> list:
     """``[run(name) for name in names]``, where ``tail(name, head(name))``
     equals ``run(name)``, with the calling thread as one of the workers.
@@ -368,20 +437,20 @@ def _map_streams(run, names: Sequence[str], input_size: int, head, tail) -> list
       head, then the second stream; the pool's worker runs the third
       stream, then the first's tail. Each does about 1.5 streams' work.
 
-    The section runs OpenBLAS at one thread, whose spinning threads would
-    otherwise oversubscribe the cores, and restores the previous count
-    after every stream has finished, whether or not one raised."""
-    blas = _blas_threads() if input_size >= PARALLEL_MIN_SIZE else None
-    if blas is None or min(len(names), _usable_cores()) < 2:
+    Eval's forward and training's forward and backward all run here; a
+    backward passes the cut stream's tail as ``head`` and its head as
+    ``tail``. The pool's section runs in ``_one_blas_thread``, since
+    OpenBLAS's spinning threads would otherwise oversubscribe the cores,
+    and leaves it only after every stream has finished, whether or not
+    one raised."""
+    if (input_size < PARALLEL_MIN_SIZE or _blas_threads() is None
+            or min(len(names), _usable_cores()) < 2):
         return list(map(run, names))
     global _pool
-    get, put = blas
-    with _parallel_lock:
+    with _one_blas_thread():
         if _pool is None:
             _pool = ThreadPoolExecutor(min(len(STREAM_ORDER), _usable_cores()) - 1,
                                        thread_name_prefix="rtar-stream")
-        before = get()
-        put(1)
         mine, theirs = {}, {}
         try:
             if _pool._max_workers + 1 >= len(names):
@@ -399,7 +468,6 @@ def _map_streams(run, names: Sequence[str], input_size: int, head, tail) -> list
                 mine[middle] = run(middle)
         finally:
             wait(theirs.values())
-            put(before)
     return [mine[name] if name in mine else theirs[name].result() for name in names]
 
 
@@ -410,12 +478,15 @@ def _map_streams(run, names: Sequence[str], input_size: int, head, tail) -> list
 class FusionModel:
     """Streams plus fused softmax head; owns all trainable state.
 
-    Eval mode runs each stream, or a head or tail of one, in a workspace
+    Eval's forward and training's forward and backward share the streams
+    between the caller and the stream pool (see ``_map_streams``). Eval
+    mode runs each stream, or a head or tail of one, in a workspace
     private to the thread that runs it, kept across calls: the caller's
-    or a stream pool worker's (see ``_map_streams``). A head's map waits
-    for its tail in the caller's hand-off buffer, also kept across calls.
-    Training allocates its activations, which backward reads, and runs its
-    streams on the caller's thread."""
+    or a stream pool worker's. A head's map waits for its tail in the
+    caller's hand-off buffer, also kept across calls. Training allocates
+    its activations, which backward reads; each stream's layers, with
+    their grads and BN running statistics, are touched by one thread at a
+    time, so they need no lock."""
 
     def __init__(self, config: ModelConfig, seed: int = 0, dtype=np.float32):
         self.config = config
@@ -486,29 +557,45 @@ class FusionModel:
 
         # Streams run on one thread share its workspace, so each map is
         # pooled into a new vector, and a head's map copied to the hand-off
-        # buffer, before that thread runs another.
+        # buffer, before that thread runs another. Training allocates, so
+        # its head's map is its own.
+        def ws():
+            return None if train else self._workspace()
+
         def pooled(name):
-            ws = None if train else self._workspace()
-            return self.pools[name].forward(self.streams[name].forward(inputs[name], train, ws),
+            return self.pools[name].forward(self.streams[name].forward(inputs[name], train, ws()),
                                             train)
 
         def head(name):
             stream = self.streams[name]
-            return self._handoff(stream.head(inputs[name], stream.cut, ws=self._workspace()))
+            h = stream.head(inputs[name], stream.cut, train, ws())
+            return h if train else self._handoff(h)
 
         def tail(name, h):
             stream = self.streams[name]
-            return self.pools[name].forward(stream.tail(h, stream.cut, self._workspace()))
+            return self.pools[name].forward(stream.tail(h, stream.cut, ws(), train), train)
 
         names = self.config.streams
-        vectors = (list(map(pooled, names)) if train
-                   else _map_streams(pooled, names, self.config.input_size, head, tail))
+        vectors = _map_streams(pooled, names, self.config.input_size, head, tail)
         return self.head.forward(self.fuse(dict(zip(names, vectors))), train)
 
     def backward_from_logits(self, dlogits: np.ndarray) -> None:
         dpooled = self._unfuse(self.head.backward(dlogits))
-        for name in self.config.streams:
+
+        def whole(name):
             self.streams[name].backward(self.pools[name].backward(dpooled[name]))
+
+        # a cut stream's backward runs its tail first, in the schedule's head
+        # slot, and then its head
+        def tail(name):
+            stream = self.streams[name]
+            return stream.tail_backward(self.pools[name].backward(dpooled[name]), stream.cut)
+
+        def head(name, dh):
+            stream = self.streams[name]
+            stream.head_backward(dh, stream.cut)
+
+        _map_streams(whole, self.config.streams, self.config.input_size, tail, head)
 
     def predict(self, rgb=None, flow=None, hog=None) -> Prediction:
         logits = self.forward_logits(rgb, flow, hog, train=False)
@@ -557,12 +644,17 @@ class ClipSamples:
 
 def train(model: FusionModel, samples: Sequence[tuple], hyper: TrainConfig) -> list[float]:
     """SGD with momentum on softmax cross-entropy over (rgb, flow, hog, label)
-    samples; returns the per-epoch mean loss history. Deterministic for a
-    fixed seed and OpenBLAS thread count: products round differently at
-    another count (a random 32 px, growth 6, blocks 2,2 model on 16 random
-    samples read an epoch-2 loss of 1.4011072739958763 at one thread and
-    1.4011072590947151 at two). Eval bytes and event logs do not depend
-    on it."""
+    samples; returns the per-epoch mean loss history.
+
+    Each minibatch, from ``zero_grad`` to the optimizer's step, runs in
+    ``_one_blas_thread``: OpenBLAS at one thread, under the lock that a
+    pool ``predict`` takes, so a concurrent ``predict`` waits at most one
+    step. Its streams' forward and backward passes go through
+    ``_map_streams``, as eval's forward does. So the history and the
+    trained bytes depend neither on the OpenBLAS thread count nor on the
+    core count or the route, for one OpenBLAS build and CPU kernel. Where ``_blas_threads()`` is None (no OpenBLAS thread
+    control), the streams run on the caller at the BLAS library's own
+    thread count, and the bytes depend on that count."""
     if len(samples) == 0:
         raise ContractViolationError("training needs a non-empty dataset")
     for _, _, _, label in samples:
@@ -577,14 +669,15 @@ def train(model: FusionModel, samples: Sequence[tuple], hyper: TrainConfig) -> l
         total_loss = 0.0
         for start in range(0, n, hyper.batch):
             batch = order[start : start + hyper.batch]
-            opt.zero_grad()
-            for idx in batch:
-                rgb, flow, hog, label = samples[idx]
-                logits = model.forward_logits(rgb, flow, hog, train=True)
-                loss, _, dlogits = softmax_cross_entropy(logits, label)
-                model.backward_from_logits(dlogits)
-                total_loss += loss
-            opt.step(scale=1.0 / len(batch))
+            with _one_blas_thread():
+                opt.zero_grad()
+                for idx in batch:
+                    rgb, flow, hog, label = samples[idx]
+                    logits = model.forward_logits(rgb, flow, hog, train=True)
+                    loss, _, dlogits = softmax_cross_entropy(logits, label)
+                    model.backward_from_logits(dlogits)
+                    total_loss += loss
+                opt.step(scale=1.0 / len(batch))
         history.append(total_loss / n)
     return history
 

@@ -802,7 +802,7 @@ class TestBench:
         table = lines[next(i for i, line in enumerate(lines) if line.startswith("stage")) + 1 :]
         assert [line.split()[0] for line in table] == [
             "resize", "flow", "hog", "stream_forward_rgb", "stream_forward_flow",
-            "stream_forward_hog", "fuse_head", "predict", "pre_combined"]
+            "stream_forward_hog", "fuse_head", "predict", "train_step", "pre_combined"]
 
     @pytest.mark.parametrize("streams", ["rgb", "flow,hog"])
     def test_stream_subsets(self, streams, capsys):

@@ -1,8 +1,11 @@
 import dataclasses
 import hashlib
+import os
 import struct
+import subprocess
 import sys
 import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -456,26 +459,32 @@ _ROUTE_CORES = {"map": 1, "pool": 2, "wide": 3}
 
 
 def _on_route(route, fn):
-    """fn() with eval forward forced onto ``route`` by the usable cores it
+    """fn() with the stream schedule, eval's forward and training's
+    forward and backward, forced onto ``route`` by the usable cores it
     sees and a fresh stream pool sized for them: "map", the streams one
     after another on the calling thread (one core); "pool", the caller and
     one pool worker (two cores), which cut a model's first stream when it
     has three; or "wide", the caller and two pool workers (three cores),
-    each stream whole. Checks that the streams ran on the caller alone on
-    "map", and on both the caller and a pool worker otherwise."""
+    each stream whole. Checks that the schedule's pieces ran on the caller
+    alone on "map", and on both the caller and a pool worker otherwise."""
     if route != "map":
         _blas()
     on_pool = []
-    take = net.FusionModel._workspace
+    schedule = net._map_streams
 
-    def spy(self):
-        on_pool.append(threading.current_thread().name.startswith("rtar-stream"))
-        return take(self)
+    def recorded(piece):
+        def call(*args):
+            on_pool.append(threading.current_thread().name.startswith("rtar-stream"))
+            return piece(*args)
+        return call
+
+    def spy(run, names, input_size, head, tail):
+        return schedule(recorded(run), names, input_size, recorded(head), recorded(tail))
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(net, "_usable_cores", lambda: _ROUTE_CORES[route])
         mp.setattr(net, "_pool", None)
-        mp.setattr(net.FusionModel, "_workspace", spy)
+        mp.setattr(net, "_map_streams", spy)
         try:
             out = fn()
         finally:
@@ -729,6 +738,186 @@ class TestParallelStreams:
             put(before)
         assert raised_on == [fails == "whole"] * 2
         assert counts == [2, 2] and got == [serial]
+
+
+def _state_bytes(model):
+    return [t.tobytes() for t in net._model_state(model)]
+
+
+_TRAIN_AND_SAVE = """
+import sys
+import numpy as np
+from rtar import network as net
+rng = np.random.default_rng(0)
+samples = [tuple(rng.random((32, 32, c), dtype=np.float32) for c in (3, 2, 1)) + (i % 4,)
+           for i in range(8)]
+model = net.FusionModel(net.ModelConfig(num_classes=4, growth_rate=6, blocks=(2, 2),
+                                        compression=0.5, input_size=32, bn_enabled=False), seed=1)
+print(repr(net.train(model, samples, net.TrainConfig(lr=0.05, epochs=2, batch=4, seed=0))))
+net.save_model(model, sys.argv[1])
+"""
+
+
+class TestParallelTraining:
+    def test_bytes_do_not_depend_on_the_blas_thread_count(self, tmp_path):
+        # criterion 1's architecture, whose products OpenBLAS splits across
+        # two threads: each minibatch runs at one thread whatever the count
+        _blas()
+        src = os.path.dirname(os.path.dirname(net.__file__))
+        runs = []
+        for threads in ("1", "2"):
+            path = tmp_path / f"threads{threads}.ckpt"
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=src)
+            out = subprocess.run([sys.executable, "-c", _TRAIN_AND_SAVE, str(path)], env=env,
+                                 capture_output=True, text=True, timeout=300, check=True).stdout
+            runs.append((out, path.read_bytes()))
+        assert runs[0] == runs[1]
+
+    @pytest.mark.parametrize("bn", [True, False], ids=["bn", "no_bn"])
+    @pytest.mark.parametrize("streams", [net.STREAM_ORDER, ("flow", "rgb")],
+                             ids=["all", "flow_rgb"])
+    def test_routes_give_identical_bytes(self, rng, streams, bn):
+        size = net.PARALLEL_MIN_SIZE
+        cfg = tiny_config(growth_rate=3, blocks=(1, 2), compression=0.5, input_size=size,
+                          bn_enabled=bn, streams=streams)
+        samples = [(*rand_inputs(rng, size), i % 4) for i in range(4)]
+        hyper = net.TrainConfig(lr=0.05, epochs=2, batch=2, seed=0)
+
+        def trained():
+            model = net.FusionModel(cfg, seed=3)
+            return net.train(model, samples, hyper), _state_bytes(model)
+
+        got = {route: _on_route(route, trained) for route in _ROUTE_CORES}
+        assert got["pool"] == got["map"] and got["wide"] == got["map"]
+
+    def test_cut_streams_backward_runs_its_tail_then_its_head(self, rng):
+        # on two workers the first stream is cut in both passes: forward runs
+        # its head on the caller and its tail on the worker, and backward
+        # runs its tail's backward on the caller and then its head's on the
+        # worker, which is queued only once the tail's has finished
+        size = net.PARALLEL_MIN_SIZE
+        samples = [(*rand_inputs(rng, size), i % 4) for i in range(3)]
+        hyper = net.TrainConfig(lr=0.05, epochs=1, batch=2, seed=0)
+        serial = net.FusionModel(tiny_config(input_size=size), seed=0)
+        _on_route("map", lambda: net.train(serial, samples, hyper))
+        model = net.FusionModel(tiny_config(input_size=size), seed=0)
+        stream, ran = model.streams["rgb"], []
+
+        def spy(part):
+            original = getattr(stream, part)
+
+            def run(*args):
+                ran.append((threading.current_thread(), part, "start"))
+                try:
+                    return original(*args)
+                finally:
+                    ran.append((threading.current_thread(), part, "end"))
+            return run
+
+        with pytest.MonkeyPatch.context() as mp:
+            for part in ("head", "tail", "tail_backward", "head_backward"):
+                mp.setattr(stream, part, spy(part))
+            _on_route("pool", lambda: net.train(model, samples, hyper))
+        assert _state_bytes(model) == _state_bytes(serial)
+        caller = threading.current_thread()
+        steps = [(t is caller, part) for t, part, edge in ran if edge == "start"]
+        assert steps == [(True, "head"), (False, "tail"),
+                         (True, "tail_backward"), (False, "head_backward")] * len(samples)
+        for i in range(len(samples)):
+            edges = [(part, edge) for _, part, edge in ran[8 * i : 8 * i + 8]]
+            assert edges.index(("tail_backward", "end")) < edges.index(("head_backward", "start"))
+        assert all(t is not caller and t.name.startswith("rtar-stream")
+                   for t, part, _ in ran if part in ("tail", "head_backward"))
+
+    @pytest.mark.parametrize("fails", ["tail_backward", "backward"])
+    def test_a_failed_backward_leaves_no_thread_waiting(self, rng, fails):
+        # "tail_backward": the first stream's tail's backward, which the
+        # caller runs first; "backward": the third stream's, which the pool
+        # worker runs before the first stream's head's backward. Each train
+        # re-raises, OpenBLAS gets its count back, the lock is free, and the
+        # next train gives the serial bytes. The calls run on a thread joined
+        # with a timeout, so a section left waiting fails the test instead of
+        # hanging it.
+        get, put = _blas()
+        size = net.PARALLEL_MIN_SIZE
+        samples = [(*rand_inputs(rng, size), i % 4) for i in range(2)]
+        hyper = net.TrainConfig(lr=0.05, epochs=1, batch=2, seed=0)
+
+        def trained():
+            model = net.FusionModel(tiny_config(input_size=size), seed=0)
+            net.train(model, samples, hyper)
+            return _state_bytes(model)
+
+        serial = _on_route("map", trained)
+        name = "rgb" if fails == "tail_backward" else "hog"
+        raised_on = []
+
+        def failing(*args):
+            raised_on.append(threading.current_thread().name.startswith("rtar-stream"))
+            raise RuntimeError(f"{fails} failed")
+
+        def trains():
+            for _ in range(2):
+                model = net.FusionModel(tiny_config(input_size=size), seed=0)
+                with pytest.MonkeyPatch.context() as mp:
+                    mp.setattr(model.streams[name], fails, failing)
+                    with pytest.raises(RuntimeError, match=f"{fails} failed"):
+                        net.train(model, samples, hyper)
+                counts.append(get())
+            got.append(trained())
+
+        counts, got = [], []
+        before = get()
+        try:
+            put(2)  # a count the section must lower and then give back
+            caller = threading.Thread(target=lambda: _on_route("pool", trains))
+            caller.start()
+            caller.join(timeout=60)
+            assert not caller.is_alive()
+            assert get() == 2
+        finally:
+            put(before)
+        assert raised_on == [fails == "backward"] * 2
+        assert counts == [2, 2] and got == [serial]
+        assert net._parallel_lock._owner is None
+
+    def test_a_predict_waits_for_one_step_not_the_run(self, rng):
+        # the lock is held per minibatch, and handed to a waiting caller in
+        # turn: a pool predict asked for during the first of four steps runs
+        # its streams before the second step starts
+        size = net.PARALLEL_MIN_SIZE
+        model = net.FusionModel(tiny_config(input_size=size), seed=0)
+        other = net.FusionModel(tiny_config(input_size=size), seed=1)
+        samples = [(*rand_inputs(rng, size), i % 4) for i in range(4)]
+        inputs = rand_inputs(rng, size)
+        events, predicting = [], []
+        forward_logits, hog_forward = model.forward_logits, other.streams["hog"].forward
+
+        def step(*args, **kwargs):
+            if not predicting:
+                predicting.append(threading.Thread(target=other.predict, args=inputs))
+                predicting[0].start()
+                deadline = time.monotonic() + 60
+                while not net._parallel_lock._queue and time.monotonic() < deadline:
+                    time.sleep(0.001)
+            events.append("step")
+            return forward_logits(*args, **kwargs)
+
+        def predicted(x, train=False, ws=None):
+            events.append("predict")
+            return hog_forward(x, train, ws)
+
+        def run():
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(model, "forward_logits", step)
+                mp.setattr(other.streams["hog"], "forward", predicted)
+                net.train(model, samples, net.TrainConfig(lr=0.05, epochs=1, batch=1, seed=0))
+                events.append("trained")
+            predicting[0].join(timeout=60)
+            assert not predicting[0].is_alive()
+
+        _on_route("pool", run)
+        assert events == ["step", "predict", "step", "step", "step", "trained"]
 
 
 class TestFlopMidpoint:
